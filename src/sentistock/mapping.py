@@ -8,6 +8,7 @@ days and joined with the stock columns into one master dataset.
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CalendarMismatchError, MissingScoreError, UnknownColumnError
+from .errors import CalendarMismatchError, MissingScoreError, UnknownColumnError, UnparseableRowError
 from .ingest import StockSeries, TweetCorpus
 from .sentiment import ScoreTable, SentimentScore
 
@@ -227,7 +228,12 @@ def write_master_csv(master: MasterDataset, path: str | Path) -> None:
 
 
 def load_master_csv(path: str | Path, target_column: str = "Close") -> MasterDataset:
-    """Read a master dataset CSV written by write_master_csv."""
+    """Read a master dataset CSV written by write_master_csv.
+
+    Raises UnparseableRowError, with the line number, for a row whose field
+    count differs from the header's or that holds an unparseable date or a
+    non-finite value.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -236,9 +242,17 @@ def load_master_csv(path: str | Path, target_column: str = "Close") -> MasterDat
         names = header[1:]
         calendar = []
         rows = []
-        for row in reader:
-            calendar.append(date.fromisoformat(row[0]))
-            rows.append([float(v) for v in row[1:]])
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise UnparseableRowError(line_no, f"expected {len(header)} fields, got {len(row)}")
+            try:
+                calendar.append(date.fromisoformat(row[0]))
+                values = [float(v) for v in row[1:]]
+            except ValueError as exc:
+                raise UnparseableRowError(line_no, str(exc)) from exc
+            if not all(math.isfinite(v) for v in values):
+                raise UnparseableRowError(line_no, f"non-finite value in {row[1:]}")
+            rows.append(values)
     data = np.array(rows, dtype=float).reshape(len(rows), len(names))
     columns = {name: data[:, j] for j, name in enumerate(names)}
     return MasterDataset(calendar=calendar, columns=columns, target_column=target_column)

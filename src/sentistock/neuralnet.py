@@ -17,6 +17,21 @@ each direction's final processed state of layer 2: the forward state at the
 last step and the backward state at the first step. Gradients come from full
 backpropagation through time; updates use Adam. Everything is float64 numpy
 and fully deterministic for a fixed seed.
+
+Both directions of a layer run as one stacked recurrence, after Appleyard et
+al., "Optimizing Performance of Recurrent Neural Networks on GPUs"
+(arXiv:1604.01946). The backward direction is fed the time-reversed input,
+so at each step s both directions take one (2, B, H) @ (2, H, 4H) matmul;
+the input projection for the whole window is one GEMM before the loop. All
+four gates come from a single tanh over the (2, B, 4H) block, using
+sigmoid(z) = 0.5 * tanh(z / 2) + 0.5 on the i/f/o columns (the halving is
+folded into the weights, which is exact). Per-step caches are arrays indexed
+[direction, step, batch, unit], each direction in its own processing order;
+the gates are activated in place in the pre-activation buffer, and BPTT
+overwrites them with the gate gradients so that the weight and input
+gradients are whole-sequence GEMMs after the loop. The stacking happens per
+call: parameters stay in the named ``params`` dict (``l1_fwd_Wx``, ...), and
+the .npz model format is unchanged.
 """
 
 from __future__ import annotations
@@ -25,6 +40,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,9 +112,6 @@ class BiLstmModel:
     config: ModelConfig
     params: dict[str, np.ndarray]
 
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.params.values())
-
 
 @dataclass
 class TrainingHistory:
@@ -115,15 +128,6 @@ class TrainingHistory:
     @property
     def n_epochs(self) -> int:
         return len(self.train_loss)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def _layer_dims(config: ModelConfig, layer: str) -> int:
@@ -157,97 +161,112 @@ def init_model(config: ModelConfig) -> BiLstmModel:
     return BiLstmModel(config=config, params=params)
 
 
-def _direction_forward(x, Wx, Wh, b, reverse, keep_cache):
-    """Run one LSTM direction over (B, w, in_dim) input.
+def _gate_affine(H: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column scale and shift that turn one tanh into the [i, f, g, o] gates.
 
-    Returns the per-step hidden states aligned to input time, plus the cache
-    needed for backpropagation when keep_cache is set.
+    sigmoid(z) = 0.5 * tanh(z / 2) + 0.5 on the i/f/o blocks; g is a plain
+    tanh. Halving is exact in floating point, so it is folded into the weights.
     """
-    B, w, _ = x.shape
-    H = Wh.shape[0]
-    pre = x @ Wx + b
-    h_seq = np.zeros((B, w, H))
-    cache = None
-    if keep_cache:
-        cache = {
-            "x": x,
-            "reverse": reverse,
-            "i": np.zeros((B, w, H)),
-            "f": np.zeros((B, w, H)),
-            "g": np.zeros((B, w, H)),
-            "o": np.zeros((B, w, H)),
-            "c_prev": np.zeros((B, w, H)),
-            "h_prev": np.zeros((B, w, H)),
-            "tanh_c": np.zeros((B, w, H)),
-        }
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
-    steps = range(w - 1, -1, -1) if reverse else range(w)
-    for t in steps:
-        z = pre[:, t] + h @ Wh
-        i = _sigmoid(z[:, :H])
-        f = _sigmoid(z[:, H : 2 * H])
-        g = np.tanh(z[:, 2 * H : 3 * H])
-        o = _sigmoid(z[:, 3 * H :])
-        c_new = f * c + i * g
-        tanh_c = np.tanh(c_new)
-        h_new = o * tanh_c
-        if keep_cache:
-            cache["i"][:, t] = i
-            cache["f"][:, t] = f
-            cache["g"][:, t] = g
-            cache["o"][:, t] = o
-            cache["c_prev"][:, t] = c
-            cache["h_prev"][:, t] = h
-            cache["tanh_c"][:, t] = tanh_c
-        h, c = h_new, c_new
-        h_seq[:, t] = h
-    return h_seq, cache
+    scale = np.full(4 * H, 0.5)
+    scale[2 * H : 3 * H] = 1.0
+    shift = np.full(4 * H, 0.5)
+    shift[2 * H : 3 * H] = 0.0
+    return scale, shift
 
 
-def _direction_backward(cache, d_h_seq, Wx, Wh):
-    """BPTT through one direction given per-step output gradients.
+class _LayerCache(NamedTuple):
+    """Per-step state of one layer, direction-major and in processing order.
 
-    Returns (d_input, dWx, dWh, db).
+    Index [d, s] is direction d at its s-th step; the backward direction's
+    step s is input time w - 1 - s. ``c`` and ``h`` carry a leading zero state,
+    so step s reads [d, s] and writes [d, s + 1].
     """
-    x = cache["x"]
-    B, w, _ = x.shape
-    H = Wh.shape[0]
-    dWx = np.zeros_like(Wx)
-    dWh = np.zeros_like(Wh)
-    db = np.zeros(4 * H)
-    dx = np.zeros_like(x)
-    dh_carry = np.zeros((B, H))
-    dc_carry = np.zeros((B, H))
-    steps = range(w) if cache["reverse"] else range(w - 1, -1, -1)
-    for t in steps:
-        i = cache["i"][:, t]
-        f = cache["f"][:, t]
-        g = cache["g"][:, t]
-        o = cache["o"][:, t]
-        tanh_c = cache["tanh_c"][:, t]
-        dh = d_h_seq[:, t] + dh_carry
-        do = dh * tanh_c
-        dc = dc_carry + dh * o * (1.0 - tanh_c**2)
-        df = dc * cache["c_prev"][:, t]
-        di = dc * g
-        dg = dc * i
-        dz = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g**2),
-                do * o * (1.0 - o),
-            ],
-            axis=1,
-        )
-        dWx += x[:, t].T @ dz
-        dWh += cache["h_prev"][:, t].T @ dz
-        db += dz.sum(axis=0)
-        dx[:, t] = dz @ Wx.T
-        dh_carry = dz @ Wh.T
+
+    x: np.ndarray  # (2, w, B, in) input, time-reversed for direction 1
+    gates: np.ndarray  # (2, w, B, 4H) activated gates; BPTT overwrites them with dZ
+    c: np.ndarray  # (2, w + 1, B, H) cell states
+    tanh_c: np.ndarray  # (2, w, B, H)
+    h: np.ndarray  # (2, w + 1, B, H) hidden states
+
+
+def _layer_forward(x, Wx, Wh, b) -> _LayerCache:
+    """Run both directions of one layer over time-major (w, B, in) input.
+
+    Wx (2, in, 4H), Wh (2, H, 4H) and b (2, 4H) stack the forward and
+    backward direction's parameters. The backward direction reads the input
+    time-reversed, so both advance together: one (2, B, H) @ (2, H, 4H)
+    matmul and one tanh over the (2, B, 4H) gate block per step.
+    """
+    w, B, in_dim = x.shape
+    H = Wh.shape[1]
+    scale, shift = _gate_affine(H)
+    xs = np.stack([x, x[::-1]])
+    gates = np.matmul(xs.reshape(2, w * B, in_dim), Wx * scale).reshape(2, w, B, 4 * H)
+    gates += (b * scale)[:, None, None, :]
+    Wh_scaled = Wh * scale
+    c = np.zeros((2, w + 1, B, H))
+    h = np.zeros((2, w + 1, B, H))
+    tanh_c = np.empty((2, w, B, H))
+    recurrent = np.empty((2, B, 4 * H))
+    for s in range(w):
+        z = gates[:, s]
+        z += np.matmul(h[:, s], Wh_scaled, out=recurrent)
+        np.tanh(z, out=z)
+        z *= scale
+        z += shift
+        c_new = np.multiply(z[..., H : 2 * H], c[:, s], out=c[:, s + 1])
+        c_new += z[..., :H] * z[..., 2 * H : 3 * H]
+        np.multiply(z[..., 3 * H :], np.tanh(c_new, out=tanh_c[:, s]), out=h[:, s + 1])
+    return _LayerCache(xs, gates, c, tanh_c, h)
+
+
+def _layer_backward(cache: _LayerCache, dh_out, Wh):
+    """BPTT through both directions of a layer.
+
+    dh_out (2, w, B, H) is the gradient of each direction's output, indexed
+    like the cache. Overwrites ``cache.gates`` with the gate pre-activation
+    gradients dZ. Returns (dWx, dWh, db), each stacked over directions.
+    """
+    xs, dz_all, c, tanh_c, h = cache
+    _, w, B, H4 = dz_all.shape
+    H = H4 // 4
+    # tanh'(g) = (1 - g)(1 + g) and sigmoid'(z) = s(1 - s): (1 - a)(a + g_cols)
+    g_cols = np.zeros(4 * H)
+    g_cols[2 * H : 3 * H] = 1.0
+    Wh_T = np.ascontiguousarray(Wh.transpose(0, 2, 1))
+    upstream = np.empty((2, B, 4 * H))
+    dh_carry = np.zeros((2, B, H))
+    dc_carry = np.zeros((2, B, H))
+    for s in range(w - 1, -1, -1):
+        z = dz_all[:, s]
+        i, f, g, o = (z[..., k * H : (k + 1) * H] for k in range(4))
+        tc = tanh_c[:, s]
+        dh = dh_out[:, s] + dh_carry
+        dc = dh * o
+        dc *= 1.0 - tc * tc
+        dc += dc_carry
         dc_carry = dc * f
-    return dx, dWx, dWh, db
+        np.multiply(dc, g, out=upstream[..., :H])
+        np.multiply(dc, c[:, s], out=upstream[..., H : 2 * H])
+        np.multiply(dc, i, out=upstream[..., 2 * H : 3 * H])
+        np.multiply(dh, tc, out=upstream[..., 3 * H :])
+        one_minus = 1.0 - z
+        z += g_cols
+        z *= one_minus
+        z *= upstream
+        np.matmul(z, Wh_T, out=dh_carry)
+    dz = dz_all.reshape(2, w * B, 4 * H)
+    dWx = np.matmul(xs.reshape(2, w * B, xs.shape[-1]).transpose(0, 2, 1), dz)
+    dWh = np.matmul(h[:, :w].reshape(2, w * B, H).transpose(0, 2, 1), dz)
+    return dWx, dWh, dz.sum(axis=1)
+
+
+def _input_gradient(cache: _LayerCache, Wx) -> np.ndarray:
+    """Time-major (w, B, in) gradient of a layer's input, after _layer_backward."""
+    _, w, B, H4 = cache.gates.shape
+    dz = cache.gates.reshape(2, w * B, H4)
+    dxs = np.matmul(dz, np.ascontiguousarray(Wx.transpose(0, 2, 1))).reshape(2, w, B, -1)
+    return dxs[0] + dxs[1, ::-1]
 
 
 def _check_batch(model: BiLstmModel, X: np.ndarray) -> np.ndarray:
@@ -281,26 +300,24 @@ def _bin_centers(n_bins: int) -> np.ndarray:
     return (np.arange(n_bins) + 0.5) / n_bins
 
 
+def _stacked(p: dict[str, np.ndarray], layer: str, name: str) -> np.ndarray:
+    return np.stack([p[f"{layer}_{direction}_{name}"] for direction in DIRECTIONS])
+
+
 def _forward_full(model: BiLstmModel, X: np.ndarray, keep_cache: bool):
     p = model.params
     caches = {}
-    layer_in = X
-    terminal = None
+    layer_in = X.transpose(1, 0, 2)
     for layer in LAYERS:
-        h_parts = {}
-        for direction in DIRECTIONS:
-            h_seq, cache = _direction_forward(
-                layer_in,
-                p[f"{layer}_{direction}_Wx"],
-                p[f"{layer}_{direction}_Wh"],
-                p[f"{layer}_{direction}_b"],
-                reverse=(direction == "bwd"),
-                keep_cache=keep_cache,
-            )
-            h_parts[direction] = h_seq
-            caches[f"{layer}_{direction}"] = cache
-        layer_in = np.concatenate([h_parts["fwd"], h_parts["bwd"]], axis=2)
-        terminal = np.concatenate([h_parts["fwd"][:, -1], h_parts["bwd"][:, 0]], axis=1)
+        cache = _layer_forward(
+            layer_in, _stacked(p, layer, "Wx"), _stacked(p, layer, "Wh"), _stacked(p, layer, "b")
+        )
+        if keep_cache:
+            caches[layer] = cache
+        # time-major (w, B, 2H) states for the next layer: forward half, backward half
+        layer_in = np.concatenate([cache.h[0, 1:], cache.h[1, :0:-1]], axis=2)
+    # each direction's last processed state: forward at t = w-1, backward at t = 0
+    terminal = np.concatenate([cache.h[0, -1], cache.h[1, -1]], axis=1)
     pred, softmax_p = _head_forward(model, terminal)
     if keep_cache:
         caches["terminal"] = terminal
@@ -355,31 +372,19 @@ def loss_and_gradients(model: BiLstmModel, X, y) -> tuple[float, dict[str, np.nd
     dterminal = dz @ p["head_W"].T
 
     w = model.config.input_shape[0]
-    d_layer_out = None  # (B, w, 2H) gradient w.r.t. a layer's concatenated sequence
+    dh_out = np.zeros((2, w, B, H))
+    dh_out[:, -1] = dterminal.reshape(B, 2, H).transpose(1, 0, 2)
     for layer in reversed(LAYERS):
-        d_parts = {}
-        if layer == "l2":
-            for direction, column in (("fwd", 0), ("bwd", 1)):
-                d_h_seq = np.zeros((B, w, H))
-                step = -1 if direction == "fwd" else 0
-                d_h_seq[:, step] = dterminal[:, column * H : (column + 1) * H]
-                d_parts[direction] = d_h_seq
-        else:
-            d_parts["fwd"] = d_layer_out[:, :, :H]
-            d_parts["bwd"] = d_layer_out[:, :, H:]
-        d_input = None
-        for direction in DIRECTIONS:
-            dx, dWx, dWh, db = _direction_backward(
-                caches[f"{layer}_{direction}"],
-                d_parts[direction],
-                p[f"{layer}_{direction}_Wx"],
-                p[f"{layer}_{direction}_Wh"],
-            )
-            grads[f"{layer}_{direction}_Wx"] = dWx
-            grads[f"{layer}_{direction}_Wh"] = dWh
-            grads[f"{layer}_{direction}_b"] = db
-            d_input = dx if d_input is None else d_input + dx
-        d_layer_out = d_input
+        Wx = _stacked(p, layer, "Wx")
+        dWx, dWh, db = _layer_backward(caches[layer], dh_out, _stacked(p, layer, "Wh"))
+        for d, direction in enumerate(DIRECTIONS):
+            grads[f"{layer}_{direction}_Wx"] = dWx[d]
+            grads[f"{layer}_{direction}_Wh"] = dWh[d]
+            grads[f"{layer}_{direction}_b"] = db[d]
+        if layer != LAYERS[0]:
+            # the lower layer's outputs, split by direction into processing order
+            dx = _input_gradient(caches[layer], Wx)
+            dh_out = np.stack([dx[:, :, :H], dx[::-1, :, H:]])
     return loss, grads
 
 

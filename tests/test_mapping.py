@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_corpus
-from sentistock.errors import CalendarMismatchError, MissingScoreError
+from sentistock.errors import CalendarMismatchError, MissingScoreError, UnparseableRowError
 from sentistock.ingest import StockSeries
 from sentistock.mapping import (
     DailySentimentSeries,
@@ -239,3 +239,23 @@ class TestMasterCsv:
         assert reloaded.column_names == master.column_names
         for name in master.columns:
             np.testing.assert_array_equal(reloaded.columns[name], master.columns[name])
+
+    def write_with_row(self, tmp_path, line):
+        path = tmp_path / "master.csv"
+        write_master_csv(stock_only_master(make_stock(4)), path)
+        rows = path.read_text().splitlines()
+        rows[2] = line
+        path.write_text("\n".join(rows) + "\n")
+        return path
+
+    def test_ragged_row_names_line(self, tmp_path):
+        path = self.write_with_row(tmp_path, "2020-01-03,1.0,2.0")
+        with pytest.raises(UnparseableRowError) as exc:
+            load_master_csv(path)
+        assert exc.value.line_number == 3
+
+    def test_nan_value_names_line(self, tmp_path):
+        path = self.write_with_row(tmp_path, "2020-01-03,1.0,2.0,nan,1.5,100.0")
+        with pytest.raises(UnparseableRowError) as exc:
+            load_master_csv(path)
+        assert exc.value.line_number == 3

@@ -14,7 +14,7 @@ from sentistock.neuralnet import (
     BiLstmModel,
     ModelConfig,
     TrainConfig,
-    _direction_forward,
+    _layer_forward,
     forward,
     init_model,
     load_model,
@@ -194,14 +194,14 @@ class TestForward:
         Wxb, Whb, bb = rng.normal(size=(feat, 4 * H)), rng.normal(size=(H, 4 * H)), rng.normal(size=4 * H)
         x = rng.normal(size=(2, w, feat))
 
-        h_f, _ = _direction_forward(x, Wxf, Whf, bf, reverse=False, keep_cache=False)
-        h_b, _ = _direction_forward(x, Wxb, Whb, bb, reverse=True, keep_cache=False)
-        terminal = np.concatenate([h_f[:, -1], h_b[:, 0]], axis=1)
+        def terminal_of(x, first, second):
+            # the stacked layer reads time-major input; direction 0 runs forward
+            params = [np.stack([a, b]) for a, b in zip(first, second)]
+            h = _layer_forward(x.transpose(1, 0, 2), *params).h
+            return np.concatenate([h[0, -1], h[1, -1]], axis=1)
 
-        x_rev = x[:, ::-1, :]
-        h_f2, _ = _direction_forward(x_rev, Wxb, Whb, bb, reverse=False, keep_cache=False)
-        h_b2, _ = _direction_forward(x_rev, Wxf, Whf, bf, reverse=True, keep_cache=False)
-        terminal_swapped = np.concatenate([h_f2[:, -1], h_b2[:, 0]], axis=1)
+        terminal = terminal_of(x, (Wxf, Whf, bf), (Wxb, Whb, bb))
+        terminal_swapped = terminal_of(x[:, ::-1, :], (Wxb, Whb, bb), (Wxf, Whf, bf))
 
         np.testing.assert_allclose(
             terminal, np.concatenate([terminal_swapped[:, H:], terminal_swapped[:, :H]], axis=1),
@@ -229,9 +229,15 @@ class TestLossAndGradients:
         np.testing.assert_allclose(grads2["head_W"], 2 * grads1["head_W"], atol=1e-10)
         np.testing.assert_allclose(grads2["l1_fwd_Wx"], 2 * grads1["l1_fwd_Wx"], atol=1e-10)
 
-    @pytest.mark.parametrize("head", ["linear", "softmax_bins"])
-    def test_finite_difference_check(self, head):
-        cfg = ModelConfig(hidden_units=2, input_shape=(3, 2), seed=12,
+    @pytest.mark.parametrize("head,hidden,w", [
+        pytest.param("linear", 2, 3, id="linear"),
+        pytest.param("softmax_bins", 2, 3, id="softmax_bins"),
+        # edges of the reversed-time indexing: one step, one unit per gate
+        pytest.param("linear", 2, 1, id="linear-w1"),
+        pytest.param("linear", 1, 3, id="linear-h1"),
+    ])
+    def test_finite_difference_check(self, head, hidden, w):
+        cfg = ModelConfig(hidden_units=hidden, input_shape=(w, 2), seed=12,
                           output_head=head, n_bins=4)
         model = init_model(cfg)
         X, y = random_batch(cfg, 3, seed=13)
@@ -256,6 +262,26 @@ class TestLossAndGradients:
         X, y = random_batch(model.config, 4, seed=0)
         with pytest.raises(ShapeMismatchError):
             loss_and_gradients(model, X, y[:3])
+
+    def test_repeat_call_bit_identical(self):
+        model = init_model(ModelConfig(hidden_units=3, input_shape=(5, 2), seed=2))
+        X, y = random_batch(model.config, 4, seed=2)
+        loss1, grads1 = loss_and_gradients(model, X, y)
+        loss2, grads2 = loss_and_gradients(model, X, y)
+        assert loss1 == loss2
+        for key in grads1:
+            np.testing.assert_array_equal(grads1[key], grads2[key])
+
+    def test_inputs_and_parameters_unmodified(self):
+        model = init_model(ModelConfig(hidden_units=3, input_shape=(5, 2), seed=6))
+        X, y = random_batch(model.config, 4, seed=6)
+        X_before = X.copy()
+        params_before = {k: v.copy() for k, v in model.params.items()}
+        forward(model, X)
+        loss_and_gradients(model, X, y)
+        np.testing.assert_array_equal(X, X_before)
+        for key, value in params_before.items():
+            np.testing.assert_array_equal(model.params[key], value)
 
 
 def make_windows_for(n, w, feat, seed, target_fn=None):
