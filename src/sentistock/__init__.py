@@ -43,7 +43,6 @@ from .ingest import (
 )
 from .mapping import (
     DailySentimentSeries,
-    MappedSentiment,
     MasterDataset,
     MemoryKernel,
     class_contribution,

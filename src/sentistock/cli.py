@@ -2,6 +2,8 @@
 
 Subcommands compose via the documented CSV formats: clean -> score -> map ->
 train -> evaluate, with grid running the whole sweep from a JSON config.
+map, train and evaluate run the harness's own stages, so they write the same
+files as the matching grid cell.
 Exit codes: 0 success, 1 some grid cells failed, 2 config or input error.
 """
 
@@ -13,20 +15,11 @@ import logging
 import sys
 from pathlib import Path
 
-from . import dataset as ds
-from . import evalmetrics as em
 from . import harness
 from . import neuralnet as nn
 from .errors import SentiStockError
-from .ingest import clean_tweet, load_stock_csv, load_tweets
-from .mapping import (
-    MemoryKernel,
-    daily_aggregate,
-    join_with_stock,
-    load_master_csv,
-    memory_weighted_map,
-    write_master_csv,
-)
+from .ingest import load_tweets
+from .mapping import load_master_csv, write_master_csv
 from .sentiment import VARIANTS, ScorerConfig, score_corpus, write_scores_csv
 
 
@@ -121,49 +114,40 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_map(args) -> int:
-    stock = load_stock_csv(args.stock)
-    corpus = load_tweets(args.tweets)
-    if args.scores:
-        config = ScorerConfig(kind="precomputed", source=args.scores)
-    else:
-        config = ScorerConfig(kind="lexicon")
-    table = score_corpus(config, corpus, [args.variant])
-    daily = daily_aggregate(table, args.variant, corpus, stock.calendar)
-    mapped = memory_weighted_map(daily, MemoryKernel(args.memory_days, args.mode))
-    master = join_with_stock(mapped, stock)
-    write_master_csv(master, args.out)
+    cfg = harness.ExperimentConfig(
+        stock_file=args.stock,
+        tweet_files=[args.tweets],
+        scorer_kind="precomputed" if args.scores else "lexicon",
+        scores_file=args.scores,
+        variants=[args.variant],
+        memory_days=args.memory_days,
+        kernel_mode=args.mode,
+    )
+    stock = harness.load_stock(cfg)
+    corpus = harness.load_corpus(cfg)
+    write_master_csv(harness.build_master(cfg, args.variant, stock, corpus), args.out)
     print(f"mapped {len(corpus)} tweets onto {len(stock)} trading days -> {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    master = load_master_csv(args.master)
-    scalers = ds.fit_scalers(master, args.split_ratio, args.fit_scope)
-    scaled = ds.transform(scalers, master)
-    train_part, _ = ds.chronological_split(scaled, args.split_ratio)
-    windows = ds.make_windows(train_part, args.lookback)
-    model = nn.init_model(
-        nn.ModelConfig(
-            hidden_units=args.hidden_units,
-            input_shape=(args.lookback, len(master.columns)),
-            seed=args.seed,
-        )
-    )
-    cfg = nn.TrainConfig(
+    cfg = harness.ExperimentConfig(
+        lookbacks=[args.lookback],
+        hidden_units=args.hidden_units,
         epochs=args.epochs,
         batch_size=args.batch_size,
         validation_split=args.validation_split,
         patience=args.patience,
         learning_rate=args.learning_rate,
+        split_ratio=args.split_ratio,
+        fit_scope=args.fit_scope,
         seed=args.seed,
     )
-    history = nn.train(model, windows, cfg)
+    cell = harness.prepare_cell(load_master_csv(args.master), cfg)
+    model, history = harness.train_model(harness.window(cell.train, args.lookback), cfg, cfg.seed)
     nn.save_model(model, args.model_out)
     if args.history_out:
-        with open(args.history_out, "w") as fh:
-            fh.write("epoch,train_loss,val_loss\n")
-            for epoch, (tl, vl) in enumerate(zip(history.train_loss, history.val_loss)):
-                fh.write(f"{epoch},{tl!r},{vl!r}\n")
+        harness.write_loss_csv(history, args.history_out)
     print(
         f"trained {history.n_epochs} epochs (best {history.best_epoch}, "
         f"stopped_early={history.stopped_early}) -> {args.model_out}"
@@ -174,33 +158,23 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     model = nn.load_model(args.model)
     lookback = model.config.input_shape[0]
-    master = load_master_csv(args.master)
-    scalers = ds.fit_scalers(master, args.split_ratio, args.fit_scope)
-    scaled = ds.transform(scalers, master)
-    _, test_part = ds.chronological_split(scaled, args.split_ratio)
-    windows = ds.make_windows(test_part, lookback)
-    pred_scaled = nn.predict(model, windows)
-    target = master.target_column
-    pred_data = ds.inverse_transform(scalers, target, pred_scaled)
-    actual_data = ds.inverse_transform(scalers, target, windows.y)
-    if args.units == "scaled":
-        pred_eval, actual_eval = pred_scaled, windows.y
-    else:
-        pred_eval, actual_eval = pred_data, actual_data
-    mae, rmse, r2 = em.compute_metrics(pred_eval, actual_eval)
-    offset, acc = em.best_time_offset(pred_eval, actual_eval, min(args.max_lag, len(pred_eval) - 2))
-    with open(args.out, "w") as fh:
-        fh.write(",".join(harness.SUMMARY_COLUMNS) + "\n")
-        fh.write(
-            f"{Path(args.master).stem},external,{lookback},,"
-            f"{r2!r},{rmse!r},{mae!r},{offset},{acc!r},{args.units}\n"
-        )
+    cfg = harness.ExperimentConfig(
+        lookbacks=[lookback],
+        split_ratio=args.split_ratio,
+        fit_scope=args.fit_scope,
+        metric_units=args.units,
+        max_lag=args.max_lag,
+    )
+    cell = harness.prepare_cell(load_master_csv(args.master), cfg)
+    evaluation = harness.evaluate_model(model, cell, harness.window(cell.test, lookback), cfg)
+    record = harness.ExperimentRecord(
+        scrip=Path(args.master).stem, variant="external", lookback=lookback,
+        seed=model.config.seed, fingerprint="", **evaluation._asdict(),
+    )
+    harness.write_summary_csv([record], args.out)
     if args.pred_out:
-        with open(args.pred_out, "w") as fh:
-            fh.write("date,actual,predicted\n")
-            for d, a, p in zip(test_part.calendar[lookback:], actual_data, pred_data):
-                fh.write(f"{d.isoformat()},{float(a)!r},{float(p)!r}\n")
-    print(f"evaluated {len(pred_eval)} predictions -> {args.out}")
+        harness.write_pred_csv(record, args.pred_out)
+    print(f"evaluated {record.report.n_samples} predictions -> {args.out}")
     return 0
 
 

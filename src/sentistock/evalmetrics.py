@@ -26,7 +26,7 @@ class EvalReport:
     mae: float
     rmse: float
     r2: float
-    val_score: float
+    val_score: float | None  # None when no training history was given
     time_offset: int
     acc: float
     n_samples: int

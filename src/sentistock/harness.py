@@ -2,7 +2,9 @@
 
 A run wires the stages together: load stock and tweets, score, aggregate to
 daily channels, memory-map, join, scale, split, window, train, predict,
-inverse-scale, evaluate. A grid sweeps (variant, lookback) cells with
+inverse-scale, evaluate. This module is the only place that knows that
+sequence; the CLI subcommands call the same stage functions. A grid loads
+the stock and tweet files once and sweeps (variant, lookback) cells with
 per-cell derived seeds, isolating failures so one bad cell cannot take down
 the sweep.
 """
@@ -13,9 +15,11 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass, field, asdict
-from datetime import date, datetime, timezone
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, replace
+from datetime import date
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,7 +90,6 @@ class ExperimentConfig:
             validation_split=self.validation_split,
             patience=self.patience,
             learning_rate=self.learning_rate,
-            seed=self.seed,
         )
 
 
@@ -121,8 +124,6 @@ class ExperimentRecord:
     lookback: int
     seed: int
     fingerprint: str
-    started_at: str
-    finished_at: str
     report: em.EvalReport | None = None
     history: nn.TrainingHistory | None = None
     test_dates: list[date] = field(default_factory=list)
@@ -136,8 +137,22 @@ class ExperimentRecord:
         return self.error is None
 
 
-def _utcnow() -> str:
-    return datetime.now(timezone.utc).isoformat()
+class Evaluation(NamedTuple):
+    """Test-set forecasts of one model; the fields of the same name in ExperimentRecord."""
+
+    report: em.EvalReport
+    test_dates: list[date]
+    actual: np.ndarray  # data units
+    predicted: np.ndarray  # data units
+
+
+@dataclass
+class CellData:
+    """A master dataset min-max scaled and split chronologically."""
+
+    scalers: ds.ScalerSet
+    train: MasterDataset
+    test: MasterDataset
 
 
 def _hash_file(path: str | Path) -> str:
@@ -152,7 +167,7 @@ def fingerprint(cfg: ExperimentConfig, variant: str, lookback: int, seed: int,
                 extra_data_hash: str | None = None) -> str:
     """Stable identity for (config, data, cell). Tweet files are hashed only
     when the sentiment path actually reads them."""
-    payload = {k: v for k, v in asdict(cfg).items()}
+    payload = asdict(cfg)
     payload.update({"cell_variant": variant, "cell_lookback": lookback, "cell_seed": seed})
     hashes = {}
     if cfg.stock_file:
@@ -177,92 +192,114 @@ def master_data_hash(master: MasterDataset) -> str:
     return digest.hexdigest()
 
 
-class _Stage:
-    """Context manager tagging failures with the pipeline stage name."""
+@contextmanager
+def _stage(name: str):
+    """Tag a failure inside the block with the pipeline stage name.
 
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None and not isinstance(exc, PipelineError):
-            raise PipelineError(self.name, exc) from exc
-        return False
+    Only errors are tagged: KeyboardInterrupt and SystemExit pass through,
+    so they stop a grid instead of failing one cell.
+    """
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as exc:
+        raise PipelineError(name, exc) from exc
 
 
 def merge_corpora(corpora: list[TweetCorpus]) -> TweetCorpus:
     """Concatenate corpora; with several sources, ids get a source prefix."""
     if len(corpora) == 1:
         return corpora[0]
-    tweets = []
-    for index, corpus in enumerate(corpora):
-        for tweet in corpus:
-            renamed = type(tweet)(
-                id=f"{index}:{tweet.id}",
-                date=tweet.date,
-                raw_text=tweet.raw_text,
-                cleaned_text=tweet.cleaned_text,
-                pos_tagged_text=tweet.pos_tagged_text,
-            )
-            tweets.append(renamed)
+    tweets = [replace(tweet, id=f"{index}:{tweet.id}")
+              for index, corpus in enumerate(corpora) for tweet in corpus]
     tweets.sort(key=lambda t: t.date)
     handles = ",".join(c.handle for c in corpora if c.handle)
     return TweetCorpus(tweets=tweets, handle=handles)
 
 
-def build_master(cfg: ExperimentConfig, variant: str, stock: StockSeries,
-                 tweet_loader=load_tweets) -> MasterDataset:
-    """Produce the master dataset for one variant (stage-tagged)."""
+def load_stock(cfg: ExperimentConfig) -> StockSeries:
+    """Stage load_stock: read the configured stock file."""
+    with _stage("load_stock"):
+        if cfg.stock_file is None:
+            raise ConfigError("stock_file is required")
+        return load_stock_csv(cfg.stock_file, symbol=cfg.scrip)
+
+
+def load_corpus(cfg: ExperimentConfig, tweet_loader=load_tweets) -> TweetCorpus | None:
+    """Stage load_tweets: read and merge every tweet file, once per run.
+
+    Returns None without reading anything when the run uses no sentiment.
+    """
     if not cfg.with_sentiment:
-        with _Stage("join"):
-            return stock_only_master(stock)
-    with _Stage("load_tweets"):
+        return None
+    with _stage("load_tweets"):
         if not cfg.tweet_files:
             raise ConfigError("with_sentiment=true requires at least one tweet file")
-        corpus = merge_corpora([tweet_loader(f) for f in cfg.tweet_files])
-    with _Stage("score"):
+        return merge_corpora([tweet_loader(f) for f in cfg.tweet_files])
+
+
+def build_master(cfg: ExperimentConfig, variant: str, stock: StockSeries,
+                 corpus: TweetCorpus | None) -> MasterDataset:
+    """Produce the master dataset for one variant from a loaded corpus (stage-tagged)."""
+    if not cfg.with_sentiment:
+        with _stage("join"):
+            return stock_only_master(stock)
+    with _stage("score"):
         table = score_corpus(cfg.scorer_config(), corpus, [variant])
-    with _Stage("aggregate"):
+    with _stage("aggregate"):
         daily = daily_aggregate(table, variant, corpus, stock.calendar)
-    with _Stage("map"):
+    with _stage("map"):
         mapped = memory_weighted_map(daily, MemoryKernel(cfg.memory_days, cfg.kernel_mode))
-    with _Stage("join"):
+    with _stage("join"):
         return join_with_stock(mapped, stock)
 
 
-def run_master(master: MasterDataset, cfg: ExperimentConfig, variant: str, lookback: int,
-               seed: int, scrip: str, data_hash: str | None = None) -> ExperimentRecord:
-    """Scale, window, train, predict and evaluate a ready master dataset."""
-    started = _utcnow()
-    fp = fingerprint(cfg, variant, lookback, seed, extra_data_hash=data_hash)
-    with _Stage("scale"):
+def prepare_cell(master: MasterDataset, cfg: ExperimentConfig) -> CellData:
+    """Stages scale and split: fit the scalers, scale, split chronologically."""
+    with _stage("scale"):
         scalers = ds.fit_scalers(master, cfg.split_ratio, cfg.fit_scope)
         scaled = ds.transform(scalers, master)
-    with _Stage("split"):
+    with _stage("split"):
         train_part, test_part = ds.chronological_split(scaled, cfg.split_ratio)
-    with _Stage("window"):
-        train_windows = ds.make_windows(train_part, lookback)
-        test_windows = ds.make_windows(test_part, lookback)
-    with _Stage("create_model"):
-        model_cfg = nn.ModelConfig(
+    return CellData(scalers=scalers, train=train_part, test=test_part)
+
+
+def window(part: MasterDataset, lookback: int) -> ds.WindowedSet:
+    """Stage window: the lookback windows of one scaled part of a cell."""
+    with _stage("window"):
+        return ds.make_windows(part, lookback)
+
+
+def train_model(windows: ds.WindowedSet, cfg: ExperimentConfig,
+                seed: int) -> tuple[nn.BiLstmModel, nn.TrainingHistory]:
+    """Stages create_model and train on the training windows."""
+    with _stage("create_model"):
+        model = nn.init_model(nn.ModelConfig(
             hidden_units=cfg.hidden_units,
-            input_shape=(lookback, len(master.columns)),
+            input_shape=windows.X.shape[1:],
             seed=seed,
-        )
-        model = nn.init_model(model_cfg)
-    with _Stage("train"):
-        train_cfg = cfg.train_config()
-        history = nn.train(model, train_windows, train_cfg)
-    with _Stage("predict"):
-        pred_scaled = np.asarray(nn.predict(model, test_windows))
-        actual_scaled = test_windows.y
-    with _Stage("inverse_scale"):
-        target = master.target_column
-        pred_data = ds.inverse_transform(scalers, target, pred_scaled)
-        actual_data = ds.inverse_transform(scalers, target, actual_scaled)
-    with _Stage("evaluate"):
+        ))
+    with _stage("train"):
+        history = nn.train(model, windows, cfg.train_config())
+    return model, history
+
+
+def evaluate_model(model: nn.BiLstmModel, cell: CellData, windows: ds.WindowedSet,
+                   cfg: ExperimentConfig, history: nn.TrainingHistory | None = None) -> Evaluation:
+    """Stages predict, inverse_scale and evaluate on the windows of the cell's test part.
+
+    The report's val_score comes from the training history, and is None
+    without one.
+    """
+    with _stage("predict"):
+        pred_scaled = np.asarray(nn.predict(model, windows))
+        actual_scaled = windows.y
+    with _stage("inverse_scale"):
+        target = cell.test.target_column
+        pred_data = ds.inverse_transform(cell.scalers, target, pred_scaled)
+        actual_data = ds.inverse_transform(cell.scalers, target, actual_scaled)
+    with _stage("evaluate"):
         if cfg.metric_units == "scaled":
             pred_eval, actual_eval = pred_scaled, actual_scaled
         else:
@@ -274,54 +311,56 @@ def run_master(master: MasterDataset, cfg: ExperimentConfig, variant: str, lookb
             mae=mae,
             rmse=rmse,
             r2=r2,
-            val_score=em.validation_score(history),
+            val_score=None if history is None else em.validation_score(history),
             time_offset=offset,
             acc=acc,
             n_samples=len(pred_eval),
             units=cfg.metric_units,
         )
-    record = ExperimentRecord(
-        scrip=scrip,
-        variant=variant,
-        lookback=lookback,
-        seed=seed,
-        fingerprint=fp,
-        started_at=started,
-        finished_at=_utcnow(),
-        report=report,
-        history=history,
-        test_dates=test_part.calendar[lookback:],
-        actual=actual_data,
-        predicted=pred_data,
-    )
-    return record
+    return Evaluation(report=report, test_dates=cell.test.calendar[windows.lookback:],
+                      actual=actual_data, predicted=pred_data)
+
+
+def run_master(master: MasterDataset, cfg: ExperimentConfig, variant: str, lookback: int,
+               seed: int, scrip: str) -> ExperimentRecord:
+    """Scale, window, train, predict and evaluate a ready master dataset.
+
+    Without a stock file the fingerprint hashes the master itself.
+    """
+    data_hash = None if cfg.stock_file else master_data_hash(master)
+    fp = fingerprint(cfg, variant, lookback, seed, extra_data_hash=data_hash)
+    cell = prepare_cell(master, cfg)
+    train_windows = window(cell.train, lookback)
+    test_windows = window(cell.test, lookback)
+    model, history = train_model(train_windows, cfg, seed)
+    evaluation = evaluate_model(model, cell, test_windows, cfg, history)
+    return ExperimentRecord(scrip=scrip, variant=variant, lookback=lookback, seed=seed,
+                            fingerprint=fp, history=history, **evaluation._asdict())
 
 
 def run_pipeline(cfg: ExperimentConfig, variant: str, lookback: int, seed: int | None = None,
                  tweet_loader=load_tweets, write_artifacts: bool = True) -> ExperimentRecord:
     """Execute the full pipeline for one (variant, lookback) cell."""
     seed = cfg.seed if seed is None else seed
-    with _Stage("load_stock"):
-        if cfg.stock_file is None:
-            raise ConfigError("stock_file is required")
-        stock = load_stock_csv(cfg.stock_file, symbol=cfg.scrip)
-    master = build_master(cfg, variant, stock, tweet_loader=tweet_loader)
+    stock = load_stock(cfg)
+    master = build_master(cfg, variant, stock, load_corpus(cfg, tweet_loader))
     record = run_master(master, cfg, variant, lookback, seed, scrip=stock.symbol)
     if write_artifacts and cfg.output_dir is not None:
-        write_record_artifacts(record, cfg.output_dir)
+        out_dir = Path(cfg.output_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_loss_and_pred(record, out_dir)
+        write_record_artifacts(record, out_dir)
     return record
 
 
 def run_grid(cfg: ExperimentConfig, tweet_loader=load_tweets) -> list[ExperimentRecord]:
     """Sweep every (variant, lookback) cell, isolating per-cell failures.
 
-    Lookbacks of at least half the test-set length are skipped with a
-    warning. Writes summary and per-record artifacts when output_dir is set.
+    The stock and tweet files are read once; each variant scores the same
+    corpus. Lookbacks of at least half the test-set length are skipped with
+    a warning. Writes summary and per-record artifacts when output_dir is set.
     """
-    with _Stage("load_stock"):
-        if cfg.stock_file is None:
-            raise ConfigError("stock_file is required")
-        stock = load_stock_csv(cfg.stock_file, symbol=cfg.scrip)
+    stock = load_stock(cfg)
     n = len(stock)
     n_test = n - math.floor(cfg.split_ratio * n)
     usable = []
@@ -331,30 +370,34 @@ def run_grid(cfg: ExperimentConfig, tweet_loader=load_tweets) -> list[Experiment
         else:
             usable.append(w)
     variants = list(cfg.variants) if cfg.with_sentiment else ["none"]
+    corpus = None
+    corpus_error: PipelineError | None = None
+    try:
+        corpus = load_corpus(cfg, tweet_loader)
+    except PipelineError as exc:
+        corpus_error = exc
 
     records = []
     cell_index = 0
     for variant in variants:
         master = None
-        master_error: PipelineError | None = None
-        try:
-            master = build_master(cfg, variant, stock, tweet_loader=tweet_loader)
-        except PipelineError as exc:
-            master_error = exc
+        master_error = corpus_error
+        if master_error is None:
+            try:
+                master = build_master(cfg, variant, stock, corpus)
+            except PipelineError as exc:
+                master_error = exc
         for lookback in usable:
             seed = cfg.seed + cell_index
             cell_index += 1
-            started = _utcnow()
             if master_error is not None:
-                record = _failure_record(cfg, stock.symbol, variant, lookback, seed,
-                                         started, master_error)
+                record = _failure_record(cfg, stock.symbol, variant, lookback, seed, master_error)
             else:
                 try:
                     record = run_master(master, cfg, variant, lookback, seed, scrip=stock.symbol)
                 except PipelineError as exc:
                     logger.warning("cell (%s, %d) failed at %s: %s", variant, lookback, exc.stage, exc.cause)
-                    record = _failure_record(cfg, stock.symbol, variant, lookback, seed,
-                                             started, exc)
+                    record = _failure_record(cfg, stock.symbol, variant, lookback, seed, exc)
             records.append(record)
     if cfg.output_dir is not None and records:
         emit_report(records, cfg.output_dir)
@@ -363,14 +406,13 @@ def run_grid(cfg: ExperimentConfig, tweet_loader=load_tweets) -> list[Experiment
     return records
 
 
-def _failure_record(cfg, scrip, variant, lookback, seed, started, exc: PipelineError):
+def _failure_record(cfg, scrip, variant, lookback, seed, exc: PipelineError):
     try:
         fp = fingerprint(cfg, variant, lookback, seed)
     except OSError:
         fp = ""
     return ExperimentRecord(
-        scrip=scrip, variant=variant, lookback=lookback, seed=seed,
-        fingerprint=fp, started_at=started, finished_at=_utcnow(),
+        scrip=scrip, variant=variant, lookback=lookback, seed=seed, fingerprint=fp,
         error=str(exc.cause), failed_stage=exc.stage,
     )
 
@@ -383,44 +425,50 @@ def _record_stem(record: ExperimentRecord) -> str:
     return f"{record.scrip}_{record.variant}_w{record.lookback}"
 
 
-def _write_loss_and_pred(record: ExperimentRecord, out_dir: Path) -> list[Path]:
-    """Loss-curve and prediction CSVs for a successful record."""
-    written = []
+def _loss_and_pred_paths(record: ExperimentRecord, out_dir: Path) -> list[Path]:
     stem = _record_stem(record)
-    loss_path = out_dir / f"{stem}_loss.csv"
-    with open(loss_path, "w", newline="") as fh:
-        fh.write("epoch,train_loss,val_loss\n")
-        for epoch, (tl, vl) in enumerate(zip(record.history.train_loss, record.history.val_loss)):
-            fh.write(f"{epoch},{_fmt(tl)},{_fmt(vl)}\n")
-    written.append(loss_path)
+    return [out_dir / f"{stem}_loss.csv", out_dir / f"{stem}_pred.csv"]
 
-    pred_path = out_dir / f"{stem}_pred.csv"
-    with open(pred_path, "w", newline="") as fh:
+
+def write_loss_csv(history: nn.TrainingHistory, path: str | Path) -> Path:
+    """Loss-curve CSV: epoch,train_loss,val_loss."""
+    with open(path, "w", newline="") as fh:
+        fh.write("epoch,train_loss,val_loss\n")
+        for epoch, (tl, vl) in enumerate(zip(history.train_loss, history.val_loss)):
+            fh.write(f"{epoch},{_fmt(tl)},{_fmt(vl)}\n")
+    return Path(path)
+
+
+def write_pred_csv(record: ExperimentRecord, path: str | Path) -> Path:
+    """Prediction CSV: date,actual,predicted in data units."""
+    with open(path, "w", newline="") as fh:
         fh.write("date,actual,predicted\n")
         for d, a, p in zip(record.test_dates, record.actual, record.predicted):
             fh.write(f"{d.isoformat()},{_fmt(a)},{_fmt(p)}\n")
-    written.append(pred_path)
-    return written
+    return Path(path)
+
+
+def _write_loss_and_pred(record: ExperimentRecord, out_dir: Path) -> list[Path]:
+    """Loss-curve and prediction CSVs for a successful record."""
+    loss_path, pred_path = _loss_and_pred_paths(record, out_dir)
+    return [write_loss_csv(record.history, loss_path), write_pred_csv(record, pred_path)]
 
 
 def write_record_artifacts(record: ExperimentRecord, out_dir: str | Path) -> list[Path]:
-    """Write the loss-curve and prediction CSVs plus a JSON record."""
+    """Write the JSON record of one cell.
+
+    Its "artifacts" list names the cell's loss-curve and prediction CSVs,
+    which emit_report (for a grid) or run_pipeline writes.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    stem = _record_stem(record)
-    if record.ok:
-        written.extend(_write_loss_and_pred(record, out_dir))
-
-    record_path = out_dir / f"{stem}_record.json"
+    record_path = out_dir / f"{_record_stem(record)}_record.json"
     blob = {
         "scrip": record.scrip,
         "variant": record.variant,
         "lookback": record.lookback,
         "seed": record.seed,
         "fingerprint": record.fingerprint,
-        "started_at": record.started_at,
-        "finished_at": record.finished_at,
         "error": record.error,
         "failed_stage": record.failed_stage,
     }
@@ -431,11 +479,29 @@ def write_record_artifacts(record: ExperimentRecord, out_dir: str | Path) -> lis
             "best_epoch": record.history.best_epoch,
             "stopped_early": record.history.stopped_early,
         }
-        blob["artifacts"] = [str(p) for p in written]
+        blob["artifacts"] = [str(p) for p in _loss_and_pred_paths(record, out_dir)]
     with open(record_path, "w") as fh:
         json.dump(blob, fh, indent=2)
-    written.append(record_path)
-    return written
+    return [record_path]
+
+
+def _summary_row(record: ExperimentRecord) -> list[str]:
+    head = [record.scrip, record.variant, str(record.lookback)]
+    if not record.ok:
+        return head + ["", "", "", "", "", "", f"failed:{record.failed_stage}"]
+    r = record.report
+    val_score = "" if r.val_score is None else _fmt(r.val_score)
+    return head + [val_score, _fmt(r.r2), _fmt(r.rmse), _fmt(r.mae),
+                   str(r.time_offset), _fmt(r.acc), r.units]
+
+
+def write_summary_csv(records: list[ExperimentRecord], path: str | Path) -> Path:
+    """Summary CSV with one row per record; failed cells carry failed:<stage>."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
+        for record in records:
+            fh.write(",".join(_summary_row(record)) + "\n")
+    return Path(path)
 
 
 def emit_report(records: list[ExperimentRecord], out_dir: str | Path) -> list[Path]:
@@ -444,30 +510,10 @@ def emit_report(records: list[ExperimentRecord], out_dir: str | Path) -> list[Pa
         raise ValueError("no records to report")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    scrips = []
-    for record in records:
-        if record.scrip not in scrips:
-            scrips.append(record.scrip)
-    for scrip in scrips:
-        path = out_dir / f"summary_{scrip}.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-            for record in records:
-                if record.scrip != scrip:
-                    continue
-                if record.ok:
-                    r = record.report
-                    row = [
-                        record.scrip, record.variant, str(record.lookback),
-                        _fmt(r.val_score), _fmt(r.r2), _fmt(r.rmse), _fmt(r.mae),
-                        str(r.time_offset), _fmt(r.acc), r.units,
-                    ]
-                else:
-                    row = [record.scrip, record.variant, str(record.lookback),
-                           "", "", "", "", "", "", f"failed:{record.failed_stage}"]
-                fh.write(",".join(row) + "\n")
-        written.append(path)
+    scrips = list(dict.fromkeys(record.scrip for record in records))
+    written = [write_summary_csv([r for r in records if r.scrip == scrip],
+                                 out_dir / f"summary_{scrip}.csv")
+               for scrip in scrips]
     for record in records:
         if record.ok:
             written.extend(_write_loss_and_pred(record, out_dir))

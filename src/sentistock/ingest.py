@@ -52,15 +52,6 @@ class StockSeries:
     def __len__(self) -> int:
         return len(self.dates)
 
-    def column(self, name: str) -> np.ndarray:
-        return {
-            "Open": self.open,
-            "High": self.high,
-            "Low": self.low,
-            "Close": self.close,
-            "Volume": self.volume,
-        }[name]
-
     def validate(self) -> None:
         """Check date ordering and price sanity; raises ValueError on violation."""
         for i in range(1, len(self.dates)):

@@ -52,28 +52,16 @@ class MemoryKernel:
 
 @dataclass
 class DailySentimentSeries:
-    """Raw per-day channel values on the trading calendar, each in [0, 1]."""
+    """Per-day channel values on the trading calendar, each in [0, 1].
+
+    daily_aggregate produces the raw channels and memory_weighted_map the
+    smoothed ones.
+    """
 
     calendar: list[date]
     positive: np.ndarray
     negative: np.ndarray
     neutral: np.ndarray
-
-    def channel(self, name: str) -> np.ndarray:
-        return {"positive": self.positive, "negative": self.negative, "neutral": self.neutral}[name]
-
-
-@dataclass
-class MappedSentiment:
-    """Memory-weighted channel values on the trading calendar."""
-
-    calendar: list[date]
-    positive: np.ndarray
-    negative: np.ndarray
-    neutral: np.ndarray
-
-    def channel(self, name: str) -> np.ndarray:
-        return {"positive": self.positive, "negative": self.negative, "neutral": self.neutral}[name]
 
 
 @dataclass
@@ -154,7 +142,7 @@ def daily_aggregate(
     )
 
 
-def memory_weighted_map(daily: DailySentimentSeries, kernel: MemoryKernel) -> MappedSentiment:
+def memory_weighted_map(daily: DailySentimentSeries, kernel: MemoryKernel) -> DailySentimentSeries:
     """Smooth each channel with the lagged memory kernel.
 
     mapped[d] = sum_{i=1..M} k(i) * raw[d-i] / sum_{i=1..M} k(i), where lags
@@ -173,7 +161,7 @@ def memory_weighted_map(daily: DailySentimentSeries, kernel: MemoryKernel) -> Ma
             out[1:] = np.convolve(raw, weights)[: n - 1] / denom
         return out
 
-    return MappedSentiment(
+    return DailySentimentSeries(
         calendar=list(daily.calendar),
         positive=smooth(daily.positive),
         negative=smooth(daily.negative),
@@ -181,7 +169,7 @@ def memory_weighted_map(daily: DailySentimentSeries, kernel: MemoryKernel) -> Ma
     )
 
 
-def join_with_stock(mapped: MappedSentiment, series: StockSeries) -> MasterDataset:
+def join_with_stock(mapped: DailySentimentSeries, series: StockSeries) -> MasterDataset:
     """Join mapped sentiment channels with the stock columns.
 
     Calendars must match exactly; the first differing date is reported.

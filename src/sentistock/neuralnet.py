@@ -64,7 +64,6 @@ class ModelConfig:
 
     hidden_units: int = 50
     input_shape: tuple[int, int] = (60, 5)  # (lookback, n_features)
-    activation: str = "tanh"
     output_head: str = "linear"
     n_bins: int = 10  # softmax_bins head only
     seed: int = 0
@@ -75,8 +74,6 @@ class ModelConfig:
         w, n_features = self.input_shape
         if w < 1 or n_features < 1:
             raise InvalidShapeError(f"input_shape dims must be >= 1, got {self.input_shape}")
-        if self.activation != "tanh":
-            raise ValueError(f"unsupported activation {self.activation!r}")
         if self.output_head not in ("linear", "softmax_bins"):
             raise ValueError(f"unknown output head {self.output_head!r}")
         if self.output_head == "softmax_bins" and self.n_bins < 2:
@@ -92,7 +89,6 @@ class TrainConfig:
     validation_split: float = 0.1
     patience: int = 10
     learning_rate: float = 1e-3
-    seed: int = 0  # reserved; batching is chronological, so training adds no randomness
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -503,7 +499,7 @@ def save_model(model: BiLstmModel, path: str | Path) -> None:
         "format_version": MODEL_FORMAT_VERSION,
         "hidden_units": config.hidden_units,
         "input_shape": list(config.input_shape),
-        "activation": config.activation,
+        "activation": "tanh",
         "output_head": config.output_head,
         "n_bins": config.n_bins,
         "seed": config.seed,
@@ -517,11 +513,12 @@ def load_model(path: str | Path) -> BiLstmModel:
         meta = json.loads(str(data["__meta__"]))
         if meta.get("format_version") != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format {meta.get('format_version')}")
+        if meta.get("activation") != "tanh":
+            raise ValueError(f"unsupported activation {meta.get('activation')!r}")
         params = {k: data[k].copy() for k in data.files if k != "__meta__"}
     config = ModelConfig(
         hidden_units=meta["hidden_units"],
         input_shape=tuple(meta["input_shape"]),
-        activation=meta["activation"],
         output_head=meta["output_head"],
         n_bins=meta["n_bins"],
         seed=meta["seed"],

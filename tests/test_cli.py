@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -80,6 +81,41 @@ def test_train_and_evaluate_subcommands(workspace):
     assert pred_lines[0] == "date,actual,predicted"
     _, actual, predicted = pred_lines[1].split(",")
     float(actual), float(predicted)  # plain decimal numbers, no repr wrappers
+
+
+def test_stage_commands_match_grid_cell(workspace):
+    """map -> train -> evaluate writes the files of the same grid cell."""
+    tmp_path, stock_path, tweets_path = workspace
+    master = tmp_path / "master.csv"
+    model = tmp_path / "model.npz"
+    history = tmp_path / "history.csv"
+    report = tmp_path / "report.csv"
+    pred = tmp_path / "pred.csv"
+    assert main(["map", "--stock", str(stock_path), "--tweets", str(tweets_path),
+                 "--variant", "cleaned_prosus", "--out", str(master)]) == 0
+    assert main(["train", "--master", str(master), "--lookback", "3", "--hidden-units", "4",
+                 "--epochs", "3", "--seed", "7", "--model-out", str(model),
+                 "--history-out", str(history)]) == 0
+    assert main(["evaluate", "--model", str(model), "--master", str(master),
+                 "--out", str(report), "--pred-out", str(pred)]) == 0
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "config_version": 1, "stock_file": str(stock_path), "tweet_files": [str(tweets_path)],
+        "variants": ["cleaned_prosus"], "lookbacks": [3], "hidden_units": 4, "epochs": 3,
+        "seed": 7, "output_dir": str(tmp_path / "out"),
+    }))
+    assert main(["grid", "--config", str(config)]) == 0
+    out = tmp_path / "out"
+    assert history.read_bytes() == (out / "DEMO_cleaned_prosus_w3_loss.csv").read_bytes()
+    assert pred.read_bytes() == (out / "DEMO_cleaned_prosus_w3_pred.csv").read_bytes()
+    with open(report, newline="") as fh:
+        cli_row = next(csv.DictReader(fh))
+    with open(out / "summary_DEMO.csv", newline="") as fh:
+        grid_row = next(csv.DictReader(fh))
+    for column in ("r2", "rmse", "mae", "T", "acc", "units"):
+        assert cli_row[column] == grid_row[column], column
+    assert cli_row["val_score"] == "" and grid_row["val_score"] != ""
 
 
 def test_grid_subcommand_and_exit_codes(workspace):

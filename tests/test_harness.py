@@ -15,7 +15,7 @@ from sentistock.harness import (
     run_master,
     run_pipeline,
 )
-from sentistock.ingest import write_stock_csv
+from sentistock.ingest import load_tweets, write_stock_csv
 from sentistock.mapping import MasterDataset
 
 
@@ -66,7 +66,7 @@ class TestRunPipeline:
         path = tmp_path / "MONO.csv"
         write_stock_csv(stock, path)
         cfg = fast_config(stock_file=str(path), with_sentiment=False)
-        master = harness.build_master(cfg, "none", stock)
+        master = harness.build_master(cfg, "none", stock, None)
         assert len(master.columns) == 5  # stock columns only
         record = run_pipeline(cfg, "none", 3)
         assert record.ok
@@ -79,7 +79,8 @@ class TestRunPipeline:
         cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)])
         from sentistock.ingest import load_stock_csv
 
-        master = harness.build_master(cfg, "cleaned_prosus", load_stock_csv(stock_path))
+        master = harness.build_master(cfg, "cleaned_prosus", load_stock_csv(stock_path),
+                                      harness.load_corpus(cfg))
         assert len(master.columns) == 8
         record = run_pipeline(cfg, "cleaned_prosus", 3)
         assert record.ok
@@ -164,6 +165,71 @@ class TestRunGrid:
         assert len(records) == 1 and records[0].ok
         assert records[0].variant == "none"
 
+    def test_tweet_files_read_once_per_grid(self, synthetic_inputs, tmp_path):
+        stock_path, tweets_path = synthetic_inputs
+        second = tmp_path / "tweets2.jsonl"
+        second.write_bytes(tweets_path.read_bytes())
+        calls = []
+
+        def counting_loader(path):
+            calls.append(path)
+            return load_tweets(path)
+
+        cfg = fast_config(
+            stock_file=str(stock_path), tweet_files=[str(tweets_path), str(second)],
+            variants=["cleaned_prosus", "cleaned_yiyanghkust", "pos_prosus"], lookbacks=[2, 3],
+        )
+        records = run_grid(cfg, tweet_loader=counting_loader)
+        assert len(records) == 6 and all(r.ok for r in records)
+        assert calls == [str(tweets_path), str(second)]
+
+    def test_tweet_load_failure_fails_every_cell(self, synthetic_inputs, tmp_path):
+        stock_path, _ = synthetic_inputs
+        cfg = fast_config(
+            stock_file=str(stock_path), tweet_files=[str(tmp_path / "missing.jsonl")],
+            variants=["cleaned_prosus", "pos_prosus"], lookbacks=[2, 3],
+        )
+        records = run_grid(cfg)
+        assert len(records) == 4
+        assert all(r.failed_stage == "load_tweets" for r in records)
+
+    def test_each_result_file_written_once(self, synthetic_inputs, tmp_path, monkeypatch):
+        import builtins
+
+        stock_path, tweets_path = synthetic_inputs
+        out = tmp_path / "grid_out"
+        cfg = fast_config(
+            stock_file=str(stock_path), tweet_files=[str(tweets_path)],
+            variants=["cleaned_prosus", "cleaned_yiyanghkust"], lookbacks=[2, 3],
+            output_dir=str(out),
+        )
+        opened = []
+        real_open = builtins.open
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if any(flag in mode for flag in "wax+"):
+                opened.append(str(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        run_grid(cfg)
+        monkeypatch.undo()
+        assert len(opened) == len(set(opened)), sorted(opened)
+        # 1 summary + 4 cells x (loss, pred, record)
+        assert sorted(opened) == sorted(str(p) for p in out.iterdir())
+        assert len(opened) == 13
+
+    def test_interrupt_stops_grid(self, synthetic_inputs, monkeypatch):
+        stock_path, _ = synthetic_inputs
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness.nn, "train", interrupted)
+        cfg = fast_config(stock_file=str(stock_path), with_sentiment=False, lookbacks=[2, 3])
+        with pytest.raises(KeyboardInterrupt):
+            run_grid(cfg)
+
     def test_summary_has_failure_rows(self, tmp_path, synthetic_inputs):
         stock_path, _ = synthetic_inputs
         tweets_path = tmp_path / "nopos.jsonl"
@@ -200,6 +266,15 @@ class TestFingerprint:
         with open(stock_path, "a") as fh:
             fh.write("2021-12-31,1,2,0.5,1.5,10\n")
         assert fingerprint(cfg, "cleaned_prosus", 3, 0) != a
+
+
+    def test_inline_master_fingerprint_follows_data(self):
+        cfg = fast_config()  # no stock file: the master is the only data
+        a = synth.sentiment_driven_master(n_days=60, seed=0)
+        b = synth.sentiment_driven_master(n_days=60, seed=1)
+        fp_a = run_master(a, cfg, "v", 3, seed=0, scrip="S").fingerprint
+        assert run_master(a, cfg, "v", 3, seed=0, scrip="S").fingerprint == fp_a
+        assert run_master(b, cfg, "v", 3, seed=0, scrip="S").fingerprint != fp_a
 
 
 class TestEmitReport:

@@ -192,9 +192,7 @@ class TestMemoryWeightedMap:
 class TestJoinWithStock:
     def mapped_for(self, calendar, value=0.0):
         n = len(calendar)
-        from sentistock.mapping import MappedSentiment
-
-        return MappedSentiment(
+        return DailySentimentSeries(
             calendar=list(calendar),
             positive=np.full(n, value),
             negative=np.zeros(n),

@@ -401,3 +401,18 @@ class TestPersistence:
             np.testing.assert_array_equal(reloaded.params[key], model.params[key])
         X, _ = random_batch(cfg, 4, seed=9)
         np.testing.assert_array_equal(forward(reloaded, X), forward(model, X))
+
+    def test_other_activation_rejected(self, tmp_path):
+        import json
+
+        model = init_model(ModelConfig(hidden_units=2, input_shape=(3, 1), seed=0))
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        with np.load(path) as data:
+            meta = json.loads(str(data["__meta__"]))
+            params = {k: data[k] for k in data.files if k != "__meta__"}
+        assert meta["activation"] == "tanh"
+        meta["activation"] = "relu"
+        np.savez(path, __meta__=np.array(json.dumps(meta)), **params)
+        with pytest.raises(ValueError, match="activation"):
+            load_model(path)
