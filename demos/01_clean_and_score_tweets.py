@@ -31,12 +31,16 @@ for text in ("growth growth crash", "crash", "nothing eventful today"):
     print(f"{text!r:30} -> pos={score.p_pos:.3f} neg={score.p_neg:.3f} "
           f"neu={score.p_neu:.3f} label={score.label}")
 
-# Scoring a whole corpus produces one entry per (tweet, variant).
+# Scoring a whole corpus gives each variant an (n_tweets, 3) array of
+# (p_pos, p_neg, p_neu) rows. Each text form is scored once: the two
+# cleaned_* variants share one array, the two pos_* variants another.
 calendar = trading_calendar(date(2023, 1, 2), 10)
 corpus = random_tweets(calendar, per_day=1.0, seed=0)
 table = score_corpus(config, corpus, VARIANTS)
 print(f"\nscored {len(corpus)} tweets x {len(VARIANTS)} variants "
-      f"-> {len(table.entries)} entries")
-labels = [score.label for score in table.entries.values()]
+      f"-> arrays of shape {table.probabilities(VARIANTS[0]).shape}")
+# table.get builds one tweet's SentimentScore, with its argmax label, on demand.
+labels = [table.get(tweet_id, variant).label
+          for variant in table.variants for tweet_id in table.tweet_ids]
 for label in ("positive", "negative", "neutral"):
     print(f"  {label}: {labels.count(label)}")

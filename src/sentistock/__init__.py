@@ -45,7 +45,7 @@ from .mapping import (
     DailySentimentSeries,
     MasterDataset,
     MemoryKernel,
-    class_contribution,
+    class_contributions,
     daily_aggregate,
     join_with_stock,
     load_master_csv,

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -47,7 +45,6 @@ class ScalerSet:
     """One ColumnScaler per master-dataset column."""
 
     scalers: dict[str, ColumnScaler]
-    fit_scope: str = "train_only"
 
     def __getitem__(self, column: str) -> ColumnScaler:
         try:
@@ -86,7 +83,7 @@ def fit_scalers(data: MasterDataset, split_ratio: float = 0.8, fit_scope: str = 
     for name, values in data.columns.items():
         window = values[:n_fit]
         scalers[name] = ColumnScaler(column=name, vmin=float(window.min()), vmax=float(window.max()))
-    return ScalerSet(scalers=scalers, fit_scope=fit_scope)
+    return ScalerSet(scalers=scalers)
 
 
 def transform(scalers: ScalerSet, data: MasterDataset) -> MasterDataset:
@@ -147,25 +144,3 @@ def make_windows(data: MasterDataset, lookback: int, target: str | None = None) 
     X = np.stack([features[k : k + lookback] for k in range(n_samples)])
     y = data.columns[target][lookback:].astype(float).copy()
     return WindowedSet(X=X, y=y, lookback=lookback)
-
-
-def save_scalers(scalers: ScalerSet, path: str | Path) -> None:
-    """Persist a scaler set as CSV (column,min,max,fit_scope)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("column", "min", "max", "fit_scope"))
-        for name, scaler in scalers.scalers.items():
-            writer.writerow((name, repr(scaler.vmin), repr(scaler.vmax), scalers.fit_scope))
-
-
-def load_scalers(path: str | Path) -> ScalerSet:
-    """Read a scaler set written by save_scalers."""
-    scalers = {}
-    fit_scope = "train_only"
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            scalers[row["column"]] = ColumnScaler(
-                column=row["column"], vmin=float(row["min"]), vmax=float(row["max"])
-            )
-            fit_scope = row["fit_scope"]
-    return ScalerSet(scalers=scalers, fit_scope=fit_scope)

@@ -54,8 +54,12 @@ class UnknownTweetIdError(SentiStockError):
     """A score row references a tweet id absent from the corpus."""
 
 
+class AmbiguousTweetIdError(SentiStockError):
+    """A score row's tweet id names more than one tweet of a merged corpus."""
+
+
 class ProbabilityRowInvalidError(SentiStockError):
-    """A score row's probabilities deviate from summing to 1 by more than 1e-3."""
+    """A score row holds a negative probability or does not sum to 1 within 1e-3."""
 
 
 # --- mapping ---

@@ -36,7 +36,7 @@ from .mapping import (
     memory_weighted_map,
     stock_only_master,
 )
-from .sentiment import VARIANTS, ScorerConfig, score_corpus
+from .sentiment import VARIANTS, ScorerConfig, ScoreTable, score_corpus
 
 logger = logging.getLogger(__name__)
 
@@ -163,12 +163,9 @@ def _hash_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def fingerprint(cfg: ExperimentConfig, variant: str, lookback: int, seed: int,
-                extra_data_hash: str | None = None) -> str:
-    """Stable identity for (config, data, cell). Tweet files are hashed only
-    when the sentiment path actually reads them."""
-    payload = asdict(cfg)
-    payload.update({"cell_variant": variant, "cell_lookback": lookback, "cell_seed": seed})
+def input_hashes(cfg: ExperimentConfig) -> dict:
+    """SHA-256 of each input file a run reads; tweet and score files only
+    when the sentiment path reads them."""
     hashes = {}
     if cfg.stock_file:
         hashes["stock"] = _hash_file(cfg.stock_file)
@@ -176,9 +173,19 @@ def fingerprint(cfg: ExperimentConfig, variant: str, lookback: int, seed: int,
         hashes["tweets"] = [_hash_file(f) for f in cfg.tweet_files]
         if cfg.scores_file:
             hashes["scores"] = _hash_file(cfg.scores_file)
-    if extra_data_hash:
-        hashes["inline_data"] = extra_data_hash
-    payload["data_hashes"] = hashes
+    return hashes
+
+
+def fingerprint(cfg: ExperimentConfig, variant: str, lookback: int, seed: int,
+                hashes: dict | None = None) -> str:
+    """Stable identity for (config but its output_dir, data hashes, cell).
+
+    ``hashes`` defaults to input_hashes(cfg); a grid hashes once for all cells.
+    """
+    payload = asdict(cfg)
+    del payload["output_dir"]
+    payload.update({"cell_variant": variant, "cell_lookback": lookback, "cell_seed": seed})
+    payload["data_hashes"] = input_hashes(cfg) if hashes is None else hashes
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -215,7 +222,7 @@ def merge_corpora(corpora: list[TweetCorpus]) -> TweetCorpus:
               for index, corpus in enumerate(corpora) for tweet in corpus]
     tweets.sort(key=lambda t: t.date)
     handles = ",".join(c.handle for c in corpora if c.handle)
-    return TweetCorpus(tweets=tweets, handle=handles)
+    return TweetCorpus(tweets=tweets, handle=handles, sources=len(corpora))
 
 
 def load_stock(cfg: ExperimentConfig) -> StockSeries:
@@ -240,13 +247,18 @@ def load_corpus(cfg: ExperimentConfig, tweet_loader=load_tweets) -> TweetCorpus 
 
 
 def build_master(cfg: ExperimentConfig, variant: str, stock: StockSeries,
-                 corpus: TweetCorpus | None) -> MasterDataset:
-    """Produce the master dataset for one variant from a loaded corpus (stage-tagged)."""
+                 corpus: TweetCorpus | None, table: ScoreTable | None = None) -> MasterDataset:
+    """Produce the master dataset for one variant from a loaded corpus (stage-tagged).
+
+    ``table`` holds the corpus's scores; without one, this variant is scored.
+    """
     if not cfg.with_sentiment:
         with _stage("join"):
             return stock_only_master(stock)
     with _stage("score"):
-        table = score_corpus(cfg.scorer_config(), corpus, [variant])
+        if table is None:
+            table = score_corpus(cfg.scorer_config(), corpus, [variant])
+        table.probabilities(variant)  # a variant that could not be scored fails here
     with _stage("aggregate"):
         daily = daily_aggregate(table, variant, corpus, stock.calendar)
     with _stage("map"):
@@ -322,13 +334,15 @@ def evaluate_model(model: nn.BiLstmModel, cell: CellData, windows: ds.WindowedSe
 
 
 def run_master(master: MasterDataset, cfg: ExperimentConfig, variant: str, lookback: int,
-               seed: int, scrip: str) -> ExperimentRecord:
+               seed: int, scrip: str, hashes: dict | None = None) -> ExperimentRecord:
     """Scale, window, train, predict and evaluate a ready master dataset.
 
-    Without a stock file the fingerprint hashes the master itself.
+    ``hashes`` as in fingerprint; without a stock file it also hashes the master.
     """
-    data_hash = None if cfg.stock_file else master_data_hash(master)
-    fp = fingerprint(cfg, variant, lookback, seed, extra_data_hash=data_hash)
+    hashes = input_hashes(cfg) if hashes is None else hashes
+    if not cfg.stock_file:
+        hashes = {**hashes, "inline_data": master_data_hash(master)}
+    fp = fingerprint(cfg, variant, lookback, seed, hashes)
     cell = prepare_cell(master, cfg)
     train_windows = window(cell.train, lookback)
     test_windows = window(cell.test, lookback)
@@ -356,9 +370,10 @@ def run_pipeline(cfg: ExperimentConfig, variant: str, lookback: int, seed: int |
 def run_grid(cfg: ExperimentConfig, tweet_loader=load_tweets) -> list[ExperimentRecord]:
     """Sweep every (variant, lookback) cell, isolating per-cell failures.
 
-    The stock and tweet files are read once; each variant scores the same
-    corpus. Lookbacks of at least half the test-set length are skipped with
-    a warning. Writes summary and per-record artifacts when output_dir is set.
+    The stock and tweet files are read and hashed once, and the corpus is
+    scored once for all variants. Lookbacks of at least half the test-set
+    length are skipped with a warning. Writes summary and per-record
+    artifacts when output_dir is set.
     """
     stock = load_stock(cfg)
     n = len(stock)
@@ -370,12 +385,19 @@ def run_grid(cfg: ExperimentConfig, tweet_loader=load_tweets) -> list[Experiment
         else:
             usable.append(w)
     variants = list(cfg.variants) if cfg.with_sentiment else ["none"]
-    corpus = None
+    corpus = table = None
     corpus_error: PipelineError | None = None
     try:
         corpus = load_corpus(cfg, tweet_loader)
+        if cfg.with_sentiment:
+            with _stage("score"):  # a variant that cannot be scored fails alone in build_master
+                table = score_corpus(cfg.scorer_config(), corpus, cfg.variants)
     except PipelineError as exc:
         corpus_error = exc
+    try:
+        hashes = input_hashes(cfg)
+    except OSError:
+        hashes = None  # an unreadable input fails every cell before training
 
     records = []
     cell_index = 0
@@ -384,20 +406,21 @@ def run_grid(cfg: ExperimentConfig, tweet_loader=load_tweets) -> list[Experiment
         master_error = corpus_error
         if master_error is None:
             try:
-                master = build_master(cfg, variant, stock, corpus)
+                master = build_master(cfg, variant, stock, corpus, table)
             except PipelineError as exc:
                 master_error = exc
         for lookback in usable:
             seed = cfg.seed + cell_index
             cell_index += 1
             if master_error is not None:
-                record = _failure_record(cfg, stock.symbol, variant, lookback, seed, master_error)
+                record = _failure_record(cfg, stock.symbol, variant, lookback, seed, master_error, hashes)
             else:
                 try:
-                    record = run_master(master, cfg, variant, lookback, seed, scrip=stock.symbol)
+                    record = run_master(master, cfg, variant, lookback, seed, scrip=stock.symbol,
+                                        hashes=hashes)
                 except PipelineError as exc:
                     logger.warning("cell (%s, %d) failed at %s: %s", variant, lookback, exc.stage, exc.cause)
-                    record = _failure_record(cfg, stock.symbol, variant, lookback, seed, exc)
+                    record = _failure_record(cfg, stock.symbol, variant, lookback, seed, exc, hashes)
             records.append(record)
     if cfg.output_dir is not None and records:
         emit_report(records, cfg.output_dir)
@@ -406,11 +429,8 @@ def run_grid(cfg: ExperimentConfig, tweet_loader=load_tweets) -> list[Experiment
     return records
 
 
-def _failure_record(cfg, scrip, variant, lookback, seed, exc: PipelineError):
-    try:
-        fp = fingerprint(cfg, variant, lookback, seed)
-    except OSError:
-        fp = ""
+def _failure_record(cfg, scrip, variant, lookback, seed, exc: PipelineError, hashes):
+    fp = "" if hashes is None else fingerprint(cfg, variant, lookback, seed, hashes)
     return ExperimentRecord(
         scrip=scrip, variant=variant, lookback=lookback, seed=seed, fingerprint=fp,
         error=str(exc.cause), failed_stage=exc.stage,
@@ -458,7 +478,8 @@ def write_record_artifacts(record: ExperimentRecord, out_dir: str | Path) -> lis
     """Write the JSON record of one cell.
 
     Its "artifacts" list names the cell's loss-curve and prediction CSVs,
-    which emit_report (for a grid) or run_pipeline writes.
+    which emit_report (for a grid) or run_pipeline writes, by file name in
+    the record's own directory.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -479,7 +500,7 @@ def write_record_artifacts(record: ExperimentRecord, out_dir: str | Path) -> lis
             "best_epoch": record.history.best_epoch,
             "stopped_early": record.history.stopped_early,
         }
-        blob["artifacts"] = [str(p) for p in _loss_and_pred_paths(record, out_dir)]
+        blob["artifacts"] = [p.name for p in _loss_and_pred_paths(record, out_dir)]
     with open(record_path, "w") as fh:
         json.dump(blob, fh, indent=2)
     return [record_path]

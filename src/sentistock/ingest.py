@@ -11,7 +11,7 @@ import csv
 import json
 import re
 from dataclasses import dataclass
-from datetime import date
+from datetime import date, datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _MENTION_RE = re.compile(r"@\w+")
 _NON_ALNUM_RE = re.compile(r"[^a-z0-9 ]")
 _WS_RE = re.compile(r"\s+")
+_TIMESTAMP_RE = re.compile(r"(\d{4}-\d\d-\d\d[T ]\d\d:\d\d(?::\d\d)?)(?:\.\d+)?(Z|[+-]\d\d:\d\d)?", re.ASCII)
 
 
 @dataclass
@@ -76,10 +77,15 @@ class Tweet:
 
 @dataclass
 class TweetCorpus:
-    """Tweets sorted by date ascending with unique ids."""
+    """Tweets sorted by date ascending with unique ids.
+
+    ``sources`` counts the tweet files merged into the corpus; with more
+    than one, each id is ``<file index>:<id in its file>``.
+    """
 
     tweets: list[Tweet]
     handle: str = ""
+    sources: int = 1
 
     def __len__(self) -> int:
         return len(self.tweets)
@@ -166,12 +172,32 @@ def write_stock_csv(series: StockSeries, path: str | Path) -> None:
             )
 
 
+def parse_tweet_date(text: str) -> date:
+    """The day of an ISO date, or the UTC day of an ISO timestamp.
+
+    A timestamp is ``YYYY-MM-DD``, ``T`` or a space, ``HH:MM[:SS[.frac]]``
+    and an optional ``Z``, ``+HH:MM`` or ``-HH:MM`` offset (none means
+    UTC); the same strings parse on every Python version.
+    """
+    try:
+        return date.fromisoformat(text)
+    except ValueError:
+        match = _TIMESTAMP_RE.fullmatch(text)
+        if match is None:
+            raise
+    stamp, offset = match.groups()
+    # Without the fraction, Python 3.10 parses every string the pattern matches.
+    local = datetime.fromisoformat(stamp + ("+00:00" if offset in (None, "Z") else offset))
+    return local.astimezone(timezone.utc).date()
+
+
 def load_tweets(path: str | Path, handle: str = "") -> TweetCorpus:
     """Read line-delimited JSON tweets into a date-sorted corpus.
 
-    Each line needs ``date`` (ISO day) and ``text``; ``id`` and ``pos_text``
-    are optional. Missing ids are assigned sequentially in file order.
-    Raises UnparseableRecordError or EmptyCorpusError.
+    Each line needs ``date`` (ISO day or timestamp, see parse_tweet_date) and
+    ``text``; ``id`` and ``pos_text`` are optional. Missing ids are assigned
+    sequentially in file order. Raises UnparseableRecordError or
+    EmptyCorpusError.
     """
     tweets = []
     seen_ids = set()
@@ -182,7 +208,7 @@ def load_tweets(path: str | Path, handle: str = "") -> TweetCorpus:
             try:
                 record = json.loads(line)
                 raw = record["text"]
-                d = date.fromisoformat(str(record["date"]))
+                d = parse_tweet_date(str(record["date"]))
             except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
                 raise UnparseableRecordError(line_no, str(exc)) from exc
             tweet_id = str(record.get("id", len(tweets)))

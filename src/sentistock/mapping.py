@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import CalendarMismatchError, MissingScoreError, UnknownColumnError, UnparseableRowError
 from .ingest import StockSeries, TweetCorpus
-from .sentiment import ScoreTable, SentimentScore
+from .sentiment import ScoreTable
 
 SENTIMENT_COLUMNS = ("sent_pos", "sent_neg", "sent_neu")
 MASTER_COLUMNS = ("Open", "High", "Low", "Close", "Volume") + SENTIMENT_COLUMNS
@@ -93,16 +92,22 @@ class MasterDataset:
         return np.column_stack([self.columns[name] for name in self.columns])
 
 
-def class_contribution(score: SentimentScore) -> tuple[float, float, float]:
-    """One-hot the label and keep that class's probability.
+def class_contributions(probabilities: np.ndarray) -> np.ndarray:
+    """One-hot each (p_pos, p_neg, p_neu) row's argmax class, keeping its probability.
 
-    The labeled class contributes its probability; the other two contribute 0.
+    Ties break neutral > positive > negative; the other two classes contribute 0.
     """
-    if score.label == "positive":
-        return (score.p_pos, 0.0, 0.0)
-    if score.label == "negative":
-        return (0.0, score.p_neg, 0.0)
-    return (0.0, 0.0, score.p_neu)
+    p_pos, p_neg, p_neu = probabilities.T
+    positive = p_pos > p_neu
+    label = np.where(p_neg > np.where(positive, p_pos, p_neu), 1, np.where(positive, 0, 2))
+    rows = np.arange(len(label))
+    contributions = np.zeros_like(probabilities)
+    contributions[rows, label] = probabilities[rows, label]
+    return contributions
+
+
+def _ordinals(days) -> np.ndarray:
+    return np.fromiter((d.toordinal() for d in days), dtype=np.int64)
 
 
 def daily_aggregate(
@@ -116,21 +121,18 @@ def daily_aggregate(
     Each tweet contributes its one-hot class contribution to the trading day
     it falls on; tweets on non-trading days roll forward to the next trading
     day, and tweets after the last trading day are dropped. Days without
-    tweets stay 0.
+    tweets stay 0. Each day's contributions are summed in corpus order.
     """
+    probabilities = table.probabilities(variant)
+    if table.tweet_ids != [tweet.id for tweet in corpus]:
+        raise MissingScoreError(f"the score table's tweets are not the corpus's, variant {variant!r}")
     n = len(calendar)
-    sums = np.zeros((3, n))
-    counts = np.zeros(n)
-    for tweet in corpus:
-        score = table.get(tweet.id, variant)
-        if score is None:
-            raise MissingScoreError(f"tweet {tweet.id!r} has no score for variant {variant!r}")
-        day_index = bisect_left(calendar, tweet.date)
-        if day_index >= n:
-            continue
-        contribution = class_contribution(score)
-        sums[:, day_index] += contribution
-        counts[day_index] += 1
+    day = np.searchsorted(_ordinals(calendar), _ordinals(tweet.date for tweet in corpus))
+    kept = day < n
+    day = day[kept]
+    contributions = class_contributions(probabilities[kept])
+    sums = np.stack([np.bincount(day, weights=contributions[:, c], minlength=n) for c in range(3)])
+    counts = np.bincount(day, minlength=n)
     occupied = counts > 0
     channels = np.zeros_like(sums)
     channels[:, occupied] = sums[:, occupied] / counts[occupied]
@@ -179,17 +181,10 @@ def join_with_stock(mapped: DailySentimentSeries, series: StockSeries) -> Master
         b = series.calendar[i] if i < len(series.calendar) else None
         if a != b:
             raise CalendarMismatchError(a if a is not None else b)
-    columns = {
-        "Open": series.open.copy(),
-        "High": series.high.copy(),
-        "Low": series.low.copy(),
-        "Close": series.close.copy(),
-        "Volume": series.volume.copy(),
-        "sent_pos": mapped.positive.copy(),
-        "sent_neg": mapped.negative.copy(),
-        "sent_neu": mapped.neutral.copy(),
-    }
-    return MasterDataset(calendar=list(series.calendar), columns=columns, target_column="Close")
+    master = stock_only_master(series)
+    for name, values in zip(SENTIMENT_COLUMNS, (mapped.positive, mapped.negative, mapped.neutral)):
+        master.columns[name] = values.copy()
+    return master
 
 
 def stock_only_master(series: StockSeries) -> MasterDataset:

@@ -10,9 +10,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
+import numpy as np
+
 from .errors import (
+    AmbiguousTweetIdError,
+    MissingScoreError,
     MissingVariantTextError,
     ProbabilityRowInvalidError,
     ScorerUnavailableError,
@@ -23,10 +29,8 @@ from .ingest import TweetCorpus
 # Canonical scoring variants, in the order used for result-table features 1-4.
 VARIANTS = ("cleaned_prosus", "cleaned_yiyanghkust", "pos_prosus", "pos_yiyanghkust")
 
-# Variants that score the POS-tagged text form instead of the cleaned text.
-POS_VARIANTS = frozenset(("pos_prosus", "pos_yiyanghkust"))
-
-LABELS = ("positive", "negative", "neutral")
+# The Tweet attribute each variant scores; variants reading the same one share scores.
+TEXT_FORMS = dict(zip(VARIANTS, ("cleaned_text",) * 2 + ("pos_tagged_text",) * 2))
 
 DEFAULT_POSITIVE_WORDS = frozenset(
     """
@@ -82,13 +86,37 @@ class SentimentScore:
 
 @dataclass
 class ScoreTable:
-    """Scores keyed by (tweet id, variant)."""
+    """Per variant, an (n_tweets, 3) array of (p_pos, p_neg, p_neu) rows in
+    ``tweet_ids`` order, or the error that kept the variant from being
+    scored, raised when the variant is read so that it fails alone."""
 
-    entries: dict[tuple[str, str], SentimentScore] = field(default_factory=dict)
-    variants: list[str] = field(default_factory=list)
+    tweet_ids: list[str]
+    scores: dict[str, np.ndarray | Exception] = field(default_factory=dict)
+
+    @property
+    def variants(self) -> list[str]:
+        return list(self.scores)
+
+    @cached_property
+    def _rows(self) -> dict[str, int]:
+        return {tweet_id: row for row, tweet_id in enumerate(self.tweet_ids)}
+
+    def probabilities(self, variant: str) -> np.ndarray:
+        """The variant's (n_tweets, 3) array; raises the error it failed with."""
+        scores = self.scores.get(variant)
+        if scores is None:
+            raise MissingScoreError(f"no scores for variant {variant!r}")
+        if isinstance(scores, Exception):
+            raise scores
+        return scores
 
     def get(self, tweet_id: str, variant: str) -> SentimentScore | None:
-        return self.entries.get((tweet_id, variant))
+        """One tweet's score, built on demand; None when it was not scored."""
+        scores = self.scores.get(variant)
+        row = self._rows.get(tweet_id)
+        if row is None or not isinstance(scores, np.ndarray):
+            return None
+        return SentimentScore.from_probabilities(*scores[row].tolist())
 
 
 @dataclass
@@ -111,6 +139,20 @@ class ScorerConfig:
             raise ValueError("precomputed scorer needs a source file")
 
 
+def _lexicon_probabilities(config: ScorerConfig, text: str) -> tuple[float, float, float]:
+    tokens = text.split()
+    if not tokens:
+        return (0.0, 0.0, 1.0)
+    c_pos = sum(map(config.positive_words.__contains__, tokens))
+    c_neg = sum(map(config.negative_words.__contains__, tokens))
+    hits = c_pos + c_neg
+    u = (c_pos - c_neg) / max(1, hits)
+    s = hits / len(tokens)
+    p_pos = s * max(0.0, u)
+    p_neg = s * max(0.0, -u)
+    return (p_pos, p_neg, 1.0 - p_pos - p_neg)
+
+
 def score_tweet(config: ScorerConfig, text: str) -> SentimentScore:
     """Score a single text with the lexicon scorer.
 
@@ -124,100 +166,104 @@ def score_tweet(config: ScorerConfig, text: str) -> SentimentScore:
             "per-text scoring needs the lexicon scorer; precomputed scores are "
             "looked up by tweet id via load_precomputed_scores"
         )
-    tokens = text.split()
-    if not tokens:
-        return SentimentScore.from_probabilities(0.0, 0.0, 1.0)
-    c_pos = sum(1 for t in tokens if t in config.positive_words)
-    c_neg = sum(1 for t in tokens if t in config.negative_words)
-    hits = c_pos + c_neg
-    u = (c_pos - c_neg) / max(1, hits)
-    s = hits / len(tokens)
-    p_pos = s * max(0.0, u)
-    p_neg = s * max(0.0, -u)
-    return SentimentScore.from_probabilities(p_pos, p_neg, 1.0 - p_pos - p_neg)
+    return SentimentScore.from_probabilities(*_lexicon_probabilities(config, text))
+
+
+def _score_text_form(config: ScorerConfig, corpus: TweetCorpus, form: str) -> np.ndarray | str:
+    """Lexicon probabilities of one text form of every tweet, or the id of
+    the first tweet that lacks that form."""
+    texts = [getattr(tweet, form) for tweet in corpus]
+    for tweet, text in zip(corpus, texts):
+        if text is None:
+            return tweet.id
+    rows = chain.from_iterable(_lexicon_probabilities(config, text) for text in texts)
+    return np.fromiter(rows, dtype=float, count=3 * len(texts)).reshape(-1, 3)
 
 
 def score_corpus(
     config: ScorerConfig, corpus: TweetCorpus, variants: list[str] | tuple[str, ...] = VARIANTS
 ) -> ScoreTable:
-    """Score every (tweet, variant) pair, returning a complete table.
+    """Score every tweet for every requested variant.
 
-    POS-tagged variants require every tweet to carry pos_tagged_text;
-    otherwise MissingVariantTextError is raised. With a precomputed config the
-    table is loaded from file and checked for completeness
-    (ScorerUnavailableError on gaps).
+    The lexicon scorer scores each text form once per tweet; variants that
+    read the same form share its array. A precomputed config reads its file
+    once, and errors in the file raise here. A variant that cannot be scored
+    keeps its error in the table: ValueError if unknown,
+    MissingVariantTextError if a tweet lacks its text form,
+    ScorerUnavailableError if the precomputed scores miss a tweet.
     """
+    table = ScoreTable(tweet_ids=[tweet.id for tweet in corpus])
+    loaded = load_precomputed_scores(config.source, corpus) if config.kind == "precomputed" else None
+    by_form: dict[str, np.ndarray | str] = {}
     for variant in variants:
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
-
-    if config.kind == "precomputed":
-        table = load_precomputed_scores(config.source, corpus)
-        for tweet in corpus:
-            for variant in variants:
-                if (tweet.id, variant) not in table.entries:
-                    raise ScorerUnavailableError(
-                        f"no precomputed score for tweet {tweet.id!r}, variant {variant!r}"
-                    )
-        table.variants = list(variants)
-        return table
-
-    table = ScoreTable(variants=list(variants))
-    for tweet in corpus:
-        for variant in variants:
-            if variant in POS_VARIANTS:
-                if tweet.pos_tagged_text is None:
-                    raise MissingVariantTextError(tweet.id, variant)
-                text = tweet.pos_tagged_text
-            else:
-                text = tweet.cleaned_text
-            table.entries[(tweet.id, variant)] = score_tweet(config, text)
+        if variant not in TEXT_FORMS:
+            table.scores[variant] = ValueError(f"unknown variant {variant!r}")
+        elif loaded is not None:
+            table.scores[variant] = loaded.scores[variant]
+        else:
+            form = TEXT_FORMS[variant]
+            if form not in by_form:
+                by_form[form] = _score_text_form(config, corpus, form)
+            scored = by_form[form]
+            table.scores[variant] = (MissingVariantTextError(scored, variant)
+                                     if isinstance(scored, str) else scored)
     return table
 
 
 def load_precomputed_scores(path: str | Path, corpus: TweetCorpus) -> ScoreTable:
     """Load externally computed scores, validating probability rows.
 
-    Rows whose probabilities sum within 1e-3 of 1 are renormalized; larger
-    deviations raise ProbabilityRowInvalidError. Rows referencing unknown
-    tweet ids raise UnknownTweetIdError.
+    A row's ``tweet_id`` is a corpus id or, in a corpus merged from several
+    files (ids ``<file index>:<id>``), a tweet's id in its own file; one that
+    names two tweets raises AmbiguousTweetIdError, one naming none
+    UnknownTweetIdError. Rows of non-negative probabilities summing within
+    1e-3 of 1 are renormalized; others raise ProbabilityRowInvalidError. A variant that
+    misses a tweet maps to ScorerUnavailableError.
     """
-    known_ids = {tweet.id for tweet in corpus}
-    table = ScoreTable()
-    seen_variants: list[str] = []
+    rows: dict[str, int] = {}
+    ambiguous: set[str] = set()
+    for row, tweet in enumerate(corpus):
+        for key in (tweet.id, tweet.id.partition(":")[2]) if corpus.sources > 1 else (tweet.id,):
+            if rows.setdefault(key, row) != row:
+                ambiguous.add(key)
+    arrays = {variant: np.full((len(corpus), 3), np.nan) for variant in VARIANTS}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
+        for line_no, row in enumerate(csv.DictReader(fh), start=2):
             tweet_id = row["tweet_id"]
             variant = row["variant"]
-            if tweet_id not in known_ids:
-                raise UnknownTweetIdError(f"tweet id {tweet_id!r} not in corpus")
+            if tweet_id in ambiguous:
+                raise AmbiguousTweetIdError(f"line {line_no}: tweet id {tweet_id!r} names more than "
+                                            "one tweet; use the merged id '<file index>:<id>'")
+            if tweet_id not in rows:
+                raise UnknownTweetIdError(f"line {line_no}: tweet id {tweet_id!r} not in corpus")
             if variant not in VARIANTS:
-                raise ValueError(f"unknown variant {variant!r}")
+                raise ValueError(f"line {line_no}: unknown variant {variant!r}")
             p = [float(row[k]) for k in ("p_pos", "p_neg", "p_neu")]
             total = sum(p)
-            if abs(total - 1.0) > 1e-3:
+            if min(p) < 0 or not abs(total - 1.0) <= 1e-3:
                 raise ProbabilityRowInvalidError(
-                    f"tweet {tweet_id!r}, variant {variant!r}: probabilities sum to {total}"
+                    f"line {line_no}: tweet {tweet_id!r}, variant {variant!r}: "
+                    f"probabilities {p} are not a distribution"
                 )
-            p = [v / total for v in p]
-            table.entries[(tweet_id, variant)] = SentimentScore.from_probabilities(*p)
-            if variant not in seen_variants:
-                seen_variants.append(variant)
-    table.variants = [v for v in VARIANTS if v in seen_variants]
+            arrays[variant][rows[tweet_id]] = [v / total for v in p]
+    table = ScoreTable(tweet_ids=[tweet.id for tweet in corpus])
+    for variant, probabilities in arrays.items():
+        missing = np.flatnonzero(np.isnan(probabilities[:, 0]))
+        table.scores[variant] = probabilities if missing.size == 0 else ScorerUnavailableError(
+            f"no precomputed score for tweet {table.tweet_ids[missing[0]]!r}, variant {variant!r}")
     return table
 
 
 def write_scores_csv(table: ScoreTable, corpus: TweetCorpus, path: str | Path) -> None:
-    """Write a score table in the precomputed-score CSV format."""
+    """Write a score table in the precomputed-score CSV format; a variant
+    that failed to score raises its error before the file is opened."""
+    arrays = {variant: table.probabilities(variant).tolist() for variant in table.variants}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("tweet_id", "variant", "p_pos", "p_neg", "p_neu"))
         for tweet in corpus:
-            for variant in table.variants:
-                score = table.get(tweet.id, variant)
-                if score is None:
-                    continue
-                writer.writerow(
-                    (tweet.id, variant, repr(score.p_pos), repr(score.p_neg), repr(score.p_neu))
-                )
+            row = table._rows.get(tweet.id)
+            if row is None:
+                continue
+            for variant, scores in arrays.items():
+                writer.writerow((tweet.id, variant, *map(repr, scores[row])))

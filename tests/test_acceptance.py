@@ -190,31 +190,29 @@ def test_8_metric_cross_check():
             assert rmse(a, b) >= mae(a, b) - 1e-12
 
 
-def test_9_grid_determinism(tmp_path, monkeypatch):
+def test_9_grid_determinism(tmp_path):
     with criterion("9 grid-determinism", 120):
         stock = synth.random_walk_stock(n_days=120, seed=6, symbol="DET")
         stock_path = tmp_path / "DET.csv"
         write_stock_csv(stock, stock_path)
 
-        def run_once(run_dir):
-            # The same relative output_dir from two working directories, so
-            # the paths recorded in the JSON records are identical too.
-            run_dir.mkdir()
-            monkeypatch.chdir(run_dir)
+        def run_once(out_dir):
+            # Two different output directories: no result file may depend on
+            # where it is written.
             cfg = ExperimentConfig(
                 stock_file=str(stock_path),
                 with_sentiment=False,
                 lookbacks=[3, 5],
                 hidden_units=4,
                 epochs=4,
-                output_dir="out",
+                output_dir=str(out_dir),
                 seed=42,
             )
             run_grid(cfg)
-            return {p.name: p.read_bytes() for p in sorted((run_dir / "out").iterdir())}
+            return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
-        first = run_once(tmp_path / "run1")
-        second = run_once(tmp_path / "run2")
+        first = run_once(tmp_path / "out1")
+        second = run_once(tmp_path / "out2")
         assert len(first) == 1 + 2 * 3  # summary + (loss, pred, record) per cell
         assert first.keys() == second.keys()
         for name in first:

@@ -7,9 +7,7 @@ from sentistock.dataset import (
     chronological_split,
     fit_scalers,
     inverse_transform,
-    load_scalers,
     make_windows,
-    save_scalers,
     transform,
 )
 from sentistock.errors import (
@@ -150,16 +148,3 @@ class TestMakeWindows:
             for k in range(len(windows)):
                 last_row_close = windows.X[k][-1, close_index]
                 assert windows.y[k] == last_row_close + 1.0
-
-
-class TestScalerPersistence:
-    def test_round_trip(self, tmp_path):
-        master = make_master([10, 20, 30, 40, 50])
-        scalers = fit_scalers(master, 0.8, "train_only")
-        path = tmp_path / "scalers.csv"
-        save_scalers(scalers, path)
-        reloaded = load_scalers(path)
-        assert reloaded.fit_scope == "train_only"
-        for name, scaler in scalers.scalers.items():
-            assert reloaded[name].vmin == scaler.vmin
-            assert reloaded[name].vmax == scaler.vmax

@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from sentistock import harness, synth
+from sentistock import harness, sentiment, synth
 from sentistock.errors import ConfigError, PipelineError
 from sentistock.harness import (
     ExperimentConfig,
@@ -17,6 +17,7 @@ from sentistock.harness import (
 )
 from sentistock.ingest import load_tweets, write_stock_csv
 from sentistock.mapping import MasterDataset
+from sentistock.sentiment import VARIANTS
 
 
 def fast_config(**kwargs):
@@ -183,6 +184,77 @@ class TestRunGrid:
         assert len(records) == 6 and all(r.ok for r in records)
         assert calls == [str(tweets_path), str(second)]
 
+    def test_each_text_form_scored_once_per_grid(self, synthetic_inputs, monkeypatch):
+        stock_path, tweets_path = synthetic_inputs
+        scored = []
+        real = sentiment._lexicon_probabilities
+
+        def recording(config, text):
+            scored.append(text)
+            return real(config, text)
+
+        def per_pair_object(self):
+            raise AssertionError("a SentimentScore was built on the grid path")
+
+        monkeypatch.setattr(sentiment, "_lexicon_probabilities", recording)
+        monkeypatch.setattr(sentiment.SentimentScore, "__post_init__", per_pair_object)
+        cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)], lookbacks=[2, 3])
+        records = run_grid(cfg)
+        assert len(records) == 8 and all(r.ok for r in records)
+        corpus = load_tweets(tweets_path)
+        assert sorted(scored) == sorted([t.cleaned_text for t in corpus]
+                                        + [t.pos_tagged_text for t in corpus])
+
+    def test_posless_corpus_fails_only_pos_cells(self, synthetic_inputs, tmp_path):
+        stock_path, tweets_path = synthetic_inputs
+        nopos = tmp_path / "nopos.jsonl"
+        with open(tweets_path) as src, open(nopos, "w") as dst:
+            for line in src:
+                record = json.loads(line)
+                del record["pos_text"]
+                dst.write(json.dumps(record) + "\n")
+
+        def grid(name, variants):
+            out = tmp_path / name
+            cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(nopos)],
+                              variants=variants, lookbacks=[2, 3], output_dir=str(out))
+            return run_grid(cfg), out
+
+        records, all_out = grid("all", list(VARIANTS))
+        failed = {(r.variant, r.failed_stage) for r in records if not r.ok}
+        assert failed == {("pos_prosus", "score"), ("pos_yiyanghkust", "score")}
+        assert sum(r.ok for r in records) == 4
+        _, cleaned_out = grid("cleaned", ["cleaned_prosus", "cleaned_yiyanghkust"])
+        cell_files = sorted(p.name for p in cleaned_out.iterdir() if not p.name.startswith("summary_"))
+        assert len(cell_files) == 4 * 3
+        for name in cell_files:
+            got, want = (all_out / name).read_bytes(), (cleaned_out / name).read_bytes()
+            if name.endswith("_record.json"):
+                # the fingerprint hashes the configured variant list, which differs
+                got, want = json.loads(got), json.loads(want)
+                del got["fingerprint"], want["fingerprint"]
+            assert got == want, name
+
+    def test_two_tweet_files_with_precomputed_scores(self, synthetic_inputs, tmp_path):
+        stock_path, tweets_path = synthetic_inputs
+        second = tmp_path / "more.jsonl"
+        with open(tweets_path) as src, open(second, "w") as dst:
+            for line in src:
+                record = json.loads(line)
+                record["id"] = f"more-{record['id']}"
+                dst.write(json.dumps(record) + "\n")
+        scores = tmp_path / "scores.csv"
+        with open(scores, "w") as fh:
+            fh.write("tweet_id,variant,p_pos,p_neg,p_neu\n")
+            for path in (tweets_path, second):
+                for tweet in load_tweets(path):  # keyed by the ids in their own files
+                    fh.write(f"{tweet.id},cleaned_prosus,0.6,0.3,0.1\n")
+        cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path), str(second)],
+                          scorer_kind="precomputed", scores_file=str(scores),
+                          variants=["cleaned_prosus"], lookbacks=[2, 3])
+        records = run_grid(cfg)
+        assert len(records) == 2 and all(r.ok for r in records), [r.error for r in records]
+
     def test_tweet_load_failure_fails_every_cell(self, synthetic_inputs, tmp_path):
         stock_path, _ = synthetic_inputs
         cfg = fast_config(
@@ -267,6 +339,24 @@ class TestFingerprint:
             fh.write("2021-12-31,1,2,0.5,1.5,10\n")
         assert fingerprint(cfg, "cleaned_prosus", 3, 0) != a
 
+    def test_input_files_hashed_once_per_grid(self, synthetic_inputs, monkeypatch):
+        stock_path, tweets_path = synthetic_inputs
+        hashed = []
+        real = harness._hash_file
+
+        def recording(path):
+            hashed.append(str(path))
+            return real(path)
+
+        monkeypatch.setattr(harness, "_hash_file", recording)
+        cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)],
+                          variants=["cleaned_prosus", "pos_prosus"], lookbacks=[2, 3])
+        records = run_grid(cfg)
+        assert sorted(hashed) == sorted([str(stock_path), str(tweets_path)])
+        monkeypatch.undo()
+        assert len(records) == 4
+        for r in records:
+            assert r.fingerprint == fingerprint(cfg, r.variant, r.lookback, r.seed)
 
     def test_inline_master_fingerprint_follows_data(self):
         cfg = fast_config()  # no stock file: the master is the only data

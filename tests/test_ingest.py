@@ -188,3 +188,30 @@ class TestLoadTweets:
             cleaned = tweet.cleaned_text
             assert cleaned == cleaned.lower()
             assert "@" not in cleaned and "http" not in cleaned
+
+
+class TestTimestampedDates:
+    @pytest.mark.parametrize("stamp, day", [
+        ("2020-01-02", "2020-01-02"),
+        ("2020-01-02T10:11:12Z", "2020-01-02"),
+        ("2020-01-02T00:00:00Z", "2020-01-02"),  # UTC midnight opens the day
+        ("2020-01-01T23:59:59.999Z", "2020-01-01"),  # and the second before it closes the previous one
+        ("2020-01-02T05:29:59+05:30", "2020-01-01"),  # 23:59:59 UTC
+        ("2020-01-02T05:30:00+05:30", "2020-01-02"),  # 00:00:00 UTC
+        ("2020-01-01T19:00:00-05:00", "2020-01-02"),
+        ("2020-01-02 10:11", "2020-01-02"),  # no offset: taken as UTC
+    ])
+    def test_utc_calendar_day(self, tmp_path, stamp, day):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps({"date": stamp, "text": "a"}) + "\n")
+        assert load_tweets(path).tweets[0].date == date.fromisoformat(day)
+
+    @pytest.mark.parametrize("stamp", ["2020-01-02T25:00:00Z", "2020-01-02T10:11:12+0530",
+                                       "2020-01-02T10", "2020-01-02Z"])
+    def test_malformed_timestamp_names_line(self, tmp_path, stamp):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps({"date": "2020-01-01", "text": "a"}) + "\n"
+                        + json.dumps({"date": stamp, "text": "b"}) + "\n")
+        with pytest.raises(UnparseableRecordError) as exc:
+            load_tweets(path)
+        assert exc.value.line_number == 2

@@ -1,15 +1,16 @@
-from datetime import date
+from bisect import bisect_left
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 from conftest import make_corpus
 from sentistock.errors import CalendarMismatchError, MissingScoreError, UnparseableRowError
-from sentistock.ingest import StockSeries
+from sentistock.ingest import StockSeries, Tweet, TweetCorpus
 from sentistock.mapping import (
     DailySentimentSeries,
     MemoryKernel,
-    class_contribution,
+    class_contributions,
     daily_aggregate,
     join_with_stock,
     load_master_csv,
@@ -17,7 +18,7 @@ from sentistock.mapping import (
     stock_only_master,
     write_master_csv,
 )
-from sentistock.sentiment import ScoreTable, SentimentScore
+from sentistock.sentiment import ScoreTable
 from sentistock.synth import trading_calendar
 
 
@@ -37,6 +38,25 @@ def oracle_memory_map(raw, memory_days, mode):
                 total += kernel[i - 1] * raw[d - i]
         out.append(total / denom)
     return np.array(out)
+
+
+def oracle_daily_aggregate(table, variant, corpus, calendar):
+    """The per-tweet loop: each tweet's labelled-class probability, added in corpus order."""
+    n = len(calendar)
+    sums = np.zeros((3, n))
+    counts = np.zeros(n)
+    for tweet in corpus:
+        day_index = bisect_left(calendar, tweet.date)
+        if day_index >= n:
+            continue
+        score = table.get(tweet.id, variant)  # a SentimentScore with its argmax label
+        channel = ("positive", "negative", "neutral").index(score.label)
+        sums[channel, day_index] += (score.p_pos, score.p_neg, score.p_neu)[channel]
+        counts[day_index] += 1
+    occupied = counts > 0
+    channels = np.zeros_like(sums)
+    channels[:, occupied] = sums[:, occupied] / counts[occupied]
+    return channels
 
 
 def daily_series(values, start=date(2023, 1, 2)):
@@ -61,24 +81,19 @@ def make_stock(n, start=date(2023, 1, 2)):
 
 class TestClassContribution:
     def test_positive_one_hot(self):
-        score = SentimentScore(p_pos=0.7, p_neg=0.2, p_neu=0.1, label="positive")
-        assert class_contribution(score) == (0.7, 0.0, 0.0)
+        assert class_contributions(np.array([[0.7, 0.2, 0.1]])).tolist() == [[0.7, 0.0, 0.0]]
 
     def test_pure_neutral(self):
-        score = SentimentScore(p_pos=0.0, p_neg=0.0, p_neu=1.0, label="neutral")
-        assert class_contribution(score) == (0.0, 0.0, 1.0)
+        assert class_contributions(np.array([[0.0, 0.0, 1.0]])).tolist() == [[0.0, 0.0, 1.0]]
 
     def test_negative_one_hot(self):
-        score = SentimentScore(p_pos=0.2, p_neg=0.7, p_neu=0.1, label="negative")
-        assert class_contribution(score) == (0.0, 0.7, 0.0)
+        assert class_contributions(np.array([[0.2, 0.7, 0.1]])).tolist() == [[0.0, 0.7, 0.0]]
 
 
 class TestDailyAggregate:
     def table_for(self, corpus, probs):
-        table = ScoreTable(variants=["cleaned_prosus"])
-        for tweet, p in zip(corpus, probs):
-            table.entries[(tweet.id, "cleaned_prosus")] = SentimentScore.from_probabilities(*p)
-        return table
+        return ScoreTable(tweet_ids=[tweet.id for tweet in corpus],
+                          scores={"cleaned_prosus": np.array(probs, dtype=float)})
 
     def test_single_tweet_mean(self):
         corpus = make_corpus([("1", "2023-01-03", "x")])
@@ -113,9 +128,40 @@ class TestDailyAggregate:
         daily = daily_aggregate(table, "cleaned_prosus", corpus, calendar)
         np.testing.assert_allclose(daily.positive, 0)
 
+    def test_matches_per_tweet_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        # exact ties of every kind, then random rows
+        ties = [(0.5, 0.0, 0.5), (0.5, 0.5, 0.0), (0.0, 0.5, 0.5), (1 / 3, 1 / 3, 1 / 3),
+                (0.4, 0.4, 0.2), (0.2, 0.4, 0.4), (0.4, 0.2, 0.4), (0.0, 0.0, 1.0)]
+        for case in range(30):
+            calendar = trading_calendar(date(2023, 1, 2), int(rng.integers(1, 40)))
+            span = (calendar[-1] - calendar[0]).days
+            n_tweets = int(rng.integers(0, 400))
+            # from two days before the first trading day to five after the last:
+            # weekend tweets roll forward, late tweets are dropped
+            offsets = np.sort(rng.integers(-2, span + 6, n_tweets))
+            tweets = [Tweet(id=f"t{i}", date=calendar[0] + timedelta(days=int(o)),
+                            raw_text="", cleaned_text="") for i, o in enumerate(offsets)]
+            corpus = TweetCorpus(tweets=tweets)
+            probs = rng.dirichlet(np.ones(3), n_tweets)
+            tied = rng.random(n_tweets) < 0.3
+            probs[tied] = np.array(ties)[rng.integers(0, len(ties), int(tied.sum()))]
+            table = ScoreTable(tweet_ids=[t.id for t in tweets], scores={"v": probs})
+            daily = daily_aggregate(table, "v", corpus, calendar)
+            expected = oracle_daily_aggregate(table, "v", corpus, calendar)
+            for channel, values in zip(expected, (daily.positive, daily.negative, daily.neutral)):
+                assert values.tobytes() == channel.tobytes(), f"case {case}"
+
+    def test_table_of_another_corpus_rejected(self):
+        corpus = make_corpus([("1", "2023-01-02", "x"), ("2", "2023-01-03", "y")])
+        table = self.table_for(corpus, [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
+        other = make_corpus([("2", "2023-01-02", "y"), ("1", "2023-01-03", "x")])
+        with pytest.raises(MissingScoreError):
+            daily_aggregate(table, "cleaned_prosus", other, trading_calendar(date(2023, 1, 2), 2))
+
     def test_missing_score(self):
         corpus = make_corpus([("1", "2023-01-02", "x")])
-        table = ScoreTable(variants=["cleaned_prosus"])
+        table = ScoreTable(tweet_ids=["1"])
         with pytest.raises(MissingScoreError):
             daily_aggregate(table, "cleaned_prosus", corpus, trading_calendar(date(2023, 1, 2), 2))
 

@@ -3,11 +3,13 @@ import pytest
 
 from conftest import make_corpus
 from sentistock.errors import (
+    AmbiguousTweetIdError,
     MissingVariantTextError,
     ProbabilityRowInvalidError,
     ScorerUnavailableError,
     UnknownTweetIdError,
 )
+from sentistock.harness import merge_corpora
 from sentistock.ingest import Tweet, TweetCorpus
 from sentistock.sentiment import (
     VARIANTS,
@@ -18,6 +20,13 @@ from sentistock.sentiment import (
     score_tweet,
     write_scores_csv,
 )
+
+
+def entries(table):
+    """Every score the table holds, keyed by (tweet id, variant)."""
+    return {(tweet_id, variant): table.get(tweet_id, variant)
+            for variant in table.variants for tweet_id in table.tweet_ids
+            if table.get(tweet_id, variant) is not None}
 
 
 LEXICON = ScorerConfig(
@@ -92,7 +101,7 @@ class TestScoreCorpus:
         corpus = make_corpus([("1", "2023-01-02", "growth"), ("2", "2023-01-03", "crash"),
                               ("3", "2023-01-04", "flat day")])
         table = score_corpus(LEXICON, corpus, ["cleaned_prosus", "cleaned_yiyanghkust"])
-        assert len(table.entries) == 6
+        assert len(entries(table)) == 6
 
     def test_missing_pos_text(self):
         from datetime import date
@@ -101,13 +110,29 @@ class TestScoreCorpus:
                       pos_tagged_text=None)
         corpus = TweetCorpus(tweets=[tweet])
         with pytest.raises(MissingVariantTextError):
-            score_corpus(LEXICON, corpus, ["pos_prosus"])
+            score_corpus(LEXICON, corpus, ["pos_prosus"]).probabilities("pos_prosus")
+
+    def test_text_form_scored_once_and_failures_kept_per_variant(self):
+        from datetime import date
+
+        tweets = [Tweet(id="1", date=date(2023, 1, 2), raw_text="growth", cleaned_text="growth",
+                        pos_tagged_text=None)]
+        table = score_corpus(LEXICON, TweetCorpus(tweets=tweets), list(VARIANTS) + ["bogus"])
+        assert table.variants == list(VARIANTS) + ["bogus"]
+        assert table.probabilities("cleaned_prosus") is table.probabilities("cleaned_yiyanghkust")
+        assert table.probabilities("cleaned_prosus").tolist() == [[1.0, 0.0, 0.0]]
+        for variant in ("pos_prosus", "pos_yiyanghkust"):
+            with pytest.raises(MissingVariantTextError) as exc:
+                table.probabilities(variant)
+            assert exc.value.variant == variant
+        with pytest.raises(ValueError):
+            table.probabilities("bogus")
 
     def test_stored_scores_satisfy_invariants(self):
         corpus = make_corpus([("1", "2023-01-02", "growth crash growth"),
                               ("2", "2023-01-03", "crash crash flat")])
         table = score_corpus(LEXICON, corpus, list(VARIANTS))
-        for score in table.entries.values():
+        for score in entries(table).values():
             assert abs(score.p_pos + score.p_neg + score.p_neu - 1.0) <= 1e-6
             probs = {"positive": score.p_pos, "negative": score.p_neg, "neutral": score.p_neu}
             assert probs[score.label] == max(probs.values())
@@ -139,6 +164,13 @@ class TestPrecomputedScores:
         with pytest.raises(ProbabilityRowInvalidError):
             load_precomputed_scores(path, corpus)
 
+    @pytest.mark.parametrize("row", [(2.0, -1.0, 0.0), ("nan", 0.5, 0.5)])
+    def test_not_a_distribution_rejected(self, tmp_path, row):
+        corpus = make_corpus([("1", "2023-01-02", "x")])
+        path = self.write_scores(tmp_path, [("1", "cleaned_prosus", *row)])
+        with pytest.raises(ProbabilityRowInvalidError, match="line 2"):
+            load_precomputed_scores(path, corpus)
+
     def test_unknown_tweet_id(self, tmp_path):
         corpus = make_corpus([("1", "2023-01-02", "x")])
         path = self.write_scores(tmp_path, [("99", "cleaned_prosus", 1, 0, 0)])
@@ -151,7 +183,7 @@ class TestPrecomputedScores:
         path = self.write_scores(tmp_path, rows)
         config = ScorerConfig(kind="precomputed", source=path)
         table = score_corpus(config, corpus, list(VARIANTS))
-        assert len(table.entries) == 4
+        assert len(entries(table)) == 4
         for variant in VARIANTS:
             score = table.get("1", variant)
             assert (score.p_pos, score.p_neg, score.p_neu) == (0.25, 0.3125, 0.4375)
@@ -161,7 +193,7 @@ class TestPrecomputedScores:
         path = self.write_scores(tmp_path, [("1", "cleaned_prosus", 1, 0, 0)])
         config = ScorerConfig(kind="precomputed", source=path)
         with pytest.raises(ScorerUnavailableError):
-            score_corpus(config, corpus, ["cleaned_prosus"])
+            score_corpus(config, corpus, ["cleaned_prosus"]).probabilities("cleaned_prosus")
 
     def test_round_trip_via_writer(self, tmp_path):
         corpus = make_corpus([("1", "2023-01-02", "growth"), ("2", "2023-01-03", "crash")])
@@ -169,4 +201,30 @@ class TestPrecomputedScores:
         path = tmp_path / "out.csv"
         write_scores_csv(table, corpus, path)
         reloaded = load_precomputed_scores(path, corpus)
-        assert reloaded.entries == table.entries
+        assert entries(reloaded) == entries(table)
+
+
+class TestMergedCorpusScores:
+    def merged(self):
+        first = make_corpus([("1", "2023-01-02", "x"), ("a", "2023-01-03", "y")])
+        second = make_corpus([("1", "2023-01-02", "z"), ("b", "2023-01-04", "w")])
+        return merge_corpora([first, second])
+
+    def write_scores(self, tmp_path, ids):
+        path = tmp_path / "scores.csv"
+        rows = [f"{i},cleaned_prosus,{0.1 * k},0.0,{1 - 0.1 * k}" for k, i in enumerate(ids)]
+        path.write_text("\n".join(["tweet_id,variant,p_pos,p_neg,p_neu"] + rows) + "\n")
+        return path
+
+    def test_rows_match_by_own_or_merged_id(self, tmp_path):
+        corpus = self.merged()
+        path = self.write_scores(tmp_path, ["0:1", "a", "1:1", "b"])
+        config = ScorerConfig(kind="precomputed", source=path)
+        table = score_corpus(config, corpus, ["cleaned_prosus"])
+        by_id = {tweet_id: table.get(tweet_id, "cleaned_prosus").p_pos for tweet_id in table.tweet_ids}
+        assert by_id == pytest.approx({"0:1": 0.0, "0:a": 0.1, "1:1": 0.2, "1:b": 0.3})
+
+    def test_id_of_two_files_is_ambiguous(self, tmp_path):
+        path = self.write_scores(tmp_path, ["0:1", "a", "1", "b"])
+        with pytest.raises(AmbiguousTweetIdError, match="line 4: tweet id '1'"):
+            load_precomputed_scores(path, self.merged())
