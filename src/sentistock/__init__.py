@@ -37,6 +37,7 @@ from .ingest import (
     Tweet,
     TweetCorpus,
     clean_tweet,
+    clean_tweets,
     load_stock_csv,
     load_tweets,
     write_stock_csv,

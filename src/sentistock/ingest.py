@@ -28,8 +28,9 @@ STOCK_COLUMNS = ("Open", "High", "Low", "Close", "Volume")
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _MENTION_RE = re.compile(r"@\w+")
-_NON_ALNUM_RE = re.compile(r"[^a-z0-9 ]")
-_WS_RE = re.compile(r"\s+")
+# Keeps the newlines that separate the texts of a batch.
+_NON_ALNUM_RE = re.compile(r"[^a-z0-9 \n]")
+_DAY_RE = re.compile(r"\d{4}-\d\d-\d\d", re.ASCII)
 _TIMESTAMP_RE = re.compile(r"(\d{4}-\d\d-\d\d[T ]\d\d:\d\d(?::\d\d)?)(?:\.\d+)?(Z|[+-]\d\d:\d\d)?", re.ASCII)
 
 
@@ -94,20 +95,39 @@ class TweetCorpus:
         return iter(self.tweets)
 
 
-def clean_tweet(raw: str) -> str:
-    """Normalize tweet text for scoring.
+def clean_tweets(raws: list[str]) -> list[str]:
+    """Normalize tweet texts for scoring, one output per input.
 
     Lowercases, removes URLs and @mentions, keeps hashtag words without the
     '#', drops everything outside ASCII letters/digits/space, and collapses
-    whitespace. Idempotent; empty input yields empty output.
+    whitespace. Idempotent; an empty text yields an empty string.
     """
-    text = raw.lower()
+    if not raws:
+        return []
+    # Each text has its whitespace collapsed, so none holds a newline and
+    # they can be cleaned as one string: no URL or mention spans whitespace.
+    text = "\n".join(" ".join(raw.lower().split()) for raw in raws)
     text = _URL_RE.sub(" ", text)
     text = _MENTION_RE.sub(" ", text)
-    text = _WS_RE.sub(" ", text)
     # drops '#' (keeping the hashtag word) along with all other symbols
     text = _NON_ALNUM_RE.sub("", text)
-    return _WS_RE.sub(" ", text).strip()
+    return [" ".join(part.split()) for part in text.split("\n")]
+
+
+def clean_tweet(raw: str) -> str:
+    """One tweet's text cleaned as by clean_tweets."""
+    return clean_tweets([raw])[0]
+
+
+def parse_day(text: str) -> date:
+    """A ``YYYY-MM-DD`` date; any other form raises ValueError.
+
+    ``date.fromisoformat`` alone would also take ``20200102`` and week
+    dates on Python 3.11 but not on 3.10.
+    """
+    if _DAY_RE.fullmatch(text) is None:
+        raise ValueError(f"{text!r} is not a YYYY-MM-DD date")
+    return date.fromisoformat(text)
 
 
 def load_stock_csv(path: str | Path, symbol: str | None = None) -> StockSeries:
@@ -127,7 +147,7 @@ def load_stock_csv(path: str | Path, symbol: str | None = None) -> StockSeries:
         rows = []
         for line_no, row in enumerate(reader, start=2):
             try:
-                d = date.fromisoformat(row["Date"].strip())
+                d = parse_day(row["Date"].strip())
                 values = tuple(float(row[c]) for c in STOCK_COLUMNS)
             except (ValueError, TypeError, AttributeError) as exc:
                 raise UnparseableRowError(line_no, str(exc)) from exc
@@ -173,14 +193,14 @@ def write_stock_csv(series: StockSeries, path: str | Path) -> None:
 
 
 def parse_tweet_date(text: str) -> date:
-    """The day of an ISO date, or the UTC day of an ISO timestamp.
+    """The day of a ``YYYY-MM-DD`` date, or the UTC day of an ISO timestamp.
 
     A timestamp is ``YYYY-MM-DD``, ``T`` or a space, ``HH:MM[:SS[.frac]]``
     and an optional ``Z``, ``+HH:MM`` or ``-HH:MM`` offset (none means
     UTC); the same strings parse on every Python version.
     """
     try:
-        return date.fromisoformat(text)
+        return parse_day(text)
     except ValueError:
         match = _TIMESTAMP_RE.fullmatch(text)
         if match is None:
@@ -211,21 +231,22 @@ def load_tweets(path: str | Path, handle: str = "") -> TweetCorpus:
                 d = parse_tweet_date(str(record["date"]))
             except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
                 raise UnparseableRecordError(line_no, str(exc)) from exc
+            pos_text = record.get("pos_text")
+            if not isinstance(raw, str):
+                raise UnparseableRecordError(line_no, f"text is a {type(raw).__name__}, not a string")
+            if not isinstance(pos_text, (str, type(None))):
+                raise UnparseableRecordError(
+                    line_no, f"pos_text is a {type(pos_text).__name__}, not a string")
             tweet_id = str(record.get("id", len(tweets)))
             if tweet_id in seen_ids:
                 raise UnparseableRecordError(line_no, f"duplicate id {tweet_id!r}")
             seen_ids.add(tweet_id)
-            pos_text = record.get("pos_text")
-            tweets.append(
-                Tweet(
-                    id=tweet_id,
-                    date=d,
-                    raw_text=raw,
-                    cleaned_text=clean_tweet(raw),
-                    pos_tagged_text=None if pos_text is None else str(pos_text),
-                )
-            )
+            tweets.append(Tweet(id=tweet_id, date=d, raw_text=raw, cleaned_text="",
+                                pos_tagged_text=pos_text))
     if not tweets:
         raise EmptyCorpusError(f"no tweet records in {path}")
+    # Cleaned as one batch once every record has parsed.
+    for tweet, cleaned in zip(tweets, clean_tweets([tweet.raw_text for tweet in tweets])):
+        tweet.cleaned_text = cleaned
     tweets.sort(key=lambda t: t.date)
     return TweetCorpus(tweets=tweets, handle=handle)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CalendarMismatchError, MissingScoreError, UnknownColumnError, UnparseableRowError
-from .ingest import StockSeries, TweetCorpus
+from .ingest import StockSeries, TweetCorpus, parse_day
 from .sentiment import ScoreTable
 
 SENTIMENT_COLUMNS = ("sent_pos", "sent_neg", "sent_neu")
@@ -229,7 +229,7 @@ def load_master_csv(path: str | Path, target_column: str = "Close") -> MasterDat
             if len(row) != len(header):
                 raise UnparseableRowError(line_no, f"expected {len(header)} fields, got {len(row)}")
             try:
-                calendar.append(date.fromisoformat(row[0]))
+                calendar.append(parse_day(row[0]))
                 values = [float(v) for v in row[1:]]
             except ValueError as exc:
                 raise UnparseableRowError(line_no, str(exc)) from exc

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -139,18 +138,26 @@ class ScorerConfig:
             raise ValueError("precomputed scorer needs a source file")
 
 
-def _lexicon_probabilities(config: ScorerConfig, text: str) -> tuple[float, float, float]:
-    tokens = text.split()
-    if not tokens:
-        return (0.0, 0.0, 1.0)
-    c_pos = sum(map(config.positive_words.__contains__, tokens))
-    c_neg = sum(map(config.negative_words.__contains__, tokens))
-    hits = c_pos + c_neg
-    u = (c_pos - c_neg) / max(1, hits)
-    s = hits / len(tokens)
-    p_pos = s * max(0.0, u)
-    p_neg = s * max(0.0, -u)
-    return (p_pos, p_neg, 1.0 - p_pos - p_neg)
+def _lexicon_scores(config: ScorerConfig, texts: list[str]) -> np.ndarray:
+    """The (len(texts), 3) lexicon probabilities of the texts (see score_tweet)."""
+    n_tokens = np.fromiter(map(len, map(str.split, texts)), dtype=np.int64, count=len(texts))
+    owner = np.repeat(np.arange(len(texts)), n_tokens)
+    tokens = " ".join(texts).split()
+
+    def hits(words: frozenset[str]) -> np.ndarray:
+        mask = np.fromiter(map(words.__contains__, tokens), dtype=bool, count=len(tokens))
+        return np.bincount(owner[mask], minlength=len(texts))
+
+    c_pos = hits(config.positive_words)
+    c_neg = hits(config.negative_words)
+    total = c_pos + c_neg
+    u = (c_pos - c_neg) / np.maximum(1, total)
+    # An empty text has no hits, so s is 0 and the text scores neutral.
+    s = total / np.maximum(1, n_tokens)
+    # max(0, u) keeping Python's +0.0 where u is 0, which np.maximum need not.
+    p_pos = s * np.where(u > 0, u, 0.0)
+    p_neg = s * np.where(-u > 0, -u, 0.0)
+    return np.stack([p_pos, p_neg, 1.0 - p_pos - p_neg], axis=1)
 
 
 def score_tweet(config: ScorerConfig, text: str) -> SentimentScore:
@@ -166,7 +173,7 @@ def score_tweet(config: ScorerConfig, text: str) -> SentimentScore:
             "per-text scoring needs the lexicon scorer; precomputed scores are "
             "looked up by tweet id via load_precomputed_scores"
         )
-    return SentimentScore.from_probabilities(*_lexicon_probabilities(config, text))
+    return SentimentScore.from_probabilities(*_lexicon_scores(config, [text])[0].tolist())
 
 
 def _score_text_form(config: ScorerConfig, corpus: TweetCorpus, form: str) -> np.ndarray | str:
@@ -176,8 +183,7 @@ def _score_text_form(config: ScorerConfig, corpus: TweetCorpus, form: str) -> np
     for tweet, text in zip(corpus, texts):
         if text is None:
             return tweet.id
-    rows = chain.from_iterable(_lexicon_probabilities(config, text) for text in texts)
-    return np.fromiter(rows, dtype=float, count=3 * len(texts)).reshape(-1, 3)
+    return _lexicon_scores(config, texts)
 
 
 def score_corpus(

@@ -11,7 +11,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .ingest import StockSeries, Tweet, TweetCorpus, clean_tweet
+from .ingest import StockSeries, Tweet, TweetCorpus, clean_tweets
 from .mapping import MasterDataset
 
 _WEEKDAY_FRIDAY = 4
@@ -122,20 +122,14 @@ _SAMPLE_PHRASES = (
 def random_tweets(calendar: list[date], per_day: float = 1.5, seed: int = 0) -> TweetCorpus:
     """A corpus of template tweets scattered over (and between) trading days."""
     rng = np.random.default_rng(seed)
-    tweets = []
+    drawn = []
     for day in calendar:
         for _ in range(rng.poisson(per_day)):
             raw = str(rng.choice(_SAMPLE_PHRASES))
             offset = int(rng.integers(0, 2))  # some tweets land on weekends
-            tweet_date = day - timedelta(days=offset)
-            tweets.append(
-                Tweet(
-                    id=str(len(tweets)),
-                    date=tweet_date,
-                    raw_text=raw,
-                    cleaned_text=clean_tweet(raw),
-                    pos_tagged_text=raw,
-                )
-            )
+            drawn.append((day - timedelta(days=offset), raw))
+    cleaned = clean_tweets([raw for _, raw in drawn])
+    tweets = [Tweet(id=str(i), date=tweet_date, raw_text=raw, cleaned_text=text, pos_tagged_text=raw)
+              for i, ((tweet_date, raw), text) in enumerate(zip(drawn, cleaned))]
     tweets.sort(key=lambda t: t.date)
     return TweetCorpus(tweets=tweets, handle="@synthetic")

@@ -187,16 +187,16 @@ class TestRunGrid:
     def test_each_text_form_scored_once_per_grid(self, synthetic_inputs, monkeypatch):
         stock_path, tweets_path = synthetic_inputs
         scored = []
-        real = sentiment._lexicon_probabilities
+        real = sentiment._lexicon_scores
 
-        def recording(config, text):
-            scored.append(text)
-            return real(config, text)
+        def recording(config, texts):
+            scored.extend(texts)
+            return real(config, texts)
 
         def per_pair_object(self):
             raise AssertionError("a SentimentScore was built on the grid path")
 
-        monkeypatch.setattr(sentiment, "_lexicon_probabilities", recording)
+        monkeypatch.setattr(sentiment, "_lexicon_scores", recording)
         monkeypatch.setattr(sentiment.SentimentScore, "__post_init__", per_pair_object)
         cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)], lookbacks=[2, 3])
         records = run_grid(cfg)

@@ -1,4 +1,5 @@
 import json
+import re
 from datetime import date
 
 import numpy as np
@@ -11,7 +12,17 @@ from sentistock.errors import (
     UnparseableRecordError,
     UnparseableRowError,
 )
-from sentistock.ingest import clean_tweet, load_stock_csv, load_tweets, write_stock_csv
+from sentistock.ingest import clean_tweet, clean_tweets, load_stock_csv, load_tweets, write_stock_csv
+
+
+def reference_clean_tweet(raw):
+    """The per-tweet cleaning rules, one regex substitution at a time."""
+    text = raw.lower()
+    text = re.sub(r"(?:https?://|www\.)\S+", " ", text)
+    text = re.sub(r"@\w+", " ", text)
+    text = re.sub(r"\s+", " ", text)
+    text = re.sub(r"[^a-z0-9 ]", "", text)
+    return re.sub(r"\s+", " ", text).strip()
 
 
 class TestCleanTweet:
@@ -50,6 +61,31 @@ class TestCleanTweet:
             assert "  " not in out
             assert out == out.strip()
             assert all(c.isalnum() or c == " " for c in out)
+
+
+class TestCleanTweets:
+    # Unicode whitespace (\x1c-\x1f, NEL, no-break and ideographic space),
+    # line breaks, 'İ' (lowercases to two code points) and URL/mention/'#'
+    # pieces that can run into one another.
+    PIECES = list("aZ9 \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u3000\u2028!@#%./:_é\u0130") + [
+        "http://", "https://", "www.", "@", "#", "x.co/", "@user", "#tag", "\u200b"]
+
+    def test_empty_list(self):
+        assert clean_tweets([]) == []
+
+    def test_texts_cleaned_apart(self):
+        raws = ["A\nhttps://t.co/x\n@b", "", "#Up\u3000\u0130stanbul", "\n", "www.x.com@y#z"]
+        assert clean_tweets(raws) == [reference_clean_tweet(raw) for raw in raws]
+        assert clean_tweets(raws) == ["a", "", "up istanbul", "", ""]
+
+    def test_matches_per_tweet_rules(self):
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            raws = ["".join(rng.choice(self.PIECES, size=rng.integers(0, 30)))
+                    for _ in range(rng.integers(0, 6))]
+            expected = [reference_clean_tweet(raw) for raw in raws]
+            assert clean_tweets(raws) == expected
+            assert [clean_tweet(raw) for raw in raws] == expected
 
 
 class TestLoadStockCsv:
@@ -104,6 +140,18 @@ class TestLoadStockCsv:
             "Date,Open,High,Low,Close,Volume\n"
             "2023-01-02,9,11,9,10,100\n"
             "not-a-date,10,12,10,11,100\n"
+        )
+        with pytest.raises(UnparseableRowError) as exc:
+            load_stock_csv(path)
+        assert exc.value.line_number == 3
+
+    @pytest.mark.parametrize("day", ["20230103", "2023-W01-2"])
+    def test_only_yyyy_mm_dd_dates(self, tmp_path, day):
+        path = tmp_path / "s.csv"
+        path.write_text(
+            "Date,Open,High,Low,Close,Volume\n"
+            "2023-01-02,9,11,9,10,100\n"
+            f"{day},10,12,10,11,100\n"
         )
         with pytest.raises(UnparseableRowError) as exc:
             load_stock_csv(path)
@@ -190,6 +238,30 @@ class TestLoadTweets:
             assert "@" not in cleaned and "http" not in cleaned
 
 
+    @pytest.mark.parametrize("record, field", [
+        ({"date": "2020-01-02", "text": 5}, "text"),
+        ({"date": "2020-01-02", "text": None}, "text"),
+        ({"date": "2020-01-02", "text": ["a"]}, "text"),
+        ({"date": "2020-01-02", "text": "a", "pos_text": 5}, "pos_text"),
+        ({"date": "2020-01-02", "text": "a", "pos_text": {"a": "DT"}}, "pos_text"),
+    ])
+    def test_non_string_text_names_line(self, tmp_path, record, field):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps({"date": "2020-01-01", "text": "a"}) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(UnparseableRecordError, match=f"line 2: {field} is a ") as exc:
+            load_tweets(path)
+        assert exc.value.line_number == 2
+
+    def test_cleaned_as_one_batch(self, tmp_path):
+        raws = ["Up @a https://x.co", "", "#Gain\u3000\u0130", "two\nlines"]
+        path = tmp_path / "t.jsonl"
+        path.write_text("".join(json.dumps({"id": str(i), "date": "2020-01-02", "text": raw}) + "\n"
+                                for i, raw in enumerate(raws)))
+        corpus = load_tweets(path)
+        assert [t.raw_text for t in corpus] == raws
+        assert [t.cleaned_text for t in corpus] == [reference_clean_tweet(raw) for raw in raws]
+
+
 class TestTimestampedDates:
     @pytest.mark.parametrize("stamp, day", [
         ("2020-01-02", "2020-01-02"),
@@ -207,7 +279,7 @@ class TestTimestampedDates:
         assert load_tweets(path).tweets[0].date == date.fromisoformat(day)
 
     @pytest.mark.parametrize("stamp", ["2020-01-02T25:00:00Z", "2020-01-02T10:11:12+0530",
-                                       "2020-01-02T10", "2020-01-02Z"])
+                                       "2020-01-02T10", "2020-01-02Z", "20200102", "2020-W01-3"])
     def test_malformed_timestamp_names_line(self, tmp_path, stamp):
         path = tmp_path / "t.jsonl"
         path.write_text(json.dumps({"date": "2020-01-01", "text": "a"}) + "\n"

@@ -298,6 +298,13 @@ class TestMasterCsv:
             load_master_csv(path)
         assert exc.value.line_number == 3
 
+    @pytest.mark.parametrize("day", ["20200103", "2020-W01-5"])
+    def test_only_yyyy_mm_dd_dates(self, tmp_path, day):
+        path = self.write_with_row(tmp_path, f"{day},1.0,2.0,0.5,1.5,100.0")
+        with pytest.raises(UnparseableRowError) as exc:
+            load_master_csv(path)
+        assert exc.value.line_number == 3
+
     def test_nan_value_names_line(self, tmp_path):
         path = self.write_with_row(tmp_path, "2020-01-03,1.0,2.0,nan,1.5,100.0")
         with pytest.raises(UnparseableRowError) as exc:

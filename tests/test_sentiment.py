@@ -15,11 +15,32 @@ from sentistock.sentiment import (
     VARIANTS,
     ScorerConfig,
     SentimentScore,
+    _lexicon_scores,
     load_precomputed_scores,
     score_corpus,
     score_tweet,
     write_scores_csv,
 )
+
+
+def reference_lexicon_probabilities(config, text):
+    """The lexicon formula for one text, in Python floats."""
+    tokens = text.split()
+    if not tokens:
+        return (0.0, 0.0, 1.0)
+    c_pos = sum(map(config.positive_words.__contains__, tokens))
+    c_neg = sum(map(config.negative_words.__contains__, tokens))
+    hits = c_pos + c_neg
+    u = (c_pos - c_neg) / max(1, hits)
+    s = hits / len(tokens)
+    p_pos = s * max(0.0, u)
+    p_neg = s * max(0.0, -u)
+    return (p_pos, p_neg, 1.0 - p_pos - p_neg)
+
+
+def reference_scores(config, texts):
+    return np.array([reference_lexicon_probabilities(config, text) for text in texts],
+                    dtype=float).reshape(-1, 3)
 
 
 def entries(table):
@@ -94,6 +115,33 @@ class TestScoreTweet:
         config = ScorerConfig(kind="precomputed", source="whatever.csv")
         with pytest.raises(ScorerUnavailableError):
             score_tweet(config, "growth")
+
+
+class TestLexiconScores:
+    OVERLAP = ScorerConfig(kind="lexicon", positive_words=frozenset({"up", "high", "wild"}),
+                           negative_words=frozenset({"down", "low", "wild"}))
+
+    def test_bit_identical_to_per_text_formula(self):
+        rng = np.random.default_rng(21)
+        words = ["up", "high", "down", "low", "wild", "flat", "x", "", " ", "\t", "\u3000"]
+        for config in (LEXICON, self.OVERLAP, ScorerConfig(kind="lexicon")):
+            for _ in range(300):
+                texts = [" ".join(rng.choice(words, size=rng.integers(0, 12)))
+                         for _ in range(rng.integers(0, 9))]
+                assert _lexicon_scores(config, texts).tobytes() == reference_scores(config, texts).tobytes()
+
+    def test_empty_texts_and_signed_zeros(self):
+        texts = ["", "   ", "flat", "up down", "wild", "down", "up", ""]
+        got = _lexicon_scores(self.OVERLAP, texts)
+        assert got.shape == (8, 3)
+        assert got.tobytes() == reference_scores(self.OVERLAP, texts).tobytes()
+        assert not np.signbit(got).any()
+        assert _lexicon_scores(self.OVERLAP, []).shape == (0, 3)
+
+    def test_score_tweet_uses_the_same_formula(self):
+        for text in ("growth growth crash", "", "crash", "flat"):
+            score = score_tweet(LEXICON, text)
+            assert (score.p_pos, score.p_neg, score.p_neu) == reference_lexicon_probabilities(LEXICON, text)
 
 
 class TestScoreCorpus:
