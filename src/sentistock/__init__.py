@@ -30,7 +30,6 @@ from .harness import (
     emit_report,
     run_grid,
     run_master,
-    run_pipeline,
 )
 from .ingest import (
     StockSeries,

@@ -1,4 +1,4 @@
-"""Experiment orchestration: single pipeline runs, grid sweeps, reporting.
+"""Experiment orchestration: grid sweeps and reporting.
 
 A run wires the stages together: load stock and tweets, score, aggregate to
 daily channels, memory-map, join, scale, split, window, train, predict,
@@ -73,24 +73,42 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.lookbacks or any(w < 1 for w in self.lookbacks):
-            raise ConfigError("lookbacks must be a non-empty list of integers >= 1")
+        """Check every value once, and build the stage configs a run uses.
+
+        ``training``, ``scorer`` and ``kernel`` are plain attributes, not
+        fields, so asdict (and with it the fingerprint) sees only the values.
+        """
+        if not self.lookbacks or any(type(w) is not int or w < 1 for w in self.lookbacks):
+            raise ConfigError(f"lookbacks must be a non-empty list of integers >= 1, not {self.lookbacks!r}")
+        if len(set(self.lookbacks)) != len(self.lookbacks):
+            raise ConfigError(f"lookbacks repeat a value: {self.lookbacks!r}")
+        unknown = [v for v in self.variants if v not in VARIANTS]
+        if unknown:
+            raise ConfigError(f"unknown variants {unknown}; choose from {list(VARIANTS)}")
+        if len(set(self.variants)) != len(self.variants):
+            raise ConfigError(f"variants repeat a name: {self.variants!r}")
         if not 0 < self.split_ratio < 1:
             raise ConfigError("split_ratio must be in (0, 1)")
+        if self.fit_scope not in ds.FIT_SCOPES:
+            raise ConfigError(f"fit_scope must be one of {ds.FIT_SCOPES}, not {self.fit_scope!r}")
         if self.metric_units not in ("data", "scaled"):
             raise ConfigError(f"metric_units must be 'data' or 'scaled', not {self.metric_units!r}")
-
-    def scorer_config(self) -> ScorerConfig:
-        return ScorerConfig(kind=self.scorer_kind, source=self.scores_file)
-
-    def train_config(self) -> nn.TrainConfig:
-        return nn.TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            validation_split=self.validation_split,
-            patience=self.patience,
-            learning_rate=self.learning_rate,
-        )
+        if self.hidden_units < 1:
+            raise ConfigError(f"hidden_units must be >= 1, not {self.hidden_units!r}")
+        if self.max_lag < 0:
+            raise ConfigError(f"max_lag must be >= 0, not {self.max_lag!r}")
+        try:
+            self.training = nn.TrainConfig(
+                epochs=self.epochs,
+                batch_size=self.batch_size,
+                validation_split=self.validation_split,
+                patience=self.patience,
+                learning_rate=self.learning_rate,
+            )
+            self.scorer = ScorerConfig(kind=self.scorer_kind, source=self.scores_file)
+            self.kernel = MemoryKernel(self.memory_days, self.kernel_mode)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentConfig:
@@ -257,12 +275,12 @@ def build_master(cfg: ExperimentConfig, variant: str, stock: StockSeries,
             return stock_only_master(stock)
     with _stage("score"):
         if table is None:
-            table = score_corpus(cfg.scorer_config(), corpus, [variant])
+            table = score_corpus(cfg.scorer, corpus, [variant])
         table.probabilities(variant)  # a variant that could not be scored fails here
     with _stage("aggregate"):
         daily = daily_aggregate(table, variant, corpus, stock.calendar)
     with _stage("map"):
-        mapped = memory_weighted_map(daily, MemoryKernel(cfg.memory_days, cfg.kernel_mode))
+        mapped = memory_weighted_map(daily, cfg.kernel)
     with _stage("join"):
         return join_with_stock(mapped, stock)
 
@@ -293,7 +311,7 @@ def train_model(windows: ds.WindowedSet, cfg: ExperimentConfig,
             seed=seed,
         ))
     with _stage("train"):
-        history = nn.train(model, windows, cfg.train_config())
+        history = nn.train(model, windows, cfg.training)
     return model, history
 
 
@@ -352,21 +370,6 @@ def run_master(master: MasterDataset, cfg: ExperimentConfig, variant: str, lookb
                             fingerprint=fp, history=history, **evaluation._asdict())
 
 
-def run_pipeline(cfg: ExperimentConfig, variant: str, lookback: int, seed: int | None = None,
-                 tweet_loader=load_tweets, write_artifacts: bool = True) -> ExperimentRecord:
-    """Execute the full pipeline for one (variant, lookback) cell."""
-    seed = cfg.seed if seed is None else seed
-    stock = load_stock(cfg)
-    master = build_master(cfg, variant, stock, load_corpus(cfg, tweet_loader))
-    record = run_master(master, cfg, variant, lookback, seed, scrip=stock.symbol)
-    if write_artifacts and cfg.output_dir is not None:
-        out_dir = Path(cfg.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_loss_and_pred(record, out_dir)
-        write_record_artifacts(record, out_dir)
-    return record
-
-
 def run_grid(cfg: ExperimentConfig, tweet_loader=load_tweets) -> list[ExperimentRecord]:
     """Sweep every (variant, lookback) cell, isolating per-cell failures.
 
@@ -391,7 +394,7 @@ def run_grid(cfg: ExperimentConfig, tweet_loader=load_tweets) -> list[Experiment
         corpus = load_corpus(cfg, tweet_loader)
         if cfg.with_sentiment:
             with _stage("score"):  # a variant that cannot be scored fails alone in build_master
-                table = score_corpus(cfg.scorer_config(), corpus, cfg.variants)
+                table = score_corpus(cfg.scorer, corpus, cfg.variants)
     except PipelineError as exc:
         corpus_error = exc
     try:
@@ -468,18 +471,11 @@ def write_pred_csv(record: ExperimentRecord, path: str | Path) -> Path:
     return Path(path)
 
 
-def _write_loss_and_pred(record: ExperimentRecord, out_dir: Path) -> list[Path]:
-    """Loss-curve and prediction CSVs for a successful record."""
-    loss_path, pred_path = _loss_and_pred_paths(record, out_dir)
-    return [write_loss_csv(record.history, loss_path), write_pred_csv(record, pred_path)]
-
-
 def write_record_artifacts(record: ExperimentRecord, out_dir: str | Path) -> list[Path]:
     """Write the JSON record of one cell.
 
     Its "artifacts" list names the cell's loss-curve and prediction CSVs,
-    which emit_report (for a grid) or run_pipeline writes, by file name in
-    the record's own directory.
+    which emit_report writes, by file name in the record's own directory.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -537,5 +533,6 @@ def emit_report(records: list[ExperimentRecord], out_dir: str | Path) -> list[Pa
                for scrip in scrips]
     for record in records:
         if record.ok:
-            written.extend(_write_loss_and_pred(record, out_dir))
+            loss_path, pred_path = _loss_and_pred_paths(record, out_dir)
+            written += [write_loss_csv(record.history, loss_path), write_pred_csv(record, pred_path)]
     return written

@@ -64,8 +64,6 @@ class ModelConfig:
 
     hidden_units: int = 50
     input_shape: tuple[int, int] = (60, 5)  # (lookback, n_features)
-    output_head: str = "linear"
-    n_bins: int = 10  # softmax_bins head only
     seed: int = 0
 
     def __post_init__(self):
@@ -74,10 +72,6 @@ class ModelConfig:
         w, n_features = self.input_shape
         if w < 1 or n_features < 1:
             raise InvalidShapeError(f"input_shape dims must be >= 1, got {self.input_shape}")
-        if self.output_head not in ("linear", "softmax_bins"):
-            raise ValueError(f"unknown output head {self.output_head!r}")
-        if self.output_head == "softmax_bins" and self.n_bins < 2:
-            raise InvalidShapeError("softmax_bins head needs n_bins >= 2")
 
 
 @dataclass
@@ -116,8 +110,6 @@ class TrainingHistory:
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
     val_r2: list[float] = field(default_factory=list)
-    val_mae: list[float] = field(default_factory=list)
-    val_rmse: list[float] = field(default_factory=list)
     best_epoch: int = 0
     stopped_early: bool = False
 
@@ -150,10 +142,9 @@ def init_model(config: ModelConfig) -> BiLstmModel:
             b = np.zeros(4 * H)
             b[H : 2 * H] = 1.0  # forget gate
             params[f"{layer}_{direction}_b"] = b
-    out_dim = 1 if config.output_head == "linear" else config.n_bins
-    limit = math.sqrt(6.0 / (2 * H + out_dim))
-    params["head_W"] = rng.uniform(-limit, limit, (2 * H, out_dim))
-    params["head_b"] = np.zeros(out_dim)
+    limit = math.sqrt(6.0 / (2 * H + 1))
+    params["head_W"] = rng.uniform(-limit, limit, (2 * H, 1))
+    params["head_b"] = np.zeros(1)
     return BiLstmModel(config=config, params=params)
 
 
@@ -275,27 +266,6 @@ def _check_batch(model: BiLstmModel, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _head_forward(model: BiLstmModel, terminal: np.ndarray):
-    """Map the (B, 2H) terminal state to scalar predictions.
-
-    The softmax_bins head turns logits into a distribution over n_bins
-    bucket centers spaced evenly in [0, 1] and predicts its expectation.
-    Returns (pred, softmax probabilities or None).
-    """
-    z = terminal @ model.params["head_W"] + model.params["head_b"]
-    if model.config.output_head == "linear":
-        return z[:, 0], None
-    z = z - z.max(axis=1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=1, keepdims=True)
-    centers = _bin_centers(model.config.n_bins)
-    return p @ centers, p
-
-
-def _bin_centers(n_bins: int) -> np.ndarray:
-    return (np.arange(n_bins) + 0.5) / n_bins
-
-
 def _stacked(p: dict[str, np.ndarray], layer: str, name: str) -> np.ndarray:
     return np.stack([p[f"{layer}_{direction}_{name}"] for direction in DIRECTIONS])
 
@@ -314,10 +284,9 @@ def _forward_full(model: BiLstmModel, X: np.ndarray, keep_cache: bool):
         layer_in = np.concatenate([cache.h[0, 1:], cache.h[1, :0:-1]], axis=2)
     # each direction's last processed state: forward at t = w-1, backward at t = 0
     terminal = np.concatenate([cache.h[0, -1], cache.h[1, -1]], axis=1)
-    pred, softmax_p = _head_forward(model, terminal)
+    pred = (terminal @ p["head_W"] + p["head_b"])[:, 0]
     if keep_cache:
         caches["terminal"] = terminal
-        caches["softmax_p"] = softmax_p
     return pred, caches
 
 
@@ -357,12 +326,7 @@ def loss_and_gradients(model: BiLstmModel, X, y) -> tuple[float, dict[str, np.nd
 
     grads = {}
     terminal = caches["terminal"]
-    if model.config.output_head == "linear":
-        dz = dpred[:, None]
-    else:
-        sm = caches["softmax_p"]
-        centers = _bin_centers(model.config.n_bins)
-        dz = dpred[:, None] * sm * (centers[None, :] - pred[:, None])
+    dz = dpred[:, None]
     grads["head_W"] = terminal.T @ dz
     grads["head_b"] = dz.sum(axis=0)
     dterminal = dz @ p["head_W"].T
@@ -464,15 +428,11 @@ def train(model: BiLstmModel, windows, cfg: TrainConfig) -> TrainingHistory:
         if n_val > 0:
             val_pred = predict(model, X_val)
             val_loss = float(np.mean((val_pred - y_val) ** 2))
-            val_mae = evalmetrics.mae(val_pred, y_val)
-            val_rmse = evalmetrics.rmse(val_pred, y_val)
             val_r2 = _safe_r2(val_pred, y_val)
         else:
-            val_loss = val_mae = val_rmse = val_r2 = float("nan")
+            val_loss = val_r2 = float("nan")
         history.train_loss.append(train_loss)
         history.val_loss.append(val_loss)
-        history.val_mae.append(val_mae)
-        history.val_rmse.append(val_rmse)
         history.val_r2.append(val_r2)
 
         monitor = val_loss if n_val > 0 else train_loss
@@ -500,8 +460,7 @@ def save_model(model: BiLstmModel, path: str | Path) -> None:
         "hidden_units": config.hidden_units,
         "input_shape": list(config.input_shape),
         "activation": "tanh",
-        "output_head": config.output_head,
-        "n_bins": config.n_bins,
+        "output_head": "linear",
         "seed": config.seed,
     }
     np.savez(path, __meta__=np.array(json.dumps(meta)), **model.params)
@@ -515,12 +474,12 @@ def load_model(path: str | Path) -> BiLstmModel:
             raise ValueError(f"unsupported model format {meta.get('format_version')}")
         if meta.get("activation") != "tanh":
             raise ValueError(f"unsupported activation {meta.get('activation')!r}")
+        if meta.get("output_head") != "linear":
+            raise ValueError(f"unsupported output head {meta.get('output_head')!r}")
         params = {k: data[k].copy() for k in data.files if k != "__meta__"}
     config = ModelConfig(
         hidden_units=meta["hidden_units"],
         input_shape=tuple(meta["input_shape"]),
-        output_head=meta["output_head"],
-        n_bins=meta["n_bins"],
         seed=meta["seed"],
     )
     return BiLstmModel(config=config, params=params)

@@ -152,11 +152,21 @@ def test_grid_failure_exit_code(workspace, tmp_path):
     assert main(["grid", "--config", str(config)]) == 1
 
 
-def test_config_error_exit_code(tmp_path, capsys):
+def test_config_error_exit_code(workspace, capsys):
+    tmp_path, stock_path, tweets_path = workspace
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"nonsense_key": True}))
     assert main(["grid", "--config", str(config)]) == 2
     assert "error:" in capsys.readouterr().err
+    # a bad value stops the grid before any input is read or output written
+    out = tmp_path / "out"
+    config.write_text(json.dumps({
+        "config_version": 1, "stock_file": str(stock_path), "tweet_files": [str(tweets_path)],
+        "lookbacks": [3], "batch_size": 0, "output_dir": str(out),
+    }))
+    assert main(["grid", "--config", str(config)]) == 2
+    assert "batch_size" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_input_exit_code(tmp_path):

@@ -148,8 +148,6 @@ class TestValidationScore:
             train_loss=[0.1] * n,
             val_loss=[0.1] * n,
             val_r2=list(val_r2),
-            val_mae=[0.1] * n,
-            val_rmse=[0.1] * n,
             best_epoch=best,
         )
 

@@ -13,7 +13,6 @@ from sentistock.harness import (
     load_config,
     run_grid,
     run_master,
-    run_pipeline,
 )
 from sentistock.ingest import load_tweets, write_stock_csv
 from sentistock.mapping import MasterDataset
@@ -52,6 +51,8 @@ def synthetic_inputs(tmp_path):
 
 
 class TestRunPipeline:
+    """The whole pipeline for one (variant, lookback) cell, run as a grid."""
+
     def test_without_sentiment_on_monotone_series(self, tmp_path):
         from datetime import date
 
@@ -69,43 +70,45 @@ class TestRunPipeline:
         cfg = fast_config(stock_file=str(path), with_sentiment=False)
         master = harness.build_master(cfg, "none", stock, None)
         assert len(master.columns) == 5  # stock columns only
-        record = run_pipeline(cfg, "none", 3)
-        assert record.ok
+        [record] = run_grid(cfg)
+        assert record.ok and record.variant == "none"
         report = record.report
         for value in (report.mae, report.rmse, report.r2, report.acc):
             assert np.isfinite(value)
 
     def test_with_sentiment_adds_three_channels(self, synthetic_inputs):
         stock_path, tweets_path = synthetic_inputs
-        cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)])
+        cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)],
+                          variants=["cleaned_prosus"])
         from sentistock.ingest import load_stock_csv
 
         master = harness.build_master(cfg, "cleaned_prosus", load_stock_csv(stock_path),
                                       harness.load_corpus(cfg))
         assert len(master.columns) == 8
-        record = run_pipeline(cfg, "cleaned_prosus", 3)
-        assert record.ok
+        [record] = run_grid(cfg)
+        assert record.ok and record.variant == "cleaned_prosus"
 
     def test_deterministic_reports(self, synthetic_inputs):
         stock_path, tweets_path = synthetic_inputs
-        cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)])
-        a = run_pipeline(cfg, "cleaned_prosus", 3)
-        b = run_pipeline(cfg, "cleaned_prosus", 3)
+        cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)],
+                          variants=["cleaned_prosus"])
+        [a] = run_grid(cfg)
+        [b] = run_grid(cfg)
         assert a.report == b.report
         assert a.fingerprint == b.fingerprint
 
     def test_stage_tagged_errors(self, tmp_path):
         cfg = fast_config(stock_file=str(tmp_path / "missing.csv"), with_sentiment=False)
         with pytest.raises(PipelineError) as exc:
-            run_pipeline(cfg, "none", 3)
+            run_grid(cfg)
         assert exc.value.stage == "load_stock"
 
     def test_artifacts_written(self, synthetic_inputs, tmp_path):
         stock_path, tweets_path = synthetic_inputs
         out = tmp_path / "out"
         cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)],
-                          output_dir=str(out))
-        run_pipeline(cfg, "cleaned_prosus", 3)
+                          variants=["cleaned_prosus"], output_dir=str(out))
+        run_grid(cfg)
         assert (out / "SYN_cleaned_prosus_w3_loss.csv").exists()
         assert (out / "SYN_cleaned_prosus_w3_pred.csv").exists()
         assert (out / "SYN_cleaned_prosus_w3_record.json").exists()
@@ -426,11 +429,31 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    def test_invalid_values_rejected(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(split_ratio=1.5)
-        with pytest.raises(ConfigError):
-            ExperimentConfig(lookbacks=[])
+    @pytest.mark.parametrize("bad", [
+        pytest.param({"split_ratio": 1.5}, id="split_ratio"),
+        pytest.param({"lookbacks": []}, id="lookbacks-empty"),
+        pytest.param({"lookbacks": [2.5]}, id="lookbacks-float"),
+        pytest.param({"lookbacks": ["3"]}, id="lookbacks-str"),
+        pytest.param({"lookbacks": [True]}, id="lookbacks-bool"),
+        pytest.param({"lookbacks": [3, 3]}, id="lookbacks-repeated"),
+        pytest.param({"variants": ["nope"]}, id="variants-unknown"),
+        pytest.param({"variants": ["cleaned_prosus"] * 2}, id="variants-repeated"),
+        pytest.param({"batch_size": 0}, id="batch_size"),
+        pytest.param({"epochs": 0}, id="epochs"),
+        pytest.param({"learning_rate": -1}, id="learning_rate"),
+        pytest.param({"validation_split": 1.0}, id="validation_split"),
+        pytest.param({"patience": -1}, id="patience"),
+        pytest.param({"hidden_units": 0}, id="hidden_units"),
+        pytest.param({"fit_scope": "bogus"}, id="fit_scope"),
+        pytest.param({"max_lag": -1}, id="max_lag"),
+        pytest.param({"memory_days": 0}, id="memory_days"),
+        pytest.param({"kernel_mode": "x"}, id="kernel_mode"),
+        pytest.param({"scorer_kind": "x"}, id="scorer_kind"),
+    ])
+    def test_invalid_values_rejected(self, bad):
+        for with_sentiment in (True, False):
+            with pytest.raises(ConfigError):
+                ExperimentConfig(with_sentiment=with_sentiment, **bad)
 
 
 class TestRunMasterUnits:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -69,16 +70,7 @@ def ref_forward(model, sample):
         bwd = ref_direction(xs, p[f"{layer}_bwd_Wx"], p[f"{layer}_bwd_Wh"], p[f"{layer}_bwd_b"], True)
         xs = [fwd[t] + bwd[t] for t in range(len(xs))]
         terminal = fwd[-1] + bwd[0]
-    head = [
-        sum(terminal[a] * p["head_W"][a][k] for a in range(len(terminal))) + p["head_b"][k]
-        for k in range(p["head_W"].shape[1])
-    ]
-    if model.config.output_head == "linear":
-        return head[0]
-    exps = [math.exp(v - max(head)) for v in head]
-    total = sum(exps)
-    centers = [(k + 0.5) / len(head) for k in range(len(head))]
-    return sum(e / total * c for e, c in zip(exps, centers))
+    return sum(terminal[a] * p["head_W"][a][0] for a in range(len(terminal))) + p["head_b"][0]
 
 
 def random_batch(config, n, seed):
@@ -170,16 +162,6 @@ class TestForward:
         expected = [ref_forward(model, X[k]) for k in range(3)]
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
-    def test_softmax_bins_matches_reference_and_range(self):
-        cfg = ModelConfig(hidden_units=3, input_shape=(4, 2), seed=5,
-                          output_head="softmax_bins", n_bins=6)
-        model = init_model(cfg)
-        X, _ = random_batch(cfg, 4, seed=6)
-        got = forward(model, X)
-        expected = [ref_forward(model, X[k]) for k in range(4)]
-        np.testing.assert_allclose(got, expected, atol=1e-10)
-        assert np.all(got > 0) and np.all(got < 1)
-
     def test_shape_mismatch(self):
         model = init_model(ModelConfig(hidden_units=2, input_shape=(4, 2), seed=0))
         with pytest.raises(ShapeMismatchError):
@@ -229,16 +211,14 @@ class TestLossAndGradients:
         np.testing.assert_allclose(grads2["head_W"], 2 * grads1["head_W"], atol=1e-10)
         np.testing.assert_allclose(grads2["l1_fwd_Wx"], 2 * grads1["l1_fwd_Wx"], atol=1e-10)
 
-    @pytest.mark.parametrize("head,hidden,w", [
-        pytest.param("linear", 2, 3, id="linear"),
-        pytest.param("softmax_bins", 2, 3, id="softmax_bins"),
+    @pytest.mark.parametrize("hidden,w", [
+        pytest.param(2, 3, id="linear"),
         # edges of the reversed-time indexing: one step, one unit per gate
-        pytest.param("linear", 2, 1, id="linear-w1"),
-        pytest.param("linear", 1, 3, id="linear-h1"),
+        pytest.param(2, 1, id="linear-w1"),
+        pytest.param(1, 3, id="linear-h1"),
     ])
-    def test_finite_difference_check(self, head, hidden, w):
-        cfg = ModelConfig(hidden_units=hidden, input_shape=(w, 2), seed=12,
-                          output_head=head, n_bins=4)
+    def test_finite_difference_check(self, hidden, w):
+        cfg = ModelConfig(hidden_units=hidden, input_shape=(w, 2), seed=12)
         model = init_model(cfg)
         X, y = random_batch(cfg, 3, seed=13)
         _, grads = loss_and_gradients(model, X, y)
@@ -363,7 +343,7 @@ class TestTrain:
         windows = make_windows_for(30, 4, 2, seed=10)
         history = train(model, windows, TrainConfig(epochs=5, patience=100))
         assert history.n_epochs == 5
-        assert len(history.val_loss) == len(history.val_mae) == len(history.val_rmse) == 5
+        assert len(history.val_loss) == len(history.val_r2) == 5
         assert 0 <= history.best_epoch < 5
 
 
@@ -402,17 +382,40 @@ class TestPersistence:
         X, _ = random_batch(cfg, 4, seed=9)
         np.testing.assert_array_equal(forward(reloaded, X), forward(model, X))
 
-    def test_other_activation_rejected(self, tmp_path):
-        import json
-
-        model = init_model(ModelConfig(hidden_units=2, input_shape=(3, 1), seed=0))
-        path = tmp_path / "model.npz"
+    @staticmethod
+    def saved_with_meta(model, path, **changes):
+        """Save the model, rewrite its meta with ``changes``; return the meta save_model wrote."""
         save_model(model, path)
         with np.load(path) as data:
             meta = json.loads(str(data["__meta__"]))
             params = {k: data[k] for k in data.files if k != "__meta__"}
-        assert meta["activation"] == "tanh"
-        meta["activation"] = "relu"
-        np.savez(path, __meta__=np.array(json.dumps(meta)), **params)
+        np.savez(path, __meta__=np.array(json.dumps({**meta, **changes})), **params)
+        return meta
+
+    def test_other_activation_rejected(self, tmp_path):
+        model = init_model(ModelConfig(hidden_units=2, input_shape=(3, 1), seed=0))
+        path = tmp_path / "model.npz"
+        assert self.saved_with_meta(model, path, activation="relu")["activation"] == "tanh"
         with pytest.raises(ValueError, match="activation"):
             load_model(path)
+
+    def test_other_output_head_rejected(self, tmp_path):
+        model = init_model(ModelConfig(hidden_units=2, input_shape=(3, 1), seed=0))
+        path = tmp_path / "model.npz"
+        meta = self.saved_with_meta(model, path, output_head="softmax_bins", n_bins=10)
+        assert meta["output_head"] == "linear" and "n_bins" not in meta
+        with pytest.raises(ValueError, match="output head"):
+            load_model(path)
+
+    def test_earlier_meta_format_loads(self, tmp_path):
+        # the meta written while the output head was selectable, n_bins included
+        cfg = ModelConfig(hidden_units=3, input_shape=(4, 2), seed=8)
+        model = init_model(cfg)
+        path = tmp_path / "model.npz"
+        meta = {"format_version": 1, "hidden_units": 3, "input_shape": [4, 2], "activation": "tanh",
+                "output_head": "linear", "n_bins": 10, "seed": 8}
+        np.savez(path, __meta__=np.array(json.dumps(meta)), **model.params)
+        reloaded = load_model(path)
+        assert reloaded.config == cfg
+        X, _ = random_batch(cfg, 4, seed=9)
+        np.testing.assert_array_equal(predict(reloaded, X), predict(model, X))
