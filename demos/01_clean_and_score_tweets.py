@@ -5,10 +5,13 @@ Walks through the first pipeline stage: raw text -> cleaned text ->
 per-tweet class probabilities, for each scoring variant.
 """
 
-from sentistock import clean_tweet, score_corpus, score_tweet
-from sentistock.sentiment import VARIANTS, ScorerConfig
-from sentistock.synth import random_tweets, trading_calendar
 from datetime import date
+
+import numpy as np
+
+from sentistock import clean_tweet, labels, score_corpus, score_texts
+from sentistock.sentiment import LABELS, VARIANTS, ScorerConfig
+from sentistock.synth import random_tweets, trading_calendar
 
 # Cleaning strips URLs, mentions and symbols, keeps hashtag words, lowercases.
 samples = [
@@ -24,12 +27,14 @@ for raw in samples:
 # With c+ positive hits, c- negative hits and n tokens:
 #   u = (c+ - c-) / max(1, c+ + c-),  s = (c+ + c-) / n
 #   p_pos = s * max(u, 0), p_neg = s * max(-u, 0), p_neu = the rest
+# Each text's label is its argmax class, ties broken neutral > positive > negative.
 config = ScorerConfig(kind="lexicon")
 print("\n-- lexicon scoring --")
-for text in ("growth growth crash", "crash", "nothing eventful today"):
-    score = score_tweet(config, text)
-    print(f"{text!r:30} -> pos={score.p_pos:.3f} neg={score.p_neg:.3f} "
-          f"neu={score.p_neu:.3f} label={score.label}")
+texts = ["growth growth crash", "crash", "nothing eventful today"]
+probabilities = score_texts(config, texts)
+for text, (p_pos, p_neg, p_neu), label in zip(texts, probabilities, labels(probabilities)):
+    print(f"{text!r:30} -> pos={p_pos:.3f} neg={p_neg:.3f} "
+          f"neu={p_neu:.3f} label={LABELS[label]}")
 
 # Scoring a whole corpus gives each variant an (n_tweets, 3) array of
 # (p_pos, p_neg, p_neu) rows. Each text form is scored once: the two
@@ -39,8 +44,8 @@ corpus = random_tweets(calendar, per_day=1.0, seed=0)
 table = score_corpus(config, corpus, VARIANTS)
 print(f"\nscored {len(corpus)} tweets x {len(VARIANTS)} variants "
       f"-> arrays of shape {table.probabilities(VARIANTS[0]).shape}")
-# table.get builds one tweet's SentimentScore, with its argmax label, on demand.
-labels = [table.get(tweet_id, variant).label
-          for variant in table.variants for tweet_id in table.tweet_ids]
-for label in ("positive", "negative", "neutral"):
-    print(f"  {label}: {labels.count(label)}")
+# labels gives each row's class as an index into LABELS; count them over all variants.
+counts = sum(np.bincount(labels(table.probabilities(variant)), minlength=3)
+             for variant in table.variants)
+for label, count in zip(LABELS, counts):
+    print(f"  {label}: {count}")

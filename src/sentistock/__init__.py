@@ -70,10 +70,10 @@ from .sentiment import (
     VARIANTS,
     ScorerConfig,
     ScoreTable,
-    SentimentScore,
+    labels,
     load_precomputed_scores,
     score_corpus,
-    score_tweet,
+    score_texts,
 )
 
 __version__ = "0.1.0"

@@ -40,12 +40,12 @@ def _add_score(sub):
 
 def _add_map(sub):
     p = sub.add_parser("map", help="map scores onto the trading calendar and join with stock")
-    p.add_argument("--stock", required=True)
+    p.add_argument("--stock", dest="stock_file", required=True)
     p.add_argument("--tweets", required=True)
-    p.add_argument("--scores", default=None, help="precomputed score CSV (default: lexicon scorer)")
+    p.add_argument("--scores", dest="scores_file", help="precomputed score CSV (default: lexicon scorer)")
     p.add_argument("--variant", default="cleaned_prosus", choices=list(VARIANTS))
-    p.add_argument("--memory-days", type=int, default=30)
-    p.add_argument("--mode", default="recency", choices=["recency", "literal"])
+    p.add_argument("--memory-days", dest="memory_days", type=int)
+    p.add_argument("--mode", dest="kernel_mode")
     p.add_argument("--out", required=True, help="output master CSV")
 
 
@@ -53,15 +53,15 @@ def _add_train(sub):
     p = sub.add_parser("train", help="train a model on a master CSV")
     p.add_argument("--master", required=True)
     p.add_argument("--lookback", type=int, required=True)
-    p.add_argument("--hidden-units", type=int, default=50)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--validation-split", type=float, default=0.1)
-    p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--split-ratio", type=float, default=0.8)
-    p.add_argument("--fit-scope", default="train_only", choices=["train_only", "full"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--hidden-units", dest="hidden_units", type=int)
+    p.add_argument("--epochs", dest="epochs", type=int)
+    p.add_argument("--batch-size", dest="batch_size", type=int)
+    p.add_argument("--validation-split", dest="validation_split", type=float)
+    p.add_argument("--patience", dest="patience", type=int)
+    p.add_argument("--learning-rate", dest="learning_rate", type=float)
+    p.add_argument("--split-ratio", dest="split_ratio", type=float)
+    p.add_argument("--fit-scope", dest="fit_scope")
+    p.add_argument("--seed", dest="seed", type=int)
     p.add_argument("--model-out", required=True, help="output model .npz")
     p.add_argument("--history-out", default=None, help="optional loss-curve CSV")
 
@@ -70,10 +70,10 @@ def _add_evaluate(sub):
     p = sub.add_parser("evaluate", help="evaluate a trained model on a master CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--master", required=True)
-    p.add_argument("--split-ratio", type=float, default=0.8)
-    p.add_argument("--fit-scope", default="train_only", choices=["train_only", "full"])
-    p.add_argument("--units", default="data", choices=["data", "scaled"])
-    p.add_argument("--max-lag", type=int, default=14)
+    p.add_argument("--split-ratio", dest="split_ratio", type=float)
+    p.add_argument("--fit-scope", dest="fit_scope")
+    p.add_argument("--units", dest="metric_units")
+    p.add_argument("--max-lag", dest="max_lag", type=int)
     p.add_argument("--out", required=True, help="output report CSV row")
     p.add_argument("--pred-out", default=None, help="optional prediction CSV")
 
@@ -89,6 +89,13 @@ def _add_grid(sub):
     p.add_argument("--lookbacks", default=None, help="comma-separated lookbacks")
     p.add_argument("--with-sentiment", dest="with_sentiment", action="store_true", default=None)
     p.add_argument("--without-sentiment", dest="with_sentiment", action="store_false")
+
+
+def _config_flags(args) -> dict:
+    """The given flags whose dest names an ExperimentConfig field; the
+    config supplies the defaults of the others and checks every value."""
+    fields = harness.ExperimentConfig.__dataclass_fields__
+    return {k: v for k, v in vars(args).items() if k in fields and v is not None}
 
 
 def _cmd_clean(args) -> int:
@@ -108,21 +115,15 @@ def _cmd_score(args) -> int:
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     config = ScorerConfig(kind=args.scorer, source=args.scores_file)
     table = score_corpus(config, corpus, variants)
-    write_scores_csv(table, corpus, args.out)
+    write_scores_csv(table, args.out)
     print(f"scored {len(corpus)} tweets x {len(variants)} variants -> {args.out}")
     return 0
 
 
 def _cmd_map(args) -> int:
-    cfg = harness.ExperimentConfig(
-        stock_file=args.stock,
-        tweet_files=[args.tweets],
-        scorer_kind="precomputed" if args.scores else "lexicon",
-        scores_file=args.scores,
-        variants=[args.variant],
-        memory_days=args.memory_days,
-        kernel_mode=args.mode,
-    )
+    cfg = harness.ExperimentConfig(tweet_files=[args.tweets], variants=[args.variant],
+                                   scorer_kind="precomputed" if args.scores_file else "lexicon",
+                                   **_config_flags(args))
     stock = harness.load_stock(cfg)
     corpus = harness.load_corpus(cfg)
     write_master_csv(harness.build_master(cfg, args.variant, stock, corpus), args.out)
@@ -131,18 +132,7 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = harness.ExperimentConfig(
-        lookbacks=[args.lookback],
-        hidden_units=args.hidden_units,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        validation_split=args.validation_split,
-        patience=args.patience,
-        learning_rate=args.learning_rate,
-        split_ratio=args.split_ratio,
-        fit_scope=args.fit_scope,
-        seed=args.seed,
-    )
+    cfg = harness.ExperimentConfig(lookbacks=[args.lookback], **_config_flags(args))
     cell = harness.prepare_cell(load_master_csv(args.master), cfg)
     model, history = harness.train_model(harness.window(cell.train, args.lookback), cfg, cfg.seed)
     nn.save_model(model, args.model_out)
@@ -158,13 +148,7 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     model = nn.load_model(args.model)
     lookback = model.config.input_shape[0]
-    cfg = harness.ExperimentConfig(
-        lookbacks=[lookback],
-        split_ratio=args.split_ratio,
-        fit_scope=args.fit_scope,
-        metric_units=args.units,
-        max_lag=args.max_lag,
-    )
+    cfg = harness.ExperimentConfig(lookbacks=[lookback], **_config_flags(args))
     cell = harness.prepare_cell(load_master_csv(args.master), cfg)
     evaluation = harness.evaluate_model(model, cell, harness.window(cell.test, lookback), cfg)
     record = harness.ExperimentRecord(

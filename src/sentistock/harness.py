@@ -43,6 +43,7 @@ logger = logging.getLogger(__name__)
 CONFIG_VERSION = 1
 SUMMARY_COLUMNS = ("scrip", "variant", "lookback", "val_score", "r2", "rmse", "mae", "T", "acc", "units")
 DEFAULT_LOOKBACKS = (5, 10, 20, 30, 60, 90)
+_INT_FIELDS = ("memory_days", "hidden_units", "epochs", "batch_size", "patience", "max_lag", "seed")
 
 
 @dataclass
@@ -78,6 +79,13 @@ class ExperimentConfig:
         ``training``, ``scorer`` and ``kernel`` are plain attributes, not
         fields, so asdict (and with it the fingerprint) sees only the values.
         """
+        for name in _INT_FIELDS:
+            if type(getattr(self, name)) is not int:
+                raise ConfigError(f"{name} must be an integer, not {getattr(self, name)!r}")
+        if type(self.with_sentiment) is not bool:
+            raise ConfigError(f"with_sentiment must be true or false, not {self.with_sentiment!r}")
+        if type(self.tweet_files) is not list or any(type(f) is not str for f in self.tweet_files):
+            raise ConfigError(f"tweet_files must be a list of file names, not {self.tweet_files!r}")
         if not self.lookbacks or any(type(w) is not int or w < 1 for w in self.lookbacks):
             raise ConfigError(f"lookbacks must be a non-empty list of integers >= 1, not {self.lookbacks!r}")
         if len(set(self.lookbacks)) != len(self.lookbacks):
@@ -118,6 +126,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, not a {type(raw).__name__}")
     version = raw.pop("config_version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config_version {version}")
@@ -239,8 +249,7 @@ def merge_corpora(corpora: list[TweetCorpus]) -> TweetCorpus:
     tweets = [replace(tweet, id=f"{index}:{tweet.id}")
               for index, corpus in enumerate(corpora) for tweet in corpus]
     tweets.sort(key=lambda t: t.date)
-    handles = ",".join(c.handle for c in corpora if c.handle)
-    return TweetCorpus(tweets=tweets, handle=handles, sources=len(corpora))
+    return TweetCorpus(tweets=tweets, sources=len(corpora))
 
 
 def load_stock(cfg: ExperimentConfig) -> StockSeries:

@@ -85,7 +85,6 @@ class TweetCorpus:
     """
 
     tweets: list[Tweet]
-    handle: str = ""
     sources: int = 1
 
     def __len__(self) -> int:
@@ -211,7 +210,7 @@ def parse_tweet_date(text: str) -> date:
     return local.astimezone(timezone.utc).date()
 
 
-def load_tweets(path: str | Path, handle: str = "") -> TweetCorpus:
+def load_tweets(path: str | Path) -> TweetCorpus:
     """Read line-delimited JSON tweets into a date-sorted corpus.
 
     Each line needs ``date`` (ISO day or timestamp, see parse_tweet_date) and
@@ -249,4 +248,4 @@ def load_tweets(path: str | Path, handle: str = "") -> TweetCorpus:
     for tweet, cleaned in zip(tweets, clean_tweets([tweet.raw_text for tweet in tweets])):
         tweet.cleaned_text = cleaned
     tweets.sort(key=lambda t: t.date)
-    return TweetCorpus(tweets=tweets, handle=handle)
+    return TweetCorpus(tweets=tweets)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CalendarMismatchError, MissingScoreError, UnknownColumnError, UnparseableRowError
 from .ingest import StockSeries, TweetCorpus, parse_day
-from .sentiment import ScoreTable
+from .sentiment import ScoreTable, labels
 
 SENTIMENT_COLUMNS = ("sent_pos", "sent_neg", "sent_neu")
 MASTER_COLUMNS = ("Open", "High", "Low", "Close", "Volume") + SENTIMENT_COLUMNS
@@ -93,13 +93,9 @@ class MasterDataset:
 
 
 def class_contributions(probabilities: np.ndarray) -> np.ndarray:
-    """One-hot each (p_pos, p_neg, p_neu) row's argmax class, keeping its probability.
-
-    Ties break neutral > positive > negative; the other two classes contribute 0.
-    """
-    p_pos, p_neg, p_neu = probabilities.T
-    positive = p_pos > p_neu
-    label = np.where(p_neg > np.where(positive, p_pos, p_neu), 1, np.where(positive, 0, 2))
+    """One-hot each (p_pos, p_neg, p_neu) row's class (sentiment.labels), keeping its
+    probability; the other two classes contribute 0."""
+    label = labels(probabilities)
     rows = np.arange(len(label))
     contributions = np.zeros_like(probabilities)
     contributions[rows, label] = probabilities[rows, label]

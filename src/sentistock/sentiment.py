@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -47,40 +46,18 @@ DEFAULT_NEGATIVE_WORDS = frozenset(
     """.split()
 )
 
-
-def _argmax_label(p_pos: float, p_neg: float, p_neu: float) -> str:
-    """Argmax class with ties broken neutral > positive > negative."""
-    label = "neutral"
-    best = p_neu
-    if p_pos > best:
-        label, best = "positive", p_pos
-    if p_neg > best:
-        label, best = "negative", p_neg
-    return label
+# Class names, in the column order of a (p_pos, p_neg, p_neu) row.
+LABELS = ("positive", "negative", "neutral")
 
 
-@dataclass(frozen=True)
-class SentimentScore:
-    """Class probabilities and the argmax label for one scored text."""
+def labels(probabilities: np.ndarray) -> np.ndarray:
+    """Each (p_pos, p_neg, p_neu) row's argmax class as an index into LABELS.
 
-    p_pos: float
-    p_neg: float
-    p_neu: float
-    label: str
-
-    def __post_init__(self):
-        total = self.p_pos + self.p_neg + self.p_neu
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        expected = _argmax_label(self.p_pos, self.p_neg, self.p_neu)
-        if self.label != expected:
-            raise ValueError(f"label {self.label!r} is not the argmax ({expected!r})")
-
-    @classmethod
-    def from_probabilities(cls, p_pos: float, p_neg: float, p_neu: float) -> "SentimentScore":
-        """Build a score with the argmax label (ties: neutral > positive > negative)."""
-        return cls(p_pos=p_pos, p_neg=p_neg, p_neu=p_neu,
-                   label=_argmax_label(p_pos, p_neg, p_neu))
+    Ties break neutral > positive > negative.
+    """
+    p_pos, p_neg, p_neu = probabilities.T
+    positive = p_pos > p_neu
+    return np.where(p_neg > np.where(positive, p_pos, p_neu), 1, np.where(positive, 0, 2))
 
 
 @dataclass
@@ -96,10 +73,6 @@ class ScoreTable:
     def variants(self) -> list[str]:
         return list(self.scores)
 
-    @cached_property
-    def _rows(self) -> dict[str, int]:
-        return {tweet_id: row for row, tweet_id in enumerate(self.tweet_ids)}
-
     def probabilities(self, variant: str) -> np.ndarray:
         """The variant's (n_tweets, 3) array; raises the error it failed with."""
         scores = self.scores.get(variant)
@@ -108,14 +81,6 @@ class ScoreTable:
         if isinstance(scores, Exception):
             raise scores
         return scores
-
-    def get(self, tweet_id: str, variant: str) -> SentimentScore | None:
-        """One tweet's score, built on demand; None when it was not scored."""
-        scores = self.scores.get(variant)
-        row = self._rows.get(tweet_id)
-        if row is None or not isinstance(scores, np.ndarray):
-            return None
-        return SentimentScore.from_probabilities(*scores[row].tolist())
 
 
 @dataclass
@@ -138,8 +103,19 @@ class ScorerConfig:
             raise ValueError("precomputed scorer needs a source file")
 
 
-def _lexicon_scores(config: ScorerConfig, texts: list[str]) -> np.ndarray:
-    """The (len(texts), 3) lexicon probabilities of the texts (see score_tweet)."""
+def score_texts(config: ScorerConfig, texts: list[str]) -> np.ndarray:
+    """The (len(texts), 3) lexicon probabilities (p_pos, p_neg, p_neu) of the texts.
+
+    With hit counts c+ and c- among whitespace tokens and n tokens total:
+    u = (c+ - c-) / max(1, c+ + c-), s = (c+ + c-) / n, p_pos = s*max(u, 0),
+    p_neg = s*max(-u, 0), p_neu = 1 - p_pos - p_neg. No hits (or empty text)
+    scores neutral. Deterministic for fixed config and texts.
+    """
+    if config.kind != "lexicon":
+        raise ScorerUnavailableError(
+            "text scoring needs the lexicon scorer; precomputed scores are "
+            "looked up by tweet id via load_precomputed_scores"
+        )
     n_tokens = np.fromiter(map(len, map(str.split, texts)), dtype=np.int64, count=len(texts))
     owner = np.repeat(np.arange(len(texts)), n_tokens)
     tokens = " ".join(texts).split()
@@ -160,22 +136,6 @@ def _lexicon_scores(config: ScorerConfig, texts: list[str]) -> np.ndarray:
     return np.stack([p_pos, p_neg, 1.0 - p_pos - p_neg], axis=1)
 
 
-def score_tweet(config: ScorerConfig, text: str) -> SentimentScore:
-    """Score a single text with the lexicon scorer.
-
-    With hit counts c+ and c- among whitespace tokens and n tokens total:
-    u = (c+ - c-) / max(1, c+ + c-), s = (c+ + c-) / n, p_pos = s*max(u, 0),
-    p_neg = s*max(-u, 0), p_neu = 1 - p_pos - p_neg. No hits (or empty text)
-    scores neutral. Deterministic for fixed config and text.
-    """
-    if config.kind != "lexicon":
-        raise ScorerUnavailableError(
-            "per-text scoring needs the lexicon scorer; precomputed scores are "
-            "looked up by tweet id via load_precomputed_scores"
-        )
-    return SentimentScore.from_probabilities(*_lexicon_scores(config, [text])[0].tolist())
-
-
 def _score_text_form(config: ScorerConfig, corpus: TweetCorpus, form: str) -> np.ndarray | str:
     """Lexicon probabilities of one text form of every tweet, or the id of
     the first tweet that lacks that form."""
@@ -183,7 +143,7 @@ def _score_text_form(config: ScorerConfig, corpus: TweetCorpus, form: str) -> np
     for tweet, text in zip(corpus, texts):
         if text is None:
             return tweet.id
-    return _lexicon_scores(config, texts)
+    return score_texts(config, texts)
 
 
 def score_corpus(
@@ -260,16 +220,13 @@ def load_precomputed_scores(path: str | Path, corpus: TweetCorpus) -> ScoreTable
     return table
 
 
-def write_scores_csv(table: ScoreTable, corpus: TweetCorpus, path: str | Path) -> None:
+def write_scores_csv(table: ScoreTable, path: str | Path) -> None:
     """Write a score table in the precomputed-score CSV format; a variant
     that failed to score raises its error before the file is opened."""
     arrays = {variant: table.probabilities(variant).tolist() for variant in table.variants}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("tweet_id", "variant", "p_pos", "p_neg", "p_neu"))
-        for tweet in corpus:
-            row = table._rows.get(tweet.id)
-            if row is None:
-                continue
+        for row, tweet_id in enumerate(table.tweet_ids):
             for variant, scores in arrays.items():
-                writer.writerow((tweet.id, variant, *map(repr, scores[row])))
+                writer.writerow((tweet_id, variant, *map(repr, scores[row])))

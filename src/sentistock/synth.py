@@ -132,4 +132,4 @@ def random_tweets(calendar: list[date], per_day: float = 1.5, seed: int = 0) -> 
     tweets = [Tweet(id=str(i), date=tweet_date, raw_text=raw, cleaned_text=text, pos_tagged_text=raw)
               for i, ((tweet_date, raw), text) in enumerate(zip(drawn, cleaned))]
     tweets.sort(key=lambda t: t.date)
-    return TweetCorpus(tweets=tweets, handle="@synthetic")
+    return TweetCorpus(tweets=tweets)

@@ -158,6 +158,9 @@ def test_config_error_exit_code(workspace, capsys):
     config.write_text(json.dumps({"nonsense_key": True}))
     assert main(["grid", "--config", str(config)]) == 2
     assert "error:" in capsys.readouterr().err
+    config.write_text(json.dumps([1, 2]))
+    assert main(["grid", "--config", str(config)]) == 2
+    assert "error:" in capsys.readouterr().err
     # a bad value stops the grid before any input is read or output written
     out = tmp_path / "out"
     config.write_text(json.dumps({
@@ -167,6 +170,19 @@ def test_config_error_exit_code(workspace, capsys):
     assert main(["grid", "--config", str(config)]) == 2
     assert "batch_size" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_stage_flag_bad_value_exit_code(workspace, capsys):
+    """Stage flags are checked by the config, so a bad value names its field."""
+    tmp_path, stock_path, tweets_path = workspace
+    master = tmp_path / "master.csv"
+    assert main(["map", "--stock", str(stock_path), "--tweets", str(tweets_path),
+                 "--mode", "bogus", "--out", str(master)]) == 2
+    assert "kernel mode" in capsys.readouterr().err
+    assert not master.exists()
+    assert main(["train", "--master", str(master), "--lookback", "3", "--fit-scope", "bogus",
+                 "--model-out", str(tmp_path / "model.npz")]) == 2
+    assert "fit_scope" in capsys.readouterr().err
 
 
 def test_missing_input_exit_code(tmp_path):

@@ -190,17 +190,13 @@ class TestRunGrid:
     def test_each_text_form_scored_once_per_grid(self, synthetic_inputs, monkeypatch):
         stock_path, tweets_path = synthetic_inputs
         scored = []
-        real = sentiment._lexicon_scores
+        real = sentiment.score_texts
 
         def recording(config, texts):
             scored.extend(texts)
             return real(config, texts)
 
-        def per_pair_object(self):
-            raise AssertionError("a SentimentScore was built on the grid path")
-
-        monkeypatch.setattr(sentiment, "_lexicon_scores", recording)
-        monkeypatch.setattr(sentiment.SentimentScore, "__post_init__", per_pair_object)
+        monkeypatch.setattr(sentiment, "score_texts", recording)
         cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)], lookbacks=[2, 3])
         records = run_grid(cfg)
         assert len(records) == 8 and all(r.ok for r in records)
@@ -449,11 +445,18 @@ class TestConfigFile:
         pytest.param({"memory_days": 0}, id="memory_days"),
         pytest.param({"kernel_mode": "x"}, id="kernel_mode"),
         pytest.param({"scorer_kind": "x"}, id="scorer_kind"),
+        pytest.param({"epochs": 2.5}, id="epochs-float"),
+        pytest.param({"memory_days": 2.5}, id="memory_days-float"),
+        pytest.param({"seed": 1.0}, id="seed-float"),
+        pytest.param({"hidden_units": True}, id="hidden_units-bool"),
+        pytest.param({"with_sentiment": "false"}, id="with_sentiment-str"),
+        pytest.param({"tweet_files": "t.jsonl"}, id="tweet_files-str"),
+        pytest.param({"tweet_files": ["t.jsonl", 3]}, id="tweet_files-item"),
     ])
     def test_invalid_values_rejected(self, bad):
         for with_sentiment in (True, False):
             with pytest.raises(ConfigError):
-                ExperimentConfig(with_sentiment=with_sentiment, **bad)
+                ExperimentConfig(**{"with_sentiment": with_sentiment, **bad})
 
 
 class TestRunMasterUnits:

@@ -20,6 +20,7 @@ from sentistock.mapping import (
 )
 from sentistock.sentiment import ScoreTable
 from sentistock.synth import trading_calendar
+from test_sentiment import argmax_label
 
 
 def oracle_memory_map(raw, memory_days, mode):
@@ -45,13 +46,14 @@ def oracle_daily_aggregate(table, variant, corpus, calendar):
     n = len(calendar)
     sums = np.zeros((3, n))
     counts = np.zeros(n)
+    rows = dict(zip(table.tweet_ids, table.probabilities(variant).tolist()))
     for tweet in corpus:
         day_index = bisect_left(calendar, tweet.date)
         if day_index >= n:
             continue
-        score = table.get(tweet.id, variant)  # a SentimentScore with its argmax label
-        channel = ("positive", "negative", "neutral").index(score.label)
-        sums[channel, day_index] += (score.p_pos, score.p_neg, score.p_neu)[channel]
+        score = rows[tweet.id]
+        channel = ("positive", "negative", "neutral").index(argmax_label(*score))
+        sums[channel, day_index] += score[channel]
         counts[day_index] += 1
     occupied = counts > 0
     channels = np.zeros_like(sums)

@@ -12,15 +12,36 @@ from sentistock.errors import (
 from sentistock.harness import merge_corpora
 from sentistock.ingest import Tweet, TweetCorpus
 from sentistock.sentiment import (
+    LABELS,
     VARIANTS,
     ScorerConfig,
-    SentimentScore,
-    _lexicon_scores,
+    labels,
     load_precomputed_scores,
     score_corpus,
-    score_tweet,
+    score_texts,
     write_scores_csv,
 )
+
+
+def argmax_label(p_pos: float, p_neg: float, p_neu: float) -> str:
+    """Argmax class with ties broken neutral > positive > negative."""
+    label = "neutral"
+    best = p_neu
+    if p_pos > best:
+        label, best = "positive", p_pos
+    if p_neg > best:
+        label, best = "negative", p_neg
+    return label
+
+
+def label_of(row) -> str:
+    """The class name labels gives one (p_pos, p_neg, p_neu) row."""
+    return LABELS[int(labels(np.asarray([row], dtype=float))[0])]
+
+
+def score_text(config, text):
+    """One text's (p_pos, p_neg, p_neu) row as Python floats."""
+    return tuple(score_texts(config, [text])[0].tolist())
 
 
 def reference_lexicon_probabilities(config, text):
@@ -44,10 +65,11 @@ def reference_scores(config, texts):
 
 
 def entries(table):
-    """Every score the table holds, keyed by (tweet id, variant)."""
-    return {(tweet_id, variant): table.get(tweet_id, variant)
-            for variant in table.variants for tweet_id in table.tweet_ids
-            if table.get(tweet_id, variant) is not None}
+    """Every (p_pos, p_neg, p_neu) row the table holds, keyed by (tweet id, variant);
+    variants that failed to score hold none."""
+    return {(tweet_id, variant): tuple(row)
+            for variant, scores in table.scores.items() if isinstance(scores, np.ndarray)
+            for tweet_id, row in zip(table.tweet_ids, scores.tolist())}
 
 
 LEXICON = ScorerConfig(
@@ -58,48 +80,63 @@ LEXICON = ScorerConfig(
 
 
 class TestSentimentScore:
+    """The class rule, sentiment.labels, on (p_pos, p_neg, p_neu) rows."""
+
     def test_argmax_label(self):
-        assert SentimentScore.from_probabilities(0.7, 0.2, 0.1).label == "positive"
-        assert SentimentScore.from_probabilities(0.1, 0.8, 0.1).label == "negative"
+        assert label_of((0.7, 0.2, 0.1)) == "positive"
+        assert label_of((0.1, 0.8, 0.1)) == "negative"
 
     def test_tie_break_neutral_over_positive(self):
-        assert SentimentScore.from_probabilities(0.5, 0.0, 0.5).label == "neutral"
+        assert label_of((0.5, 0.0, 0.5)) == "neutral"
 
     def test_tie_break_positive_over_negative(self):
-        assert SentimentScore.from_probabilities(0.5, 0.5, 0.0).label == "positive"
+        assert label_of((0.5, 0.5, 0.0)) == "positive"
 
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            SentimentScore(p_pos=0.5, p_neg=0.5, p_neu=0.5, label="neutral")
+    def test_matches_oracle_on_ties_and_random_rows(self):
+        rng = np.random.default_rng(3)
+        ties = [(0.5, 0.0, 0.5), (0.25, 0.25, 0.5), (0.4, 0.2, 0.4),  # p_pos == p_neu
+                (0.5, 0.5, 0.0), (0.4, 0.4, 0.2), (0.1, 0.1, 0.8),  # p_neg == p_pos
+                (0.0, 0.5, 0.5), (0.2, 0.4, 0.4),  # p_neg == p_neu
+                (1 / 3, 1 / 3, 1 / 3), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0)]
+        probs = rng.dirichlet(np.ones(3), 500)
+        tied = rng.random(500) < 0.4
+        probs[tied] = np.array(ties)[rng.integers(0, len(ties), int(tied.sum()))]
+        probs = np.concatenate([np.array(ties), probs])
+        got = labels(probs)
+        assert got.shape == (len(probs),)
+        assert [LABELS[i] for i in got] == [argmax_label(*row) for row in probs.tolist()]
+        assert labels(np.zeros((0, 3))).shape == (0,)
 
 
 class TestScoreTweet:
+    """score_texts on one text at a time."""
+
     def test_counts_formula(self):
         # c+=2, c-=1, n=3: u=1/3, s=1 -> p_pos=1/3, p_neg=0, p_neu=2/3
-        score = score_tweet(LEXICON, "growth growth crash")
-        assert score.p_pos == pytest.approx(1 / 3, abs=1e-12)
-        assert score.p_neg == 0.0
-        assert score.p_neu == pytest.approx(2 / 3, abs=1e-12)
-        assert score.p_pos > score.p_neg
-        assert score.label == "neutral"  # argmax rule; p_neu dominates here
+        p_pos, p_neg, p_neu = score_text(LEXICON, "growth growth crash")
+        assert p_pos == pytest.approx(1 / 3, abs=1e-12)
+        assert p_neg == 0.0
+        assert p_neu == pytest.approx(2 / 3, abs=1e-12)
+        assert p_pos > p_neg
+        assert label_of((p_pos, p_neg, p_neu)) == "neutral"  # argmax rule; p_neu dominates here
 
     def test_zero_hits_is_neutral(self):
-        score = score_tweet(LEXICON, "nothing to see here")
-        assert (score.p_pos, score.p_neg, score.p_neu) == (0.0, 0.0, 1.0)
-        assert score.label == "neutral"
+        score = score_text(LEXICON, "nothing to see here")
+        assert score == (0.0, 0.0, 1.0)
+        assert label_of(score) == "neutral"
 
     def test_single_negative_hit(self):
-        score = score_tweet(LEXICON, "crash")
-        assert (score.p_pos, score.p_neg, score.p_neu) == (0.0, 1.0, 0.0)
-        assert score.label == "negative"
+        score = score_text(LEXICON, "crash")
+        assert score == (0.0, 1.0, 0.0)
+        assert label_of(score) == "negative"
 
     def test_empty_text_is_neutral(self):
-        assert score_tweet(LEXICON, "").label == "neutral"
+        assert label_of(score_text(LEXICON, "")) == "neutral"
 
     def test_deterministic(self):
         for text in ("growth crash growth", "crash crash", "hello"):
-            a = score_tweet(LEXICON, text)
-            b = score_tweet(LEXICON, text)
+            a = score_text(LEXICON, text)
+            b = score_text(LEXICON, text)
             assert a == b
 
     def test_appending_positive_word_never_decreases_p_pos(self):
@@ -107,14 +144,14 @@ class TestScoreTweet:
         words = ["growth", "crash", "flat", "open", "close"]
         for _ in range(300):
             text = " ".join(rng.choice(words, size=rng.integers(1, 12)))
-            before = score_tweet(LEXICON, text).p_pos
-            after = score_tweet(LEXICON, text + " growth").p_pos
+            before = score_text(LEXICON, text)[0]
+            after = score_text(LEXICON, text + " growth")[0]
             assert after >= before - 1e-15
 
     def test_precomputed_kind_unavailable_per_text(self):
         config = ScorerConfig(kind="precomputed", source="whatever.csv")
         with pytest.raises(ScorerUnavailableError):
-            score_tweet(config, "growth")
+            score_texts(config, ["growth"])
 
 
 class TestLexiconScores:
@@ -128,20 +165,19 @@ class TestLexiconScores:
             for _ in range(300):
                 texts = [" ".join(rng.choice(words, size=rng.integers(0, 12)))
                          for _ in range(rng.integers(0, 9))]
-                assert _lexicon_scores(config, texts).tobytes() == reference_scores(config, texts).tobytes()
+                assert score_texts(config, texts).tobytes() == reference_scores(config, texts).tobytes()
 
     def test_empty_texts_and_signed_zeros(self):
         texts = ["", "   ", "flat", "up down", "wild", "down", "up", ""]
-        got = _lexicon_scores(self.OVERLAP, texts)
+        got = score_texts(self.OVERLAP, texts)
         assert got.shape == (8, 3)
         assert got.tobytes() == reference_scores(self.OVERLAP, texts).tobytes()
         assert not np.signbit(got).any()
-        assert _lexicon_scores(self.OVERLAP, []).shape == (0, 3)
+        assert score_texts(self.OVERLAP, []).shape == (0, 3)
 
     def test_score_tweet_uses_the_same_formula(self):
         for text in ("growth growth crash", "", "crash", "flat"):
-            score = score_tweet(LEXICON, text)
-            assert (score.p_pos, score.p_neg, score.p_neu) == reference_lexicon_probabilities(LEXICON, text)
+            assert score_text(LEXICON, text) == reference_lexicon_probabilities(LEXICON, text)
 
 
 class TestScoreCorpus:
@@ -181,9 +217,9 @@ class TestScoreCorpus:
                               ("2", "2023-01-03", "crash crash flat")])
         table = score_corpus(LEXICON, corpus, list(VARIANTS))
         for score in entries(table).values():
-            assert abs(score.p_pos + score.p_neg + score.p_neu - 1.0) <= 1e-6
-            probs = {"positive": score.p_pos, "negative": score.p_neg, "neutral": score.p_neu}
-            assert probs[score.label] == max(probs.values())
+            assert abs(sum(score) - 1.0) <= 1e-6
+            probs = dict(zip(LABELS, score))
+            assert probs[label_of(score)] == max(probs.values())
 
 
 class TestPrecomputedScores:
@@ -198,13 +234,13 @@ class TestPrecomputedScores:
         corpus = make_corpus([("7", "2023-01-02", "x")])
         path = self.write_scores(tmp_path, [("7", "cleaned_prosus", 0.9, 0.05, 0.05)])
         table = load_precomputed_scores(path, corpus)
-        assert table.get("7", "cleaned_prosus").label == "positive"
+        assert label_of(table.probabilities("cleaned_prosus")[0]) == "positive"
 
     def test_small_deviation_renormalized(self, tmp_path):
         corpus = make_corpus([("1", "2023-01-02", "x")])
         path = self.write_scores(tmp_path, [("1", "cleaned_prosus", 0.5, 0.3, 0.2005)])
-        score = load_precomputed_scores(path, corpus).get("1", "cleaned_prosus")
-        assert abs(score.p_pos + score.p_neg + score.p_neu - 1.0) <= 1e-9
+        score = load_precomputed_scores(path, corpus).probabilities("cleaned_prosus")[0].tolist()
+        assert abs(score[0] + score[1] + score[2] - 1.0) <= 1e-9
 
     def test_large_deviation_rejected(self, tmp_path):
         corpus = make_corpus([("1", "2023-01-02", "x")])
@@ -233,8 +269,7 @@ class TestPrecomputedScores:
         table = score_corpus(config, corpus, list(VARIANTS))
         assert len(entries(table)) == 4
         for variant in VARIANTS:
-            score = table.get("1", variant)
-            assert (score.p_pos, score.p_neg, score.p_neu) == (0.25, 0.3125, 0.4375)
+            assert entries(table)["1", variant] == (0.25, 0.3125, 0.4375)
 
     def test_incomplete_precomputed_table(self, tmp_path):
         corpus = make_corpus([("1", "2023-01-02", "x"), ("2", "2023-01-03", "y")])
@@ -247,7 +282,7 @@ class TestPrecomputedScores:
         corpus = make_corpus([("1", "2023-01-02", "growth"), ("2", "2023-01-03", "crash")])
         table = score_corpus(LEXICON, corpus, ["cleaned_prosus"])
         path = tmp_path / "out.csv"
-        write_scores_csv(table, corpus, path)
+        write_scores_csv(table, path)
         reloaded = load_precomputed_scores(path, corpus)
         assert entries(reloaded) == entries(table)
 
@@ -269,7 +304,7 @@ class TestMergedCorpusScores:
         path = self.write_scores(tmp_path, ["0:1", "a", "1:1", "b"])
         config = ScorerConfig(kind="precomputed", source=path)
         table = score_corpus(config, corpus, ["cleaned_prosus"])
-        by_id = {tweet_id: table.get(tweet_id, "cleaned_prosus").p_pos for tweet_id in table.tweet_ids}
+        by_id = dict(zip(table.tweet_ids, table.probabilities("cleaned_prosus")[:, 0].tolist()))
         assert by_id == pytest.approx({"0:1": 0.0, "0:a": 0.1, "1:1": 0.2, "1:b": 0.3})
 
     def test_id_of_two_files_is_ambiguous(self, tmp_path):
