@@ -16,7 +16,7 @@ import json
 import logging
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from datetime import date
 from pathlib import Path
 from typing import NamedTuple
@@ -44,6 +44,8 @@ CONFIG_VERSION = 1
 SUMMARY_COLUMNS = ("scrip", "variant", "lookback", "val_score", "r2", "rmse", "mae", "T", "acc", "units")
 DEFAULT_LOOKBACKS = (5, 10, 20, 30, 60, 90)
 _INT_FIELDS = ("memory_days", "hidden_units", "epochs", "batch_size", "patience", "max_lag", "seed")
+_FLOAT_FIELDS = ("split_ratio", "validation_split", "learning_rate")
+_NAME_FIELDS = ("stock_file", "scores_file", "output_dir", "scrip")
 
 
 @dataclass
@@ -82,6 +84,12 @@ class ExperimentConfig:
         for name in _INT_FIELDS:
             if type(getattr(self, name)) is not int:
                 raise ConfigError(f"{name} must be an integer, not {getattr(self, name)!r}")
+        for name in _FLOAT_FIELDS:  # an int is a number; a bool is not
+            if type(getattr(self, name)) not in (int, float):
+                raise ConfigError(f"{name} must be a number, not {getattr(self, name)!r}")
+        for name in _NAME_FIELDS:
+            if type(getattr(self, name)) not in (str, type(None)):
+                raise ConfigError(f"{name} must be a string, not {getattr(self, name)!r}")
         if type(self.with_sentiment) is not bool:
             raise ConfigError(f"with_sentiment must be true or false, not {self.with_sentiment!r}")
         if type(self.tweet_files) is not list or any(type(f) is not str for f in self.tweet_files):
@@ -246,10 +254,13 @@ def merge_corpora(corpora: list[TweetCorpus]) -> TweetCorpus:
     """Concatenate corpora; with several sources, ids get a source prefix."""
     if len(corpora) == 1:
         return corpora[0]
-    tweets = [replace(tweet, id=f"{index}:{tweet.id}")
-              for index, corpus in enumerate(corpora) for tweet in corpus]
-    tweets.sort(key=lambda t: t.date)
-    return TweetCorpus(tweets=tweets, sources=len(corpora))
+    def joined(column: str) -> list:
+        return [value for corpus in corpora for value in getattr(corpus, column)]
+
+    ids = [f"{index}:{tweet_id}" for index, corpus in enumerate(corpora) for tweet_id in corpus.ids]
+    return TweetCorpus.by_date(ids, np.concatenate([corpus.ordinals for corpus in corpora]),
+                               joined("raw_texts"), joined("cleaned_texts"), joined("pos_texts"),
+                               sources=len(corpora))
 
 
 def load_stock(cfg: ExperimentConfig) -> StockSeries:

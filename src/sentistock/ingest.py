@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,8 @@ _MENTION_RE = re.compile(r"@\w+")
 _NON_ALNUM_RE = re.compile(r"[^a-z0-9 \n]")
 _DAY_RE = re.compile(r"\d{4}-\d\d-\d\d", re.ASCII)
 _TIMESTAMP_RE = re.compile(r"(\d{4}-\d\d-\d\d[T ]\d\d:\d\d(?::\d\d)?)(?:\.\d+)?(Z|[+-]\d\d:\d\d)?", re.ASCII)
+
+_decode = json.JSONDecoder().raw_decode
 
 
 @dataclass
@@ -67,8 +70,9 @@ class StockSeries:
             raise ValueError("negative or non-finite volume")
 
 
-@dataclass
-class Tweet:
+class Tweet(NamedTuple):
+    """One row of a TweetCorpus."""
+
     id: str
     date: date
     raw_text: str
@@ -78,20 +82,36 @@ class Tweet:
 
 @dataclass
 class TweetCorpus:
-    """Tweets sorted by date ascending with unique ids.
+    """Tweets as columns, sorted by date ascending with unique ids.
 
-    ``sources`` counts the tweet files merged into the corpus; with more
-    than one, each id is ``<file index>:<id in its file>``.
+    ``ordinals`` holds each tweet's ``date.toordinal()``; iterating yields
+    Tweet rows. ``sources`` counts the tweet files merged into the corpus;
+    with more than one, each id is ``<file index>:<id in its file>``.
     """
 
-    tweets: list[Tweet]
+    ids: list[str]
+    ordinals: np.ndarray
+    raw_texts: list[str]
+    cleaned_texts: list[str]
+    pos_texts: list[str | None]
     sources: int = 1
 
-    def __len__(self) -> int:
-        return len(self.tweets)
+    @classmethod
+    def by_date(cls, ids, ordinals, raw_texts, cleaned_texts, pos_texts, sources: int = 1) -> TweetCorpus:
+        """The corpus of these columns in date order; tweets of one day keep theirs."""
+        ordinals = np.asarray(ordinals, dtype=np.int64)
+        order = np.argsort(ordinals, kind="stable")
+        take = order.tolist()
+        ids, raw_texts, cleaned_texts, pos_texts = ([column[i] for i in take] for column in (
+            ids, raw_texts, cleaned_texts, pos_texts))
+        return cls(ids, ordinals[order], raw_texts, cleaned_texts, pos_texts, sources)
 
-    def __iter__(self):
-        return iter(self.tweets)
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[Tweet]:
+        days = map(date.fromordinal, self.ordinals.tolist())
+        return map(Tweet, self.ids, days, self.raw_texts, self.cleaned_texts, self.pos_texts)
 
 
 def clean_tweets(raws: list[str]) -> list[str]:
@@ -178,17 +198,9 @@ def write_stock_csv(series: StockSeries, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("Date",) + STOCK_COLUMNS)
+        columns = [getattr(series, name.lower()) for name in STOCK_COLUMNS]
         for i, d in enumerate(series.dates):
-            writer.writerow(
-                [
-                    d.isoformat(),
-                    repr(float(series.open[i])),
-                    repr(float(series.high[i])),
-                    repr(float(series.low[i])),
-                    repr(float(series.close[i])),
-                    repr(float(series.volume[i])),
-                ]
-            )
+            writer.writerow([d.isoformat()] + [repr(float(column[i])) for column in columns])
 
 
 def parse_tweet_date(text: str) -> date:
@@ -215,19 +227,29 @@ def load_tweets(path: str | Path) -> TweetCorpus:
 
     Each line needs ``date`` (ISO day or timestamp, see parse_tweet_date) and
     ``text``; ``id`` and ``pos_text`` are optional. Missing ids are assigned
-    sequentially in file order. Raises UnparseableRecordError or
+    sequentially in file order. Lines are checked in file order, so the
+    first bad one is reported. Raises UnparseableRecordError or
     EmptyCorpusError.
     """
-    tweets = []
+    rows = []
     seen_ids = set()
+    day_ordinals: dict[str, int] = {}
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+            text = line.strip(" \t\n\r")  # JSON's whitespace, which json.loads skips
             try:
-                record = json.loads(line)
+                try:
+                    record, end = _decode(text)
+                except json.JSONDecodeError:
+                    end = -1
+                if end != len(text):  # json.loads names the error, or the line is blank
+                    if not line.strip():
+                        continue
+                    record = json.loads(line)
                 raw = record["text"]
-                d = parse_tweet_date(str(record["date"]))
+                day = str(record["date"])
+                if day not in day_ordinals:
+                    day_ordinals[day] = parse_tweet_date(day).toordinal()
             except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
                 raise UnparseableRecordError(line_no, str(exc)) from exc
             pos_text = record.get("pos_text")
@@ -236,16 +258,13 @@ def load_tweets(path: str | Path) -> TweetCorpus:
             if not isinstance(pos_text, (str, type(None))):
                 raise UnparseableRecordError(
                     line_no, f"pos_text is a {type(pos_text).__name__}, not a string")
-            tweet_id = str(record.get("id", len(tweets)))
+            tweet_id = str(record.get("id", len(rows)))
             if tweet_id in seen_ids:
                 raise UnparseableRecordError(line_no, f"duplicate id {tweet_id!r}")
             seen_ids.add(tweet_id)
-            tweets.append(Tweet(id=tweet_id, date=d, raw_text=raw, cleaned_text="",
-                                pos_tagged_text=pos_text))
-    if not tweets:
+            rows.append((tweet_id, day_ordinals[day], raw, pos_text))
+    if not rows:
         raise EmptyCorpusError(f"no tweet records in {path}")
+    ids, ordinals, raws, pos_texts = zip(*rows)
     # Cleaned as one batch once every record has parsed.
-    for tweet, cleaned in zip(tweets, clean_tweets([tweet.raw_text for tweet in tweets])):
-        tweet.cleaned_text = cleaned
-    tweets.sort(key=lambda t: t.date)
-    return TweetCorpus(tweets=tweets)
+    return TweetCorpus.by_date(ids, ordinals, raws, clean_tweets(raws), pos_texts)

@@ -11,16 +11,17 @@ import csv
 import math
 from dataclasses import dataclass
 from datetime import date
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CalendarMismatchError, MissingScoreError, UnknownColumnError, UnparseableRowError
-from .ingest import StockSeries, TweetCorpus, parse_day
+from .ingest import STOCK_COLUMNS, StockSeries, TweetCorpus, parse_day
 from .sentiment import ScoreTable, labels
 
 SENTIMENT_COLUMNS = ("sent_pos", "sent_neg", "sent_neu")
-MASTER_COLUMNS = ("Open", "High", "Low", "Close", "Volume") + SENTIMENT_COLUMNS
+MASTER_COLUMNS = STOCK_COLUMNS + SENTIMENT_COLUMNS
 
 
 @dataclass
@@ -102,10 +103,6 @@ def class_contributions(probabilities: np.ndarray) -> np.ndarray:
     return contributions
 
 
-def _ordinals(days) -> np.ndarray:
-    return np.fromiter((d.toordinal() for d in days), dtype=np.int64)
-
-
 def daily_aggregate(
     table: ScoreTable,
     variant: str,
@@ -120,10 +117,10 @@ def daily_aggregate(
     tweets stay 0. Each day's contributions are summed in corpus order.
     """
     probabilities = table.probabilities(variant)
-    if table.tweet_ids != [tweet.id for tweet in corpus]:
+    if table.tweet_ids != corpus.ids:
         raise MissingScoreError(f"the score table's tweets are not the corpus's, variant {variant!r}")
     n = len(calendar)
-    day = np.searchsorted(_ordinals(calendar), _ordinals(tweet.date for tweet in corpus))
+    day = np.searchsorted(np.fromiter(map(date.toordinal, calendar), np.int64, n), corpus.ordinals)
     kept = day < n
     day = day[kept]
     contributions = class_contributions(probabilities[kept])
@@ -132,12 +129,7 @@ def daily_aggregate(
     occupied = counts > 0
     channels = np.zeros_like(sums)
     channels[:, occupied] = sums[:, occupied] / counts[occupied]
-    return DailySentimentSeries(
-        calendar=list(calendar),
-        positive=channels[0],
-        negative=channels[1],
-        neutral=channels[2],
-    )
+    return DailySentimentSeries(list(calendar), *channels)
 
 
 def memory_weighted_map(daily: DailySentimentSeries, kernel: MemoryKernel) -> DailySentimentSeries:
@@ -159,12 +151,8 @@ def memory_weighted_map(daily: DailySentimentSeries, kernel: MemoryKernel) -> Da
             out[1:] = np.convolve(raw, weights)[: n - 1] / denom
         return out
 
-    return DailySentimentSeries(
-        calendar=list(daily.calendar),
-        positive=smooth(daily.positive),
-        negative=smooth(daily.negative),
-        neutral=smooth(daily.neutral),
-    )
+    return DailySentimentSeries(list(daily.calendar),
+                                *map(smooth, (daily.positive, daily.negative, daily.neutral)))
 
 
 def join_with_stock(mapped: DailySentimentSeries, series: StockSeries) -> MasterDataset:
@@ -172,9 +160,7 @@ def join_with_stock(mapped: DailySentimentSeries, series: StockSeries) -> Master
 
     Calendars must match exactly; the first differing date is reported.
     """
-    for i in range(max(len(mapped.calendar), len(series.calendar))):
-        a = mapped.calendar[i] if i < len(mapped.calendar) else None
-        b = series.calendar[i] if i < len(series.calendar) else None
+    for a, b in zip_longest(mapped.calendar, series.calendar):
         if a != b:
             raise CalendarMismatchError(a if a is not None else b)
     master = stock_only_master(series)
@@ -185,13 +171,7 @@ def join_with_stock(mapped: DailySentimentSeries, series: StockSeries) -> Master
 
 def stock_only_master(series: StockSeries) -> MasterDataset:
     """Master dataset with stock columns only (the no-sentiment pipeline)."""
-    columns = {
-        "Open": series.open.copy(),
-        "High": series.high.copy(),
-        "Low": series.low.copy(),
-        "Close": series.close.copy(),
-        "Volume": series.volume.copy(),
-    }
+    columns = {name: getattr(series, name.lower()).copy() for name in STOCK_COLUMNS}
     return MasterDataset(calendar=list(series.calendar), columns=columns, target_column="Close")
 
 

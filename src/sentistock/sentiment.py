@@ -27,8 +27,10 @@ from .ingest import TweetCorpus
 # Canonical scoring variants, in the order used for result-table features 1-4.
 VARIANTS = ("cleaned_prosus", "cleaned_yiyanghkust", "pos_prosus", "pos_yiyanghkust")
 
-# The Tweet attribute each variant scores; variants reading the same one share scores.
-TEXT_FORMS = dict(zip(VARIANTS, ("cleaned_text",) * 2 + ("pos_tagged_text",) * 2))
+# The TweetCorpus column each variant scores; variants reading the same one share scores.
+TEXT_FORMS = dict(zip(VARIANTS, ("cleaned_texts",) * 2 + ("pos_texts",) * 2))
+# Texts tokenised at once, which bounds the tokens held in memory.
+_TOKEN_BLOCK = 1024
 
 DEFAULT_POSITIVE_WORDS = frozenset(
     """
@@ -117,15 +119,14 @@ def score_texts(config: ScorerConfig, texts: list[str]) -> np.ndarray:
             "looked up by tweet id via load_precomputed_scores"
         )
     n_tokens = np.fromiter(map(len, map(str.split, texts)), dtype=np.int64, count=len(texts))
-    owner = np.repeat(np.arange(len(texts)), n_tokens)
-    tokens = " ".join(texts).split()
-
-    def hits(words: frozenset[str]) -> np.ndarray:
-        mask = np.fromiter(map(words.__contains__, tokens), dtype=bool, count=len(tokens))
-        return np.bincount(owner[mask], minlength=len(texts))
-
-    c_pos = hits(config.positive_words)
-    c_neg = hits(config.negative_words)
+    c_pos, c_neg = counts = np.zeros((2, len(texts)), dtype=np.int64)
+    for start in range(0, len(texts), _TOKEN_BLOCK):
+        block = texts[start:start + _TOKEN_BLOCK]
+        owner = np.repeat(np.arange(len(block)), n_tokens[start:start + len(block)])
+        tokens = " ".join(block).split()
+        for hits, words in zip(counts, (config.positive_words, config.negative_words)):
+            mask = np.fromiter(map(words.__contains__, tokens), dtype=bool, count=len(tokens))
+            hits[start:start + len(block)] = np.bincount(owner[mask], minlength=len(block))
     total = c_pos + c_neg
     u = (c_pos - c_neg) / np.maximum(1, total)
     # An empty text has no hits, so s is 0 and the text scores neutral.
@@ -139,10 +140,9 @@ def score_texts(config: ScorerConfig, texts: list[str]) -> np.ndarray:
 def _score_text_form(config: ScorerConfig, corpus: TweetCorpus, form: str) -> np.ndarray | str:
     """Lexicon probabilities of one text form of every tweet, or the id of
     the first tweet that lacks that form."""
-    texts = [getattr(tweet, form) for tweet in corpus]
-    for tweet, text in zip(corpus, texts):
-        if text is None:
-            return tweet.id
+    texts = getattr(corpus, form)
+    if None in texts:
+        return corpus.ids[texts.index(None)]
     return score_texts(config, texts)
 
 
@@ -158,7 +158,7 @@ def score_corpus(
     MissingVariantTextError if a tweet lacks its text form,
     ScorerUnavailableError if the precomputed scores miss a tweet.
     """
-    table = ScoreTable(tweet_ids=[tweet.id for tweet in corpus])
+    table = ScoreTable(tweet_ids=corpus.ids)
     loaded = load_precomputed_scores(config.source, corpus) if config.kind == "precomputed" else None
     by_form: dict[str, np.ndarray | str] = {}
     for variant in variants:
@@ -188,8 +188,8 @@ def load_precomputed_scores(path: str | Path, corpus: TweetCorpus) -> ScoreTable
     """
     rows: dict[str, int] = {}
     ambiguous: set[str] = set()
-    for row, tweet in enumerate(corpus):
-        for key in (tweet.id, tweet.id.partition(":")[2]) if corpus.sources > 1 else (tweet.id,):
+    for row, tweet_id in enumerate(corpus.ids):
+        for key in (tweet_id, tweet_id.partition(":")[2]) if corpus.sources > 1 else (tweet_id,):
             if rows.setdefault(key, row) != row:
                 ambiguous.add(key)
     arrays = {variant: np.full((len(corpus), 3), np.nan) for variant in VARIANTS}
@@ -212,7 +212,7 @@ def load_precomputed_scores(path: str | Path, corpus: TweetCorpus) -> ScoreTable
                     f"probabilities {p} are not a distribution"
                 )
             arrays[variant][rows[tweet_id]] = [v / total for v in p]
-    table = ScoreTable(tweet_ids=[tweet.id for tweet in corpus])
+    table = ScoreTable(tweet_ids=corpus.ids)
     for variant, probabilities in arrays.items():
         missing = np.flatnonzero(np.isnan(probabilities[:, 0]))
         table.scores[variant] = probabilities if missing.size == 0 else ScorerUnavailableError(

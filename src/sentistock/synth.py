@@ -11,7 +11,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .ingest import StockSeries, Tweet, TweetCorpus, clean_tweets
+from .ingest import StockSeries, TweetCorpus, clean_tweets
 from .mapping import MasterDataset
 
 _WEEKDAY_FRIDAY = 4
@@ -122,14 +122,10 @@ _SAMPLE_PHRASES = (
 def random_tweets(calendar: list[date], per_day: float = 1.5, seed: int = 0) -> TweetCorpus:
     """A corpus of template tweets scattered over (and between) trading days."""
     rng = np.random.default_rng(seed)
-    drawn = []
+    raws, ordinals = [], []
     for day in calendar:
         for _ in range(rng.poisson(per_day)):
-            raw = str(rng.choice(_SAMPLE_PHRASES))
-            offset = int(rng.integers(0, 2))  # some tweets land on weekends
-            drawn.append((day - timedelta(days=offset), raw))
-    cleaned = clean_tweets([raw for _, raw in drawn])
-    tweets = [Tweet(id=str(i), date=tweet_date, raw_text=raw, cleaned_text=text, pos_tagged_text=raw)
-              for i, ((tweet_date, raw), text) in enumerate(zip(drawn, cleaned))]
-    tweets.sort(key=lambda t: t.date)
-    return TweetCorpus(tweets=tweets)
+            raws.append(str(rng.choice(_SAMPLE_PHRASES)))
+            ordinals.append(day.toordinal() - int(rng.integers(0, 2)))  # some tweets land on weekends
+    ids = [str(i) for i in range(len(raws))]
+    return TweetCorpus.by_date(ids, ordinals, raws, clean_tweets(raws), raws)

@@ -36,6 +36,12 @@ def tweets_jsonl(tmp_path):
     return path
 
 
+def corpus_of(tweets):
+    """A TweetCorpus whose columns hold these Tweet rows, in the given order."""
+    ids, days, raws, cleaned, pos = (list(column) for column in zip(*tweets)) if tweets else ([],) * 5
+    return TweetCorpus(ids, np.array([d.toordinal() for d in days], dtype=np.int64), raws, cleaned, pos)
+
+
 def make_corpus(entries):
     """entries: list of (id, iso_date, cleaned_text); raw == cleaned for simplicity."""
     tweets = [
@@ -43,7 +49,7 @@ def make_corpus(entries):
         for i, d, t in entries
     ]
     tweets.sort(key=lambda t: t.date)
-    return TweetCorpus(tweets=tweets)
+    return corpus_of(tweets)
 
 
 def make_master(close, extra_columns=None, start=date(2023, 1, 2)):

@@ -452,11 +452,22 @@ class TestConfigFile:
         pytest.param({"with_sentiment": "false"}, id="with_sentiment-str"),
         pytest.param({"tweet_files": "t.jsonl"}, id="tweet_files-str"),
         pytest.param({"tweet_files": ["t.jsonl", 3]}, id="tweet_files-item"),
+        pytest.param({"split_ratio": "0.8"}, id="split_ratio-str"),
+        pytest.param({"validation_split": False}, id="validation_split-bool"),
+        pytest.param({"learning_rate": True}, id="learning_rate-bool"),
+        pytest.param({"stock_file": 5}, id="stock_file-int"),
+        pytest.param({"scores_file": 7}, id="scores_file-int"),
+        pytest.param({"output_dir": 1}, id="output_dir-int"),
+        pytest.param({"scrip": 3}, id="scrip-int"),
     ])
     def test_invalid_values_rejected(self, bad):
         for with_sentiment in (True, False):
             with pytest.raises(ConfigError):
                 ExperimentConfig(**{"with_sentiment": with_sentiment, **bad})
+
+    def test_int_accepted_for_float_fields(self):
+        cfg = ExperimentConfig(learning_rate=1, validation_split=0, scrip="S")
+        assert cfg.training.learning_rate == 1 and cfg.training.validation_split == 0
 
 
 class TestRunMasterUnits:

@@ -12,7 +12,16 @@ from sentistock.errors import (
     UnparseableRecordError,
     UnparseableRowError,
 )
-from sentistock.ingest import clean_tweet, clean_tweets, load_stock_csv, load_tweets, write_stock_csv
+from sentistock.harness import merge_corpora
+from sentistock.ingest import (
+    Tweet,
+    clean_tweet,
+    clean_tweets,
+    load_stock_csv,
+    load_tweets,
+    parse_tweet_date,
+    write_stock_csv,
+)
 
 
 def reference_clean_tweet(raw):
@@ -23,6 +32,54 @@ def reference_clean_tweet(raw):
     text = re.sub(r"\s+", " ", text)
     text = re.sub(r"[^a-z0-9 ]", "", text)
     return re.sub(r"\s+", " ", text).strip()
+
+
+def reference_load_tweets(path):
+    """The per-line loader: one json.loads and one Tweet row per line, each
+    text cleaned alone, rows sorted by date at the end."""
+    tweets = []
+    seen_ids = set()
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+                raw = record["text"]
+                d = parse_tweet_date(str(record["date"]))
+            except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+                raise UnparseableRecordError(line_no, str(exc)) from exc
+            pos_text = record.get("pos_text")
+            if not isinstance(raw, str):
+                raise UnparseableRecordError(line_no, f"text is a {type(raw).__name__}, not a string")
+            if not isinstance(pos_text, (str, type(None))):
+                raise UnparseableRecordError(
+                    line_no, f"pos_text is a {type(pos_text).__name__}, not a string")
+            tweet_id = str(record.get("id", len(tweets)))
+            if tweet_id in seen_ids:
+                raise UnparseableRecordError(line_no, f"duplicate id {tweet_id!r}")
+            seen_ids.add(tweet_id)
+            tweets.append(Tweet(tweet_id, d, raw, reference_clean_tweet(raw), pos_text))
+    if not tweets:
+        raise EmptyCorpusError(f"no tweet records in {path}")
+    tweets.sort(key=lambda t: t.date)
+    return tweets
+
+
+def reference_merge(files):
+    """The rows of several files, ids prefixed with the file index, sorted by date."""
+    tweets = [tweet._replace(id=f"{index}:{tweet.id}")
+              for index, path in enumerate(files) for tweet in reference_load_tweets(path)]
+    tweets.sort(key=lambda t: t.date)
+    return tweets
+
+
+def loader_outcome(loader, path):
+    """What a loader does with a file: its rows, or its error's type, line and text."""
+    try:
+        return list(loader(path))
+    except (UnparseableRecordError, EmptyCorpusError) as exc:
+        return type(exc), getattr(exc, "line_number", None), str(exc)
 
 
 class TestCleanTweet:
@@ -223,14 +280,14 @@ class TestLoadTweets:
         )
         corpus = load_tweets(path)
         assert [t.id for t in corpus] == ["0", "1"]
-        assert corpus.tweets[0].pos_tagged_text == "a_DT"
-        assert corpus.tweets[1].pos_tagged_text is None
+        assert [t.pos_tagged_text for t in corpus] == ["a_DT", None]
 
     def test_invariants_hold_after_load(self, tweets_jsonl):
         corpus = load_tweets(tweets_jsonl)
         ids = [t.id for t in corpus]
         assert len(set(ids)) == len(ids)
-        for prev, cur in zip(corpus.tweets, corpus.tweets[1:]):
+        rows = list(corpus)
+        for prev, cur in zip(rows, rows[1:]):
             assert prev.date <= cur.date
         for tweet in corpus:
             cleaned = tweet.cleaned_text
@@ -276,7 +333,7 @@ class TestTimestampedDates:
     def test_utc_calendar_day(self, tmp_path, stamp, day):
         path = tmp_path / "t.jsonl"
         path.write_text(json.dumps({"date": stamp, "text": "a"}) + "\n")
-        assert load_tweets(path).tweets[0].date == date.fromisoformat(day)
+        assert [t.date for t in load_tweets(path)] == [date.fromisoformat(day)]
 
     @pytest.mark.parametrize("stamp", ["2020-01-02T25:00:00Z", "2020-01-02T10:11:12+0530",
                                        "2020-01-02T10", "2020-01-02Z", "20200102", "2020-W01-3"])
@@ -287,3 +344,109 @@ class TestTimestampedDates:
         with pytest.raises(UnparseableRecordError) as exc:
             load_tweets(path)
         assert exc.value.line_number == 2
+
+
+class TestLoaderMatchesPerLineOracle:
+    DATES = ["2020-01-02", "2020-01-03", "2020-01-04", "2019-12-31", "2020-01-02T23:30:00-05:00",
+             "2020-01-03 00:10", "2020-01-02T10:00:00Z", "2020-01-05T01:00:00+05:30"]
+    PIECES = ["growth", "crash", " ", "\t", "\n", "#Up", "@who", "https://x.co/a", "\u00e9", "\u3000",
+              "\u0130", "\ufeff", "\"", "\\", "{", "}", "[", "]", ","]
+    # Blank lines in the loader's sense: nothing but whitespace, JSON's or not.
+    BLANKS = ["", " ", "\t", "\xa0", "\u3000 ", "\x0c", "\r"]
+
+    def random_lines(self, rng, n):
+        lines = []
+        for i in range(n):
+            record = {"date": str(rng.choice(self.DATES)),
+                      "text": "".join(rng.choice(self.PIECES, size=rng.integers(0, 8)))}
+            if rng.random() < 0.5:
+                record["id"] = f"x{i}"
+            if rng.random() < 0.7:
+                record["pos_text"] = record["text"].upper() if rng.random() < 0.8 else None
+            text = json.dumps(record, ensure_ascii=bool(rng.random() < 0.5))
+            lines.append(str(rng.choice(["", " ", "\t", " \t "])) + text + str(rng.choice(["", " ", "\r"])))
+            if rng.random() < 0.1:
+                lines.append(str(rng.choice(self.BLANKS)))
+        return lines
+
+    def write(self, path, lines, newline="\n"):
+        path.write_bytes(newline.join(lines).encode() + (newline.encode() if lines else b""))
+        return path
+
+    def test_random_corpora(self, tmp_path):
+        rng = np.random.default_rng(21)
+        for case in range(150):
+            path = self.write(tmp_path / "t.jsonl", self.random_lines(rng, int(rng.integers(0, 60))))
+            want = loader_outcome(reference_load_tweets, path)
+            assert loader_outcome(load_tweets, path) == want, f"case {case}"
+            if isinstance(want, list):
+                corpus = load_tweets(path)
+                assert corpus.ordinals.dtype == np.int64
+                assert corpus.ordinals.tolist() == [t.date.toordinal() for t in want]
+
+    def test_merged_corpora(self, tmp_path):
+        rng = np.random.default_rng(22)
+        for case in range(40):
+            files = [self.write(tmp_path / f"t{k}.jsonl", self.random_lines(rng, int(rng.integers(1, 40))))
+                     for k in range(int(rng.integers(2, 4)))]
+            merged = merge_corpora([load_tweets(path) for path in files])
+            assert merged.sources == len(files)
+            assert list(merged) == reference_merge(files), f"case {case}"
+
+    def test_random_corruption_reported_alike(self, tmp_path):
+        rng = np.random.default_rng(23)
+        corruptions = ['{"date": "2020-01-02", "text": "a"', '{"date": "2020-01-02", "text": "a"} x',
+                       '{"date": "2020-13-02", "text": "a"}', '{"date": "2020-01-02"}', '[1, 2]',
+                       '{"date": "2020-01-02", "text": 3}', '{"id": "x0", "date": "2020-01-02", "text": "a"}',
+                       '\ufeff{"date": "2020-01-02", "text": "a"}', '\xa0{"date": "2020-01-02", "text": "a"}',
+                       '{"a": [{}', '{}]}', '{"b": 1}, {"c": 2}']
+        for case in range(150):
+            lines = self.random_lines(rng, int(rng.integers(1, 30)))
+            for _ in range(int(rng.integers(1, 3))):
+                lines.insert(int(rng.integers(0, len(lines) + 1)), str(rng.choice(corruptions)))
+            path = self.write(tmp_path / "t.jsonl", lines, newline=str(rng.choice(["\n", "\r\n"])))
+            assert loader_outcome(load_tweets, path) == loader_outcome(reference_load_tweets, path), \
+                f"case {case}"
+
+    GOOD = '{"id": "g", "date": "2020-01-02", "text": "growth"}'
+
+    @pytest.mark.parametrize("lines, error, line_number", [
+        pytest.param(['{"date": "2020-01-02", "text": "a"}', "", '{"date": "2020-01-02", "text": '],
+                     UnparseableRecordError, 3, id="bad-json"),
+        pytest.param([GOOD, '{"date": "2020-01-02", "text": "a"} {"x": 1}'], UnparseableRecordError, 2,
+                     id="trailing-data"),
+        pytest.param([GOOD, '{"date": "2020-01-03", "text": "a"}, {"date": "2020-01-03", "text": "b"}'],
+                     UnparseableRecordError, 2, id="two-objects-on-a-line"),
+        pytest.param([GOOD, '{"a": [{}', '{}]}'], UnparseableRecordError, 2, id="object-split-over-lines"),
+        pytest.param([GOOD, '\ufeff{"date": "2020-01-02", "text": "a"}'], UnparseableRecordError, 2,
+                     id="bom"),
+        pytest.param([GOOD, '\xa0{"date": "2020-01-02", "text": "a"}'], UnparseableRecordError, 2,
+                     id="no-break-space"),
+        pytest.param([GOOD, '{"date": "2020-01-02"}'], UnparseableRecordError, 2, id="missing-text"),
+        pytest.param([GOOD, '{"text": "a"}'], UnparseableRecordError, 2, id="missing-date"),
+        pytest.param([GOOD, '{"date": "2020-01-02", "text": ["a"]}'], UnparseableRecordError, 2,
+                     id="non-string-text"),
+        pytest.param([GOOD, '{"date": "2020-01-02", "text": "a", "id": "g"}'], UnparseableRecordError, 2,
+                     id="duplicate-id"),
+        pytest.param([GOOD, '{"date": "2020-02-30", "text": "a"}', '{"date": '], UnparseableRecordError, 2,
+                     id="bad-date-before-bad-json"),
+        pytest.param([GOOD + "\r", '{"date": "2020-01-02", "text": "a"}\r', "{\r"], UnparseableRecordError, 3,
+                     id="crlf"),
+        pytest.param(["", " \t ", "\xa0", "\u3000", "\x0c"], EmptyCorpusError, None, id="blanks-only"),
+    ])
+    def test_errors_match_oracle(self, tmp_path, lines, error, line_number):
+        path = self.write(tmp_path / "t.jsonl", lines)
+        got = loader_outcome(load_tweets, path)
+        assert got == loader_outcome(reference_load_tweets, path)
+        assert got[:2] == (error, line_number)
+        if line_number is not None:
+            assert f"line {line_number}" in got[2]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_crlf_and_blank_lines_load_alike(self, tmp_path, newline):
+        lines = ["", self.GOOD, " \t", "\xa0", '{"date": "2020-01-01", "text": "Crash!", "pos_text": "x"}',
+                 "\u3000"]
+        path = self.write(tmp_path / "t.jsonl", lines, newline=newline)
+        rows = list(load_tweets(path))
+        assert rows == reference_load_tweets(path)
+        assert [(t.id, t.cleaned_text) for t in rows] == [("1", "crash"), ("g", "growth")]

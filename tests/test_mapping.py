@@ -4,9 +4,9 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from conftest import make_corpus
+from conftest import corpus_of, make_corpus
 from sentistock.errors import CalendarMismatchError, MissingScoreError, UnparseableRowError
-from sentistock.ingest import StockSeries, Tweet, TweetCorpus
+from sentistock.ingest import StockSeries, Tweet
 from sentistock.mapping import (
     DailySentimentSeries,
     MemoryKernel,
@@ -144,7 +144,7 @@ class TestDailyAggregate:
             offsets = np.sort(rng.integers(-2, span + 6, n_tweets))
             tweets = [Tweet(id=f"t{i}", date=calendar[0] + timedelta(days=int(o)),
                             raw_text="", cleaned_text="") for i, o in enumerate(offsets)]
-            corpus = TweetCorpus(tweets=tweets)
+            corpus = corpus_of(tweets)
             probs = rng.dirichlet(np.ones(3), n_tweets)
             tied = rng.random(n_tweets) < 0.3
             probs[tied] = np.array(ties)[rng.integers(0, len(ties), int(tied.sum()))]

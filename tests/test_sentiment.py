@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_corpus
+from conftest import corpus_of, make_corpus
 from sentistock.errors import (
     AmbiguousTweetIdError,
     MissingVariantTextError,
@@ -9,8 +9,9 @@ from sentistock.errors import (
     ScorerUnavailableError,
     UnknownTweetIdError,
 )
+from sentistock import sentiment
 from sentistock.harness import merge_corpora
-from sentistock.ingest import Tweet, TweetCorpus
+from sentistock.ingest import Tweet
 from sentistock.sentiment import (
     LABELS,
     VARIANTS,
@@ -180,6 +181,20 @@ class TestLexiconScores:
             assert score_text(LEXICON, text) == reference_lexicon_probabilities(LEXICON, text)
 
 
+class TestScoreTextsInBlocks:
+    def test_blocks_bit_identical_to_one_pass(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        words = ["growth", "crash", "gain", "loss", "flat", "day", "record", "low", "\u3000", "\t"]
+        texts = [" ".join(rng.choice(words, size=rng.integers(0, 9))) for _ in range(2600)]
+        config = ScorerConfig(kind="lexicon")
+        blocked = score_texts(config, texts)
+        assert len(texts) > 2 * sentiment._TOKEN_BLOCK
+        assert blocked.tobytes() == reference_scores(config, texts).tobytes()
+        for block in (len(texts), 1, 7):
+            monkeypatch.setattr(sentiment, "_TOKEN_BLOCK", block)
+            assert score_texts(config, texts).tobytes() == blocked.tobytes(), block
+
+
 class TestScoreCorpus:
     def test_cardinality(self):
         corpus = make_corpus([("1", "2023-01-02", "growth"), ("2", "2023-01-03", "crash"),
@@ -192,7 +207,7 @@ class TestScoreCorpus:
 
         tweet = Tweet(id="1", date=date(2023, 1, 2), raw_text="x", cleaned_text="x",
                       pos_tagged_text=None)
-        corpus = TweetCorpus(tweets=[tweet])
+        corpus = corpus_of([tweet])
         with pytest.raises(MissingVariantTextError):
             score_corpus(LEXICON, corpus, ["pos_prosus"]).probabilities("pos_prosus")
 
@@ -201,7 +216,7 @@ class TestScoreCorpus:
 
         tweets = [Tweet(id="1", date=date(2023, 1, 2), raw_text="growth", cleaned_text="growth",
                         pos_tagged_text=None)]
-        table = score_corpus(LEXICON, TweetCorpus(tweets=tweets), list(VARIANTS) + ["bogus"])
+        table = score_corpus(LEXICON, corpus_of(tweets), list(VARIANTS) + ["bogus"])
         assert table.variants == list(VARIANTS) + ["bogus"]
         assert table.probabilities("cleaned_prosus") is table.probabilities("cleaned_yiyanghkust")
         assert table.probabilities("cleaned_prosus").tolist() == [[1.0, 0.0, 0.0]]
