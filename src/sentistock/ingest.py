@@ -245,7 +245,7 @@ def load_tweets(path: str | Path) -> TweetCorpus:
                 if end != len(text):  # json.loads names the error, or the line is blank
                     if not line.strip():
                         continue
-                    record = json.loads(line)
+                    record = json.loads(line.rstrip("\n"))  # so the error names this line alone
                 raw = record["text"]
                 day = str(record["date"])
                 if day not in day_ordinals:

@@ -32,6 +32,25 @@ overwrites them with the gate gradients so that the weight and input
 gradients are whole-sequence GEMMs after the loop. The stacking happens per
 call: parameters stay in the named ``params`` dict (``l1_fwd_Wx``, ...), and
 the .npz model format is unchanged.
+
+Every batch-sized array lives in the model's scratch arena (``_Arena``): one
+grow-only float64 buffer per role, each call carving its arrays from the
+front, so a training step allocates only parameter-sized arrays (the stacked
+weights and the gradients). The arena holds each layer's stacked input,
+gates, cell states, tanh of the cell states and hidden states; the head's
+input; the top layer's output gradient; and the per-step scratch of the
+recurrence and of BPTT. Layer 1's states are written straight into layer 2's
+stacked input. Two roles are reused once dead: the input gradient of layer 2
+is written over its stacked input after dWx is taken, and layer 1's output
+gradient over layer 2's tanh of the cell states. ``c`` and ``h`` zero only
+their initial state, and the top layer's output gradient every step but its
+last; every other value is written before it is read. forward
+and predict run in the same arena, so validation inside ``train`` reuses the
+training buffers; ``train`` empties the arena when it returns, and a model
+keeps the buffers of a later forward pass until the next ``train`` or until
+it is dropped. The arena is not saved in the .npz and not shown in the
+model's repr. Because of it, one model must not run on two threads at once;
+separate models may.
 """
 
 from __future__ import annotations
@@ -95,12 +114,33 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
 
 
+class _Arena:
+    """Grow-only float64 scratch: one flat buffer per role, arrays carved from its front.
+
+    Arrays taken are not zeroed, and are overwritten by the next taker of their role.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        if role not in self._buffers or self._buffers[role].size < size:
+            self._buffers.pop(role, None)  # free the smaller buffer before growing
+            self._buffers[role] = np.empty(size)
+        return self._buffers[role][:size].reshape(shape)
+
+    def reset(self) -> None:
+        self._buffers.clear()
+
+
 @dataclass
 class BiLstmModel:
     """Named parameter tensors plus the configuration that shaped them."""
 
     config: ModelConfig
     params: dict[str, np.ndarray]
+    _arena: _Arena = field(default_factory=_Arena, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -176,25 +216,29 @@ class _LayerCache(NamedTuple):
     h: np.ndarray  # (2, w + 1, B, H) hidden states
 
 
-def _layer_forward(x, Wx, Wh, b) -> _LayerCache:
-    """Run both directions of one layer over time-major (w, B, in) input.
+def _layer_forward(xs, Wx, Wh, b, arena: _Arena, layer: str) -> _LayerCache:
+    """Run both directions of one layer over its stacked (2, w, B, in) input.
 
-    Wx (2, in, 4H), Wh (2, H, 4H) and b (2, 4H) stack the forward and
-    backward direction's parameters. The backward direction reads the input
-    time-reversed, so both advance together: one (2, B, H) @ (2, H, 4H)
-    matmul and one tanh over the (2, B, 4H) gate block per step.
+    xs[0] is the time-major input and xs[1] its time reversal. Wx (2, in, 4H),
+    Wh (2, H, 4H) and b (2, 4H) stack the forward and backward direction's
+    parameters, so both directions advance together: one (2, B, H) @ (2, H, 4H)
+    matmul and one tanh over the (2, B, 4H) gate block per step. The cache is
+    carved from the arena's roles for ``layer``.
     """
-    w, B, in_dim = x.shape
+    _, w, B, in_dim = xs.shape
     H = Wh.shape[1]
     scale, shift = _gate_affine(H)
-    xs = np.stack([x, x[::-1]])
-    gates = np.matmul(xs.reshape(2, w * B, in_dim), Wx * scale).reshape(2, w, B, 4 * H)
+    gates = arena.take(f"{layer}_gates", (2, w, B, 4 * H))
+    np.matmul(xs.reshape(2, w * B, in_dim), Wx * scale, out=gates.reshape(2, w * B, 4 * H))
     gates += (b * scale)[:, None, None, :]
     Wh_scaled = Wh * scale
-    c = np.zeros((2, w + 1, B, H))
-    h = np.zeros((2, w + 1, B, H))
-    tanh_c = np.empty((2, w, B, H))
-    recurrent = np.empty((2, B, 4 * H))
+    c = arena.take(f"{layer}_c", (2, w + 1, B, H))
+    h = arena.take(f"{layer}_h", (2, w + 1, B, H))
+    c[:, 0] = 0.0
+    h[:, 0] = 0.0
+    tanh_c = arena.take(f"{layer}_tanh_c", (2, w, B, H))
+    recurrent = arena.take("recurrent", (2, B, 4 * H))
+    ig = arena.take("ig", (2, B, H))
     for s in range(w):
         z = gates[:, s]
         z += np.matmul(h[:, s], Wh_scaled, out=recurrent)
@@ -202,12 +246,12 @@ def _layer_forward(x, Wx, Wh, b) -> _LayerCache:
         z *= scale
         z += shift
         c_new = np.multiply(z[..., H : 2 * H], c[:, s], out=c[:, s + 1])
-        c_new += z[..., :H] * z[..., 2 * H : 3 * H]
+        c_new += np.multiply(z[..., :H], z[..., 2 * H : 3 * H], out=ig)
         np.multiply(z[..., 3 * H :], np.tanh(c_new, out=tanh_c[:, s]), out=h[:, s + 1])
     return _LayerCache(xs, gates, c, tanh_c, h)
 
 
-def _layer_backward(cache: _LayerCache, dh_out, Wh):
+def _layer_backward(cache: _LayerCache, dh_out, Wh, arena: _Arena):
     """BPTT through both directions of a layer.
 
     dh_out (2, w, B, H) is the gradient of each direction's output, indexed
@@ -221,23 +265,27 @@ def _layer_backward(cache: _LayerCache, dh_out, Wh):
     g_cols = np.zeros(4 * H)
     g_cols[2 * H : 3 * H] = 1.0
     Wh_T = np.ascontiguousarray(Wh.transpose(0, 2, 1))
-    upstream = np.empty((2, B, 4 * H))
-    dh_carry = np.zeros((2, B, H))
-    dc_carry = np.zeros((2, B, H))
+    upstream = arena.take("upstream", (2, B, 4 * H))
+    one_minus = arena.take("one_minus", (2, B, 4 * H))
+    dh, dc, dtanh, dh_carry, dc_carry = (arena.take(role, (2, B, H))
+                                         for role in ("dh", "dc", "dtanh", "dh_carry", "dc_carry"))
+    dh_carry[...] = 0.0
+    dc_carry[...] = 0.0
     for s in range(w - 1, -1, -1):
         z = dz_all[:, s]
         i, f, g, o = (z[..., k * H : (k + 1) * H] for k in range(4))
         tc = tanh_c[:, s]
-        dh = dh_out[:, s] + dh_carry
-        dc = dh * o
-        dc *= 1.0 - tc * tc
+        np.add(dh_out[:, s], dh_carry, out=dh)
+        np.multiply(dh, o, out=dc)
+        np.multiply(tc, tc, out=dtanh)
+        dc *= np.subtract(1.0, dtanh, out=dtanh)
         dc += dc_carry
-        dc_carry = dc * f
+        np.multiply(dc, f, out=dc_carry)
         np.multiply(dc, g, out=upstream[..., :H])
         np.multiply(dc, c[:, s], out=upstream[..., H : 2 * H])
         np.multiply(dc, i, out=upstream[..., 2 * H : 3 * H])
         np.multiply(dh, tc, out=upstream[..., 3 * H :])
-        one_minus = 1.0 - z
+        np.subtract(1.0, z, out=one_minus)
         z += g_cols
         z *= one_minus
         z *= upstream
@@ -249,11 +297,22 @@ def _layer_backward(cache: _LayerCache, dh_out, Wh):
 
 
 def _input_gradient(cache: _LayerCache, Wx) -> np.ndarray:
-    """Time-major (w, B, in) gradient of a layer's input, after _layer_backward."""
+    """The (2, w, B, in / 2) output gradient of the layer below, after _layer_backward.
+
+    Indexed like that layer's cache, each direction in its processing order.
+    The stacked input gradient is written over ``cache.x`` (dWx has been taken)
+    and the result over ``cache.tanh_c``; both are dead by then.
+    """
     _, w, B, H4 = cache.gates.shape
-    dz = cache.gates.reshape(2, w * B, H4)
-    dxs = np.matmul(dz, np.ascontiguousarray(Wx.transpose(0, 2, 1))).reshape(2, w, B, -1)
-    return dxs[0] + dxs[1, ::-1]
+    in_dim = cache.x.shape[-1]
+    dxs = np.matmul(cache.gates.reshape(2, w * B, H4), np.ascontiguousarray(Wx.transpose(0, 2, 1)),
+                    out=cache.x.reshape(2, w * B, in_dim)).reshape(2, w, B, in_dim)
+    # time-major input gradient dxs[0] + dxs[1, ::-1], split by the lower layer's direction
+    half = in_dim // 2
+    dh_lower = cache.tanh_c
+    np.add(dxs[0, ..., :half], dxs[1, ::-1, ..., :half], out=dh_lower[0])
+    np.add(dxs[0, ::-1, ..., half:], dxs[1, ..., half:], out=dh_lower[1])
+    return dh_lower
 
 
 def _check_batch(model: BiLstmModel, X: np.ndarray) -> np.ndarray:
@@ -270,32 +329,41 @@ def _stacked(p: dict[str, np.ndarray], layer: str, name: str) -> np.ndarray:
     return np.stack([p[f"{layer}_{direction}_{name}"] for direction in DIRECTIONS])
 
 
-def _forward_full(model: BiLstmModel, X: np.ndarray, keep_cache: bool):
+def _forward_full(model: BiLstmModel, X: np.ndarray):
     p = model.params
+    arena = model._arena
+    B, w, n_features = X.shape
+    H = model.config.hidden_units
     caches = {}
-    layer_in = X.transpose(1, 0, 2)
+    xs = arena.take("l1_x", (2, w, B, n_features))
+    xs[0] = X.transpose(1, 0, 2)
+    xs[1] = xs[0, ::-1]
     for layer in LAYERS:
-        cache = _layer_forward(
-            layer_in, _stacked(p, layer, "Wx"), _stacked(p, layer, "Wh"), _stacked(p, layer, "b")
+        if layer != LAYERS[0]:
+            # the lower layer's time-major (w, B, 2H) states, forward half then
+            # backward half, and their time reversal
+            h = cache.h
+            xs = arena.take(f"{layer}_x", (2, w, B, 2 * H))
+            xs[0, ..., :H], xs[0, ..., H:] = h[0, 1:], h[1, :0:-1]
+            xs[1, ..., :H], xs[1, ..., H:] = h[0, :0:-1], h[1, 1:]
+        cache = caches[layer] = _layer_forward(
+            xs, _stacked(p, layer, "Wx"), _stacked(p, layer, "Wh"), _stacked(p, layer, "b"),
+            arena, layer,
         )
-        if keep_cache:
-            caches[layer] = cache
-        # time-major (w, B, 2H) states for the next layer: forward half, backward half
-        layer_in = np.concatenate([cache.h[0, 1:], cache.h[1, :0:-1]], axis=2)
     # each direction's last processed state: forward at t = w-1, backward at t = 0
-    terminal = np.concatenate([cache.h[0, -1], cache.h[1, -1]], axis=1)
+    terminal = np.concatenate([cache.h[0, -1], cache.h[1, -1]], axis=1,
+                              out=arena.take("terminal", (B, 2 * H)))
+    caches["terminal"] = terminal
     pred = (terminal @ p["head_W"] + p["head_b"])[:, 0]
-    if keep_cache:
-        caches["terminal"] = terminal
     return pred, caches
 
 
 def forward(model: BiLstmModel, X) -> np.ndarray:
-    """Pure forward pass over a (B, w, n_features) batch; returns (B,) predictions."""
+    """Forward pass over a (B, w, n_features) batch; returns (B,) predictions."""
     X = _check_batch(model, X)
     if X.shape[0] == 0:
         return np.zeros(0)
-    pred, _ = _forward_full(model, X, keep_cache=False)
+    pred, _ = _forward_full(model, X)
     return pred
 
 
@@ -319,7 +387,7 @@ def loss_and_gradients(model: BiLstmModel, X, y) -> tuple[float, dict[str, np.nd
     p = model.params
     H = model.config.hidden_units
 
-    pred, caches = _forward_full(model, X, keep_cache=True)
+    pred, caches = _forward_full(model, X)
     residual = pred - y
     loss = float(np.mean(residual**2))
     dpred = 2.0 * residual / B
@@ -332,19 +400,17 @@ def loss_and_gradients(model: BiLstmModel, X, y) -> tuple[float, dict[str, np.nd
     dterminal = dz @ p["head_W"].T
 
     w = model.config.input_shape[0]
-    dh_out = np.zeros((2, w, B, H))
+    dh_out = model._arena.take("dh_out", (2, w, B, H))
+    dh_out[:, :-1] = 0.0
     dh_out[:, -1] = dterminal.reshape(B, 2, H).transpose(1, 0, 2)
     for layer in reversed(LAYERS):
-        Wx = _stacked(p, layer, "Wx")
-        dWx, dWh, db = _layer_backward(caches[layer], dh_out, _stacked(p, layer, "Wh"))
+        dWx, dWh, db = _layer_backward(caches[layer], dh_out, _stacked(p, layer, "Wh"), model._arena)
         for d, direction in enumerate(DIRECTIONS):
             grads[f"{layer}_{direction}_Wx"] = dWx[d]
             grads[f"{layer}_{direction}_Wh"] = dWh[d]
             grads[f"{layer}_{direction}_b"] = db[d]
         if layer != LAYERS[0]:
-            # the lower layer's outputs, split by direction into processing order
-            dx = _input_gradient(caches[layer], Wx)
-            dh_out = np.stack([dx[:, :, :H], dx[::-1, :, H:]])
+            dh_out = _input_gradient(caches[layer], _stacked(p, layer, "Wx"))
     return loss, grads
 
 
@@ -359,15 +425,29 @@ class _Adam:
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._scratch = np.empty((2, max(v.size for v in params.values())))
 
     def step(self, params, grads):
+        """Update m, v and the parameters in place, with the float operations of
+        m = beta1 * m + (1 - beta1) * g, v = beta2 * v + (1 - beta2) * g * g and
+        params -= lr * (m / correct1) / (sqrt(v / correct2) + eps), in that order."""
         self.t += 1
         correct1 = 1.0 - self.beta1**self.t
         correct2 = 1.0 - self.beta2**self.t
         for key, g in grads.items():
-            m = self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * g
-            v = self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * g * g
-            params[key] -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+            m, v = self.m[key], self.v[key]
+            a, b = (buffer[: g.size].reshape(g.shape) for buffer in self._scratch)
+            m *= self.beta1
+            m += np.multiply(g, 1.0 - self.beta1, out=a)
+            v *= self.beta2
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, correct1, out=a)
+            a *= self.lr
+            np.divide(v, correct2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            params[key] -= np.divide(a, b, out=a)
 
 
 def _safe_r2(pred, actual) -> float:
@@ -387,7 +467,7 @@ def train(model: BiLstmModel, windows, cfg: TrainConfig) -> TrainingHistory:
     run is fully determined by (model, data, config). Training stops early
     after `patience` epochs without a new best validation loss (patience 0
     stops at the first non-improving epoch) and the best epoch's parameters
-    are restored.
+    are restored. The model's scratch arena is emptied when it returns.
     """
     X = windows.X if hasattr(windows, "X") else np.asarray(windows[0], dtype=float)
     y = windows.y if hasattr(windows, "y") else np.asarray(windows[1], dtype=float)
@@ -410,42 +490,46 @@ def train(model: BiLstmModel, windows, cfg: TrainConfig) -> TrainingHistory:
     bad_streak = 0
     stop_after = max(cfg.patience, 1)
 
-    for epoch in range(cfg.epochs):
-        loss_sum = 0.0
-        for start in range(0, n_train, cfg.batch_size):
-            xb = X_train[start : start + cfg.batch_size]
-            yb = y_train[start : start + cfg.batch_size]
-            loss, grads = loss_and_gradients(model, xb, yb)
-            if not np.isfinite(loss):
-                raise NonFiniteLossError(epoch)
-            optimizer.step(model.params, grads)
-            loss_sum += loss * len(yb)
-        train_loss = loss_sum / n_train
-        for value in model.params.values():
-            if not np.all(np.isfinite(value)):
-                raise NonFiniteLossError(epoch, f"non-finite parameter at epoch {epoch}")
+    try:
+        for epoch in range(cfg.epochs):
+            loss_sum = 0.0
+            for start in range(0, n_train, cfg.batch_size):
+                xb = X_train[start : start + cfg.batch_size]
+                yb = y_train[start : start + cfg.batch_size]
+                loss, grads = loss_and_gradients(model, xb, yb)
+                if not np.isfinite(loss):
+                    raise NonFiniteLossError(epoch)
+                optimizer.step(model.params, grads)
+                del grads  # so that two steps' gradients are never live at once
+                loss_sum += loss * len(yb)
+            train_loss = loss_sum / n_train
+            for value in model.params.values():
+                if not np.all(np.isfinite(value)):
+                    raise NonFiniteLossError(epoch, f"non-finite parameter at epoch {epoch}")
 
-        if n_val > 0:
-            val_pred = predict(model, X_val)
-            val_loss = float(np.mean((val_pred - y_val) ** 2))
-            val_r2 = _safe_r2(val_pred, y_val)
-        else:
-            val_loss = val_r2 = float("nan")
-        history.train_loss.append(train_loss)
-        history.val_loss.append(val_loss)
-        history.val_r2.append(val_r2)
+            if n_val > 0:
+                val_pred = predict(model, X_val)
+                val_loss = float(np.mean((val_pred - y_val) ** 2))
+                val_r2 = _safe_r2(val_pred, y_val)
+            else:
+                val_loss = val_r2 = float("nan")
+            history.train_loss.append(train_loss)
+            history.val_loss.append(val_loss)
+            history.val_r2.append(val_r2)
 
-        monitor = val_loss if n_val > 0 else train_loss
-        if monitor < best_monitor:
-            best_monitor = monitor
-            history.best_epoch = epoch
-            best_params = {k: v.copy() for k, v in model.params.items()}
-            bad_streak = 0
-        else:
-            bad_streak += 1
-            if bad_streak >= stop_after:
-                history.stopped_early = True
-                break
+            monitor = val_loss if n_val > 0 else train_loss
+            if monitor < best_monitor:
+                best_monitor = monitor
+                history.best_epoch = epoch
+                best_params = {k: v.copy() for k, v in model.params.items()}
+                bad_streak = 0
+            else:
+                bad_streak += 1
+                if bad_streak >= stop_after:
+                    history.stopped_early = True
+                    break
+    finally:
+        model._arena.reset()
 
     if best_params is not None:
         model.params = best_params

@@ -118,15 +118,19 @@ def score_texts(config: ScorerConfig, texts: list[str]) -> np.ndarray:
             "text scoring needs the lexicon scorer; precomputed scores are "
             "looked up by tweet id via load_precomputed_scores"
         )
-    n_tokens = np.fromiter(map(len, map(str.split, texts)), dtype=np.int64, count=len(texts))
+    n_tokens = np.empty(len(texts), dtype=np.int64)
     c_pos, c_neg = counts = np.zeros((2, len(texts)), dtype=np.int64)
     for start in range(0, len(texts), _TOKEN_BLOCK):
-        block = texts[start:start + _TOKEN_BLOCK]
-        owner = np.repeat(np.arange(len(block)), n_tokens[start:start + len(block)])
-        tokens = " ".join(block).split()
+        tokens, lengths = [], []
+        for text_tokens in map(str.split, texts[start:start + _TOKEN_BLOCK]):
+            lengths.append(len(text_tokens))
+            tokens += text_tokens
+        block = slice(start, start + len(lengths))
+        n_tokens[block] = lengths
+        owner = np.repeat(np.arange(len(lengths)), n_tokens[block])
         for hits, words in zip(counts, (config.positive_words, config.negative_words)):
             mask = np.fromiter(map(words.__contains__, tokens), dtype=bool, count=len(tokens))
-            hits[start:start + len(block)] = np.bincount(owner[mask], minlength=len(block))
+            hits[block] = np.bincount(owner[mask], minlength=len(lengths))
     total = c_pos + c_neg
     u = (c_pos - c_neg) / np.maximum(1, total)
     # An empty text has no hits, so s is 0 and the text scores neutral.

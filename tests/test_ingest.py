@@ -44,7 +44,7 @@ def reference_load_tweets(path):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                record = json.loads(line.rstrip("\n"))
                 raw = record["text"]
                 d = parse_tweet_date(str(record["date"]))
             except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
@@ -441,6 +441,15 @@ class TestLoaderMatchesPerLineOracle:
         assert got[:2] == (error, line_number)
         if line_number is not None:
             assert f"line {line_number}" in got[2]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_bad_json_error_names_one_line(self, tmp_path, newline):
+        # the decoder's own position counts within the bad line, not past its line break
+        lines = ['{"date": "2020-01-02", "text": "growth"}', '{"date": "2020-01-03", "text": "crash"}',
+                 '{"date": "2020-01-06", "text": ', '{"date": "2020-01-07", "text": "flat"}']
+        with pytest.raises(UnparseableRecordError) as exc:
+            load_tweets(self.write(tmp_path / "t.jsonl", lines, newline=newline))
+        assert str(exc.value) == "line 3: Expecting value: line 1 column 32 (char 31)"
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_crlf_and_blank_lines_load_alike(self, tmp_path, newline):

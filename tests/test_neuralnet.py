@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from sentistock.neuralnet import (
     BiLstmModel,
     ModelConfig,
     TrainConfig,
+    _Adam,
+    _Arena,
     _layer_forward,
     forward,
     init_model,
@@ -179,7 +182,8 @@ class TestForward:
         def terminal_of(x, first, second):
             # the stacked layer reads time-major input; direction 0 runs forward
             params = [np.stack([a, b]) for a, b in zip(first, second)]
-            h = _layer_forward(x.transpose(1, 0, 2), *params).h
+            h = _layer_forward(np.stack([x.transpose(1, 0, 2), x[:, ::-1].transpose(1, 0, 2)]),
+                               *params, _Arena(), "l1").h
             return np.concatenate([h[0, -1], h[1, -1]], axis=1)
 
         terminal = terminal_of(x, (Wxf, Whf, bf), (Wxb, Whb, bb))
@@ -366,6 +370,90 @@ class TestPredict:
         model = init_model(ModelConfig(hidden_units=2, input_shape=(3, 1), seed=0))
         windows = make_windows_for(5, 3, 1, seed=3)
         np.testing.assert_array_equal(predict(model, windows), predict(model, windows.X))
+
+
+class ReferenceAdam:
+    """The out-of-place Adam update: fresh m, v and step arrays every step."""
+
+    def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = learning_rate, beta1, beta2, eps
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, params, grads):
+        self.t += 1
+        correct1 = 1.0 - self.beta1**self.t
+        correct2 = 1.0 - self.beta2**self.t
+        for key, g in grads.items():
+            m = self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * g
+            v = self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * g * g
+            params[key] -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestScratchArena:
+    def test_steady_state_step_allocates_little(self):
+        # Paper shape: the caches live in the arena, so a second step allocates
+        # only parameter-sized arrays (stacked weights and gradients).
+        model = init_model(ModelConfig(hidden_units=50, input_shape=(60, 8), seed=0))
+        X, y = random_batch(model.config, 32, seed=0)
+        loss_and_gradients(model, X, y)
+        tracemalloc.start()
+        try:
+            loss_and_gradients(model, X, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, f"second step peaked at {peak / 2**20:.2f} MiB"
+
+    def test_batch_sizes_in_turn_match_fresh_models(self):
+        model = init_model(ModelConfig(hidden_units=5, input_shape=(9, 3), seed=4))
+        X, y = random_batch(model.config, 55, seed=4)
+        shared = []
+        for B in (32, 7, 22, 55):
+            loss, grads = loss_and_gradients(model, X[:B], y[:B])
+            shared.append((B, loss, grads, forward(model, X[:B])))
+        # compared only now, so a later call must not have overwritten an earlier result
+        for B, loss, grads, pred in shared:
+            fresh = BiLstmModel(model.config, {k: v.copy() for k, v in model.params.items()})
+            fresh_loss, fresh_grads = loss_and_gradients(fresh, X[:B], y[:B])
+            assert same_bytes(loss, fresh_loss), B
+            assert grads.keys() == fresh_grads.keys()
+            for key in grads:
+                assert same_bytes(grads[key], fresh_grads[key]), (B, key)
+            fresh = BiLstmModel(model.config, {k: v.copy() for k, v in model.params.items()})
+            assert same_bytes(pred, forward(fresh, X[:B])), B
+
+    def test_train_empties_the_arena(self):
+        model = init_model(ModelConfig(hidden_units=3, input_shape=(4, 2), seed=0))
+        train(model, make_windows_for(20, 4, 2, seed=1), TrainConfig(epochs=2, batch_size=8))
+        assert model._arena._buffers == {}
+        assert "_arena" not in repr(model)
+
+    def test_adam_matches_out_of_place_update(self):
+        rng = np.random.default_rng(5)
+        shapes = {"Wx": (3, 8), "Wh": (2, 8), "b": (8,), "head_W": (4, 1), "head_b": (1,)}
+        params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        expected = {k: v.copy() for k, v in params.items()}
+        adam, reference = _Adam(params, 0.01), ReferenceAdam(expected, 0.01)
+        for step in range(50):
+            grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shape)
+                     for k, shape in shapes.items()}
+            if step % 7 == 0:
+                grads["Wh"][:] = 0.0
+            grads["b"][rng.random(8) < 0.3] = 0.0
+            grads["Wx"] = -np.abs(grads["Wx"])
+            adam.step(params, grads)
+            reference.step(expected, grads)
+            for key in shapes:
+                assert same_bytes(params[key], expected[key]), (step, key)
+                assert same_bytes(adam.m[key], reference.m[key]), (step, key)
+                assert same_bytes(adam.v[key], reference.v[key]), (step, key)
 
 
 class TestPersistence:
