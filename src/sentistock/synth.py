@@ -120,12 +120,21 @@ _SAMPLE_PHRASES = (
 
 
 def random_tweets(calendar: list[date], per_day: float = 1.5, seed: int = 0) -> TweetCorpus:
-    """A corpus of template tweets scattered over (and between) trading days."""
+    """A corpus of template tweets scattered over (and between) trading days.
+
+    Each day draws ``k = rng.poisson(per_day)``, then ``rng.integers(0, high)`` with
+    ``high`` = ``[len(_SAMPLE_PHRASES), 2]`` k times: per tweet a phrase, then 0 or 1 day
+    back (onto weekends too), as ``rng.choice(_SAMPLE_PHRASES)`` and ``rng.integers(0, 2)``
+    per tweet would. Keep this draw order: a seed's corpus must never change.
+    """
     rng = np.random.default_rng(seed)
-    raws, ordinals = [], []
-    for day in calendar:
-        for _ in range(rng.poisson(per_day)):
-            raws.append(str(rng.choice(_SAMPLE_PHRASES)))
-            ordinals.append(day.toordinal() - int(rng.integers(0, 2)))  # some tweets land on weekends
-    ids = [str(i) for i in range(len(raws))]
-    return TweetCorpus.by_date(ids, ordinals, raws, clean_tweets(raws), raws)
+    counts, draws = [], [np.empty(0, dtype=np.int64)]  # np.concatenate needs one array
+    for _ in calendar:
+        counts.append(rng.poisson(per_day))
+        draws.append(rng.integers(0, np.tile((len(_SAMPLE_PHRASES), 2), counts[-1])))
+    phrases, offsets = np.concatenate(draws).reshape(-1, 2).T
+    days = np.array([day.toordinal() for day in calendar], dtype=np.int64)
+    raws = [_SAMPLE_PHRASES[i] for i in phrases.tolist()]
+    cleaned = clean_tweets(list(_SAMPLE_PHRASES))  # clean_tweets cleans each text on its own
+    return TweetCorpus.by_date([str(i) for i in range(len(raws))], np.repeat(days, counts) - offsets,
+                               raws, [cleaned[i] for i in phrases.tolist()], raws)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sentistock import neuralnet
 from sentistock.dataset import WindowedSet
 from sentistock.errors import (
     EmptyTrainingSetError,
@@ -396,6 +397,10 @@ def same_bytes(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def arena_bytes(model):
+    return sum(buffer.nbytes for buffer in model._arena._buffers.values())
+
+
 class TestScratchArena:
     def test_steady_state_step_allocates_little(self):
         # Paper shape: the caches live in the arena, so a second step allocates
@@ -434,6 +439,57 @@ class TestScratchArena:
         train(model, make_windows_for(20, 4, 2, seed=1), TrainConfig(epochs=2, batch_size=8))
         assert model._arena._buffers == {}
         assert "_arena" not in repr(model)
+
+    def test_default_predict_chunk_bounds_the_arena(self):
+        # 245 windows: the test part of a paper-scale 1,250-day series
+        config = ModelConfig(hidden_units=50, input_shape=(20, 8), seed=0)
+        model = init_model(config)
+        X, _ = random_batch(config, 245, seed=1)
+        pred = predict(model, X)
+        held = arena_bytes(model)
+        one_pass = predict(model, X, chunk_size=245)
+        assert same_bytes(pred, one_pass)
+        chunk = BiLstmModel(config, model.params)
+        forward(chunk, X[:64])
+        assert held <= arena_bytes(chunk), f"{held} > {arena_bytes(chunk)} bytes"
+
+    @staticmethod
+    def train_watching_arena(monkeypatch, one_chunk_validation):
+        """Train a w=20 model with B=32 and 100 validation windows; return the
+        model, its history and the arena bytes before and after every step."""
+        sizes = []
+        real_step, real_predict = neuralnet.loss_and_gradients, neuralnet.predict
+
+        def watched_step(model, X, y):
+            sizes.append(arena_bytes(model))
+            result = real_step(model, X, y)
+            sizes.append(arena_bytes(model))
+            return result
+
+        monkeypatch.setattr(neuralnet, "loss_and_gradients", watched_step)
+        if one_chunk_validation:
+            monkeypatch.setattr(neuralnet, "predict",
+                                lambda model, X, chunk_size=None: real_predict(model, X, chunk_size=len(X)))
+        model = init_model(ModelConfig(hidden_units=50, input_shape=(20, 8), seed=2))
+        windows = make_windows_for(200, 20, 8, seed=3)
+        cfg = TrainConfig(epochs=3, batch_size=32, validation_split=0.5, patience=5)
+        history = train(model, windows, cfg)
+        monkeypatch.undo()
+        return model, history, sizes
+
+    def test_validation_keeps_the_arena_batch_sized(self, monkeypatch):
+        model, history, sizes = self.train_watching_arena(monkeypatch, one_chunk_validation=False)
+        assert sizes[0] == 0 and max(sizes) == sizes[1], [s / 2**20 for s in sizes]
+        one_chunk, one_chunk_history, one_chunk_sizes = self.train_watching_arena(
+            monkeypatch, one_chunk_validation=True)
+        assert max(one_chunk_sizes) > sizes[1]  # the watch sees a 100-window validation
+        assert history.n_epochs == 3
+        for field in ("train_loss", "val_loss", "val_r2"):
+            assert same_bytes(getattr(history, field), getattr(one_chunk_history, field)), field
+        assert (history.best_epoch, history.stopped_early) == (
+            one_chunk_history.best_epoch, one_chunk_history.stopped_early)
+        for key in model.params:
+            assert same_bytes(model.params[key], one_chunk.params[key]), key
 
     def test_adam_matches_out_of_place_update(self):
         rng = np.random.default_rng(5)
