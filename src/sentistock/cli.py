@@ -78,15 +78,24 @@ def _add_evaluate(sub):
     p.add_argument("--pred-out", default=None, help="optional prediction CSV")
 
 
+# argparse names a bad value's type function in its usage error, hence no underscore.
+def file_list(text: str) -> list[str]:
+    return [f.strip() for f in text.split(",") if f.strip()]
+
+
+def int_list(text: str) -> list[int]:
+    return [int(w) for w in text.split(",")]
+
+
 def _add_grid(sub):
     p = sub.add_parser("grid", help="run the full (variant x lookback) sweep")
     p.add_argument("--config", required=True, help="JSON experiment config")
-    p.add_argument("--stock", default=None)
-    p.add_argument("--tweets", default=None, help="comma-separated tweet files")
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lookbacks", default=None, help="comma-separated lookbacks")
+    p.add_argument("--stock", dest="stock_file")
+    p.add_argument("--tweets", dest="tweet_files", type=file_list, help="comma-separated tweet files")
+    p.add_argument("--out-dir", dest="output_dir")
+    p.add_argument("--seed", dest="seed", type=int)
+    p.add_argument("--epochs", dest="epochs", type=int)
+    p.add_argument("--lookbacks", dest="lookbacks", type=int_list, help="comma-separated lookbacks")
     p.add_argument("--with-sentiment", dest="with_sentiment", action="store_true", default=None)
     p.add_argument("--without-sentiment", dest="with_sentiment", action="store_false")
 
@@ -126,7 +135,8 @@ def _cmd_map(args) -> int:
                                    **_config_flags(args))
     stock = harness.load_stock(cfg)
     corpus = harness.load_corpus(cfg)
-    write_master_csv(harness.build_master(cfg, args.variant, stock, corpus), args.out)
+    table = harness.score(cfg, corpus)
+    write_master_csv(harness.build_master(cfg, args.variant, stock, corpus, table), args.out)
     print(f"mapped {len(corpus)} tweets onto {len(stock)} trading days -> {args.out}")
     return 0
 
@@ -163,18 +173,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    overrides = {
-        "stock_file": args.stock,
-        "output_dir": args.out_dir,
-        "seed": args.seed,
-        "epochs": args.epochs,
-        "with_sentiment": args.with_sentiment,
-    }
-    if args.tweets is not None:
-        overrides["tweet_files"] = [f.strip() for f in args.tweets.split(",") if f.strip()]
-    if args.lookbacks is not None:
-        overrides["lookbacks"] = [int(w) for w in args.lookbacks.split(",")]
-    cfg = harness.load_config(args.config, overrides)
+    cfg = harness.load_config(args.config, _config_flags(args))
     records = harness.run_grid(cfg)
     n_failed = sum(1 for r in records if not r.ok)
     print(f"grid finished: {len(records) - n_failed} ok, {n_failed} failed")

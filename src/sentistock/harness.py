@@ -284,18 +284,20 @@ def load_corpus(cfg: ExperimentConfig, tweet_loader=load_tweets) -> TweetCorpus 
         return merge_corpora([tweet_loader(f) for f in cfg.tweet_files])
 
 
-def build_master(cfg: ExperimentConfig, variant: str, stock: StockSeries,
-                 corpus: TweetCorpus | None, table: ScoreTable | None = None) -> MasterDataset:
-    """Produce the master dataset for one variant from a loaded corpus (stage-tagged).
+def score(cfg: ExperimentConfig, corpus: TweetCorpus) -> ScoreTable:
+    """Stage score: the corpus scored once for every variant; one that fails, fails alone in build_master."""
+    with _stage("score"):
+        return score_corpus(cfg.scorer, corpus, cfg.variants)
 
-    ``table`` holds the corpus's scores; without one, this variant is scored.
-    """
+
+def build_master(cfg: ExperimentConfig, variant: str, stock: StockSeries,
+                 corpus: TweetCorpus | None, table: ScoreTable | None) -> MasterDataset:
+    """Produce the master dataset for one variant from a loaded corpus and
+    its score table (stage-tagged); both are None without sentiment."""
     if not cfg.with_sentiment:
         with _stage("join"):
             return stock_only_master(stock)
     with _stage("score"):
-        if table is None:
-            table = score_corpus(cfg.scorer, corpus, [variant])
         table.probabilities(variant)  # a variant that could not be scored fails here
     with _stage("aggregate"):
         daily = daily_aggregate(table, variant, corpus, stock.calendar)
@@ -413,8 +415,7 @@ def run_grid(cfg: ExperimentConfig, tweet_loader=load_tweets) -> list[Experiment
     try:
         corpus = load_corpus(cfg, tweet_loader)
         if cfg.with_sentiment:
-            with _stage("score"):  # a variant that cannot be scored fails alone in build_master
-                table = score_corpus(cfg.scorer, corpus, cfg.variants)
+            table = score(cfg, corpus)
     except PipelineError as exc:
         corpus_error = exc
     try:

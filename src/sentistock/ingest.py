@@ -39,35 +39,27 @@ _decode = json.JSONDecoder().raw_decode
 
 @dataclass
 class StockSeries:
-    """Daily OHLCV rows for one symbol, sorted by date."""
+    """Daily OHLCV rows for one symbol: a trading calendar and, for each name in
+    STOCK_COLUMNS in that order, a float column on it."""
 
     symbol: str
-    dates: list[date]
-    open: np.ndarray
-    high: np.ndarray
-    low: np.ndarray
-    close: np.ndarray
-    volume: np.ndarray
-
-    @property
-    def calendar(self) -> list[date]:
-        """The ordered trading days present in the series."""
-        return self.dates
+    calendar: list[date]
+    columns: dict[str, np.ndarray]
 
     def __len__(self) -> int:
-        return len(self.dates)
+        return len(self.calendar)
 
     def validate(self) -> None:
         """Check date ordering and price sanity; raises ValueError on violation."""
-        for i in range(1, len(self.dates)):
-            if self.dates[i] <= self.dates[i - 1]:
-                raise ValueError(f"dates not strictly increasing at {self.dates[i]}")
-        for name in ("open", "high", "low", "close"):
-            values = getattr(self, name)
-            if not np.all(np.isfinite(values)) or np.any(values <= 0):
-                raise ValueError(f"non-finite or non-positive {name} price")
-        if not np.all(np.isfinite(self.volume)) or np.any(self.volume < 0):
-            raise ValueError("negative or non-finite volume")
+        for i in range(1, len(self.calendar)):
+            if self.calendar[i] <= self.calendar[i - 1]:
+                raise ValueError(f"dates not strictly increasing at {self.calendar[i]}")
+        for name, values in self.columns.items():
+            if name == "Volume":
+                if not np.all(np.isfinite(values)) or np.any(values < 0):
+                    raise ValueError("negative or non-finite volume")
+            elif not np.all(np.isfinite(values)) or np.any(values <= 0):
+                raise ValueError(f"non-finite or non-positive {name.lower()} price")
 
 
 class Tweet(NamedTuple):
@@ -180,26 +172,20 @@ def load_stock_csv(path: str | Path, symbol: str | None = None) -> StockSeries:
             raise UnparseableRowError(cur[1], f"duplicate date {cur[0]}")
 
     columns = np.array([r[2] for r in rows], dtype=float)
-    series = StockSeries(
-        symbol=symbol or path.stem,
-        dates=[r[0] for r in rows],
-        open=columns[:, 0],
-        high=columns[:, 1],
-        low=columns[:, 2],
-        close=columns[:, 3],
-        volume=columns[:, 4],
-    )
+    series = StockSeries(symbol or path.stem, [r[0] for r in rows], dict(zip(STOCK_COLUMNS, columns.T)))
     series.validate()
     return series
 
 
-def write_stock_csv(series: StockSeries, path: str | Path) -> None:
-    """Write a StockSeries so that load_stock_csv round-trips it exactly."""
+def write_stock_csv(series, path: str | Path) -> None:
+    """Write a table with ``calendar`` and ``columns`` (a StockSeries or a
+    MasterDataset) as CSV with a Date column first; load_stock_csv and
+    load_master_csv read back its exact values."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(("Date",) + STOCK_COLUMNS)
-        columns = [getattr(series, name.lower()) for name in STOCK_COLUMNS]
-        for i, d in enumerate(series.dates):
+        writer.writerow(["Date", *series.columns])
+        columns = list(series.columns.values())
+        for i, d in enumerate(series.calendar):
             writer.writerow([d.isoformat()] + [repr(float(column[i])) for column in columns])
 
 

@@ -17,11 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CalendarMismatchError, MissingScoreError, UnknownColumnError, UnparseableRowError
-from .ingest import STOCK_COLUMNS, StockSeries, TweetCorpus, parse_day
+from .ingest import StockSeries, TweetCorpus, parse_day, write_stock_csv
 from .sentiment import ScoreTable, labels
 
 SENTIMENT_COLUMNS = ("sent_pos", "sent_neg", "sent_neu")
-MASTER_COLUMNS = STOCK_COLUMNS + SENTIMENT_COLUMNS
 
 
 @dataclass
@@ -171,19 +170,12 @@ def join_with_stock(mapped: DailySentimentSeries, series: StockSeries) -> Master
 
 def stock_only_master(series: StockSeries) -> MasterDataset:
     """Master dataset with stock columns only (the no-sentiment pipeline)."""
-    columns = {name: getattr(series, name.lower()).copy() for name in STOCK_COLUMNS}
+    columns = {name: values.copy() for name, values in series.columns.items()}
     return MasterDataset(calendar=list(series.calendar), columns=columns, target_column="Close")
 
 
-def write_master_csv(master: MasterDataset, path: str | Path) -> None:
-    """Write a master dataset as CSV with a Date column first."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["Date"] + master.column_names)
-        for i, d in enumerate(master.calendar):
-            writer.writerow(
-                [d.isoformat()] + [repr(float(master.columns[c][i])) for c in master.columns]
-            )
+# A master dataset is written like a stock series: Date, then its columns in order.
+write_master_csv = write_stock_csv
 
 
 def load_master_csv(path: str | Path, target_column: str = "Close") -> MasterDataset:

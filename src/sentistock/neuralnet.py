@@ -461,7 +461,7 @@ def _safe_r2(pred, actual) -> float:
 
 
 def train(model: BiLstmModel, windows, cfg: TrainConfig) -> TrainingHistory:
-    """Fit the model in place; returns the per-epoch history.
+    """Fit the model in place on a WindowedSet; returns the per-epoch history.
 
     The validation set is the chronological tail of the windows
     (ceil(validation_split * n) samples). Mini-batches preserve order, so a
@@ -470,10 +470,8 @@ def train(model: BiLstmModel, windows, cfg: TrainConfig) -> TrainingHistory:
     stops at the first non-improving epoch) and the best epoch's parameters
     are restored. The model's scratch arena is emptied when it returns.
     """
-    X = windows.X if hasattr(windows, "X") else np.asarray(windows[0], dtype=float)
-    y = windows.y if hasattr(windows, "y") else np.asarray(windows[1], dtype=float)
-    X = _check_batch(model, X)
-    y = np.asarray(y, dtype=float).reshape(-1)
+    X = _check_batch(model, windows.X)
+    y = np.asarray(windows.y, dtype=float).reshape(-1)
     n = y.shape[0]
     if n == 0:
         raise EmptyTrainingSetError("no training windows")

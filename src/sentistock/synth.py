@@ -43,16 +43,7 @@ def sine_stock(n_days: int = 200, seed: int = 0, symbol: str = "SINE") -> StockS
     """A noiseless sine-wave close price (period ~40 days) around level 100."""
     t = np.arange(n_days, dtype=float)
     close = 100.0 + 10.0 * np.sin(2.0 * np.pi * t / 40.0)
-    cols = _ohlcv_from_close(close, seed)
-    return StockSeries(
-        symbol=symbol,
-        dates=trading_calendar(date(2020, 1, 1), n_days),
-        open=cols["Open"],
-        high=cols["High"],
-        low=cols["Low"],
-        close=cols["Close"],
-        volume=cols["Volume"],
-    )
+    return StockSeries(symbol, trading_calendar(date(2020, 1, 1), n_days), _ohlcv_from_close(close, seed))
 
 
 def random_walk_stock(n_days: int = 300, seed: int = 0, symbol: str = "WALK") -> StockSeries:
@@ -60,16 +51,7 @@ def random_walk_stock(n_days: int = 300, seed: int = 0, symbol: str = "WALK") ->
     rng = np.random.default_rng(seed)
     close = 100.0 + np.cumsum(rng.normal(0.0, 1.0, n_days))
     close = np.maximum(close, 5.0)
-    cols = _ohlcv_from_close(close, seed + 1)
-    return StockSeries(
-        symbol=symbol,
-        dates=trading_calendar(date(2020, 1, 1), n_days),
-        open=cols["Open"],
-        high=cols["High"],
-        low=cols["Low"],
-        close=cols["Close"],
-        volume=cols["Volume"],
-    )
+    return StockSeries(symbol, trading_calendar(date(2020, 1, 1), n_days), _ohlcv_from_close(close, seed + 1))
 
 
 def sentiment_driven_master(

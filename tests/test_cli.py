@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sentistock
 from sentistock import synth
 from sentistock.cli import main
 from sentistock.ingest import write_stock_csv
@@ -133,6 +138,76 @@ def test_grid_subcommand_and_exit_codes(workspace):
     }))
     assert main(["grid", "--config", str(config)]) == 0
     assert (tmp_path / "out" / "summary_DEMO.csv").exists()
+
+
+def summary_cells(out_dir):
+    with open(out_dir / "summary_DEMO.csv", newline="") as fh:
+        return [(row["scrip"], row["variant"], row["lookback"]) for row in csv.DictReader(fh)]
+
+
+def test_grid_override_flags(workspace):
+    """Each grid flag overrides its config field: the run writes the files of a
+    run whose config file holds the flags' values."""
+    tmp_path, stock_path, tweets_path = workspace
+    lines = tweets_path.read_text().splitlines(keepends=True)
+    part_a, part_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    part_a.write_text("".join(lines[::2]))
+    part_b.write_text("".join(lines[1::2]))
+    base = {"config_version": 1, "variants": ["cleaned_prosus"], "hidden_units": 4}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        **base, "stock_file": str(tmp_path / "missing.csv"), "tweet_files": [str(tmp_path / "missing.jsonl")],
+        "lookbacks": [4], "seed": 0, "epochs": 5, "output_dir": str(tmp_path / "unused"),
+    }))
+    flagged = tmp_path / "flagged"
+    assert main(["grid", "--config", str(config), "--stock", str(stock_path),
+                 "--tweets", f"{part_a},{part_b}", "--lookbacks", "3,5", "--seed", "9",
+                 "--epochs", "2", "--out-dir", str(flagged)]) == 0
+    assert not (tmp_path / "unused").exists()
+    assert summary_cells(flagged) == [("DEMO", "cleaned_prosus", "3"), ("DEMO", "cleaned_prosus", "5")]
+    record = json.loads((flagged / "DEMO_cleaned_prosus_w5_record.json").read_text())
+    assert record["seed"] == 10 and record["history"]["n_epochs"] == 2
+
+    expected = tmp_path / "expected"
+    config.write_text(json.dumps({
+        **base, "stock_file": str(stock_path), "tweet_files": [str(part_a), str(part_b)],
+        "lookbacks": [3, 5], "seed": 9, "epochs": 2, "output_dir": str(expected),
+    }))
+    assert main(["grid", "--config", str(config)]) == 0
+    names = sorted(path.name for path in flagged.iterdir())
+    assert names == sorted(path.name for path in expected.iterdir())
+    for name in names:
+        assert (flagged / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+def test_grid_without_sentiment_flag(workspace):
+    tmp_path, stock_path, tweets_path = workspace
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "config_version": 1, "stock_file": str(stock_path), "tweet_files": [str(tweets_path)],
+        "variants": ["cleaned_prosus", "pos_prosus"], "lookbacks": [3], "hidden_units": 4, "epochs": 1,
+    }))
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(config), "--without-sentiment", "--out-dir", str(out)]) == 0
+    assert summary_cells(out) == [("DEMO", "none", "3")]
+
+
+def test_grid_malformed_lookbacks_exit_code(workspace):
+    """Run as ``python -m sentistock``: argparse rejects the flag before any output."""
+    tmp_path, stock_path, tweets_path = workspace
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "config_version": 1, "stock_file": str(stock_path), "tweet_files": [str(tweets_path)],
+    }))
+    out = tmp_path / "out"
+    src = str(Path(sentistock.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sentistock", "grid", "--config", str(config), "--lookbacks", "3,x",
+         "--out-dir", str(out)], capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "argument --lookbacks" in proc.stderr
+    assert not out.exists()
 
 
 def test_grid_failure_exit_code(workspace, tmp_path):

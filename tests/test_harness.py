@@ -61,14 +61,14 @@ class TestRunPipeline:
 
         close = np.linspace(10.0, 40.0, 60)
         stock = StockSeries(
-            symbol="MONO", dates=trading_calendar(date(2020, 1, 1), 60),
-            open=close * 0.99, high=close * 1.01, low=close * 0.98,
-            close=close, volume=np.full(60, 100.0),
+            symbol="MONO", calendar=trading_calendar(date(2020, 1, 1), 60),
+            columns={"Open": close * 0.99, "High": close * 1.01, "Low": close * 0.98,
+                     "Close": close, "Volume": np.full(60, 100.0)},
         )
         path = tmp_path / "MONO.csv"
         write_stock_csv(stock, path)
         cfg = fast_config(stock_file=str(path), with_sentiment=False)
-        master = harness.build_master(cfg, "none", stock, None)
+        master = harness.build_master(cfg, "none", stock, None, None)
         assert len(master.columns) == 5  # stock columns only
         [record] = run_grid(cfg)
         assert record.ok and record.variant == "none"
@@ -82,8 +82,9 @@ class TestRunPipeline:
                           variants=["cleaned_prosus"])
         from sentistock.ingest import load_stock_csv
 
+        corpus = harness.load_corpus(cfg)
         master = harness.build_master(cfg, "cleaned_prosus", load_stock_csv(stock_path),
-                                      harness.load_corpus(cfg))
+                                      corpus, harness.score(cfg, corpus))
         assert len(master.columns) == 8
         [record] = run_grid(cfg)
         assert record.ok and record.variant == "cleaned_prosus"

@@ -156,7 +156,7 @@ class TestLoadStockCsv:
         )
         series = load_stock_csv(path)
         assert len(series) == 3
-        assert list(series.close) == [10.0, 11.0, 12.0]
+        assert list(series.columns["Close"]) == [10.0, 11.0, 12.0]
         assert series.calendar == [date(2023, 1, 2), date(2023, 1, 3), date(2023, 1, 4)]
 
     def test_unsorted_rows_are_sorted(self, tmp_path):
@@ -230,8 +230,37 @@ class TestLoadStockCsv:
         write_stock_csv(original, path)
         reloaded = load_stock_csv(path, symbol=original.symbol)
         assert reloaded.calendar == original.calendar
-        for col in ("open", "high", "low", "close", "volume"):
-            np.testing.assert_array_equal(getattr(reloaded, col), getattr(original, col))
+        for col in ("Open", "High", "Low", "Close", "Volume"):
+            np.testing.assert_array_equal(reloaded.columns[col], original.columns[col])
+
+    def test_written_bytes(self, tmp_path):
+        """The stock CSV format: a Date header, then ISO days and each value's float repr."""
+        path = tmp_path / "s.csv"
+        write_stock_csv(three_row_series(), path)
+        assert path.read_bytes() == (
+            b"Date,Open,High,Low,Close,Volume\r\n"
+            b"2022-03-01,9.9,10.5,9.75,10.0,100.0\r\n"
+            b"2022-03-02,0.1,0.30000000000000004,0.1,0.2,0.0\r\n"
+            b"2022-03-03,1e-05,123456789.0,1e-05,12345.678,1e+16\r\n"
+        )
+
+
+def three_row_series():
+    """A 3-row StockSeries whose values need repr's shortest round-trip digits."""
+    from sentistock.ingest import StockSeries
+    from sentistock.synth import trading_calendar
+
+    return StockSeries(
+        symbol="T",
+        calendar=trading_calendar(date(2022, 3, 1), 3),
+        columns={
+            "Open": np.array([9.9, 0.1, 1e-5]),
+            "High": np.array([10.5, 0.1 + 0.2, 123456789.0]),
+            "Low": np.array([9.75, 0.1, 1e-5]),
+            "Close": np.array([10.0, 0.2, 12345.678]),
+            "Volume": np.array([100.0, 0.0, 1e16]),
+        },
+    )
 
 
 def load_stock_csv_from_arrays(tmp_path, close):
@@ -241,12 +270,14 @@ def load_stock_csv_from_arrays(tmp_path, close):
     n = len(close)
     return StockSeries(
         symbol="T",
-        dates=trading_calendar(date(2022, 3, 1), n),
-        open=close * 0.99,
-        high=close * 1.02,
-        low=close * 0.97,
-        close=np.asarray(close, dtype=float),
-        volume=np.arange(n, dtype=float) + 10,
+        calendar=trading_calendar(date(2022, 3, 1), n),
+        columns={
+            "Open": close * 0.99,
+            "High": close * 1.02,
+            "Low": close * 0.97,
+            "Close": np.asarray(close, dtype=float),
+            "Volume": np.arange(n, dtype=float) + 10,
+        },
     )
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import corpus_of, make_corpus
 from sentistock.errors import CalendarMismatchError, MissingScoreError, UnparseableRowError
-from sentistock.ingest import StockSeries, Tweet
+from sentistock.ingest import StockSeries, Tweet, write_stock_csv
 from sentistock.mapping import (
     DailySentimentSeries,
     MemoryKernel,
@@ -20,6 +20,7 @@ from sentistock.mapping import (
 )
 from sentistock.sentiment import ScoreTable
 from sentistock.synth import trading_calendar
+from test_ingest import three_row_series
 from test_sentiment import argmax_label
 
 
@@ -72,12 +73,14 @@ def make_stock(n, start=date(2023, 1, 2)):
     close = np.linspace(10, 20, n)
     return StockSeries(
         symbol="T",
-        dates=trading_calendar(start, n),
-        open=close * 0.99,
-        high=close * 1.01,
-        low=close * 0.98,
-        close=close,
-        volume=np.full(n, 100.0),
+        calendar=trading_calendar(start, n),
+        columns={
+            "Open": close * 0.99,
+            "High": close * 1.01,
+            "Low": close * 0.98,
+            "Close": close,
+            "Volume": np.full(n, 100.0),
+        },
     )
 
 
@@ -271,7 +274,7 @@ class TestJoinWithStock:
         stock = make_stock(4)
         master = join_with_stock(self.mapped_for(stock.calendar), stock)
         np.testing.assert_array_equal(master.columns["sent_pos"], 0)
-        np.testing.assert_array_equal(master.columns["Close"], stock.close)
+        np.testing.assert_array_equal(master.columns["Close"], stock.columns["Close"])
 
 
 class TestMasterCsv:
@@ -285,6 +288,12 @@ class TestMasterCsv:
         assert reloaded.column_names == master.column_names
         for name in master.columns:
             np.testing.assert_array_equal(reloaded.columns[name], master.columns[name])
+
+    def test_stock_only_master_writes_stock_bytes(self, tmp_path):
+        stock = three_row_series()
+        write_stock_csv(stock, tmp_path / "stock.csv")
+        write_master_csv(stock_only_master(stock), tmp_path / "master.csv")
+        assert (tmp_path / "master.csv").read_bytes() == (tmp_path / "stock.csv").read_bytes()
 
     def write_with_row(self, tmp_path, line):
         path = tmp_path / "master.csv"
