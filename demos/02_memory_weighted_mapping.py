@@ -20,7 +20,7 @@ table = score_corpus(ScorerConfig(kind="lexicon"), corpus, ["cleaned_prosus"])
 # Raw daily channels: per-day mean of one-hot class contributions. Tweets on
 # weekends roll forward to the next trading day.
 daily = daily_aggregate(table, "cleaned_prosus", corpus, stock.calendar)
-print(f"{len(corpus)} tweets over {len(stock)} trading days")
+print(f"{len(corpus)} tweets over {stock.n_rows} trading days")
 print(f"days with any sentiment: {int(np.sum(daily.positive + daily.negative + daily.neutral > 0))}")
 
 # A single positive spike, smoothed by both kernels (memory of 10 days).

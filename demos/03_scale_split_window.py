@@ -9,10 +9,9 @@ consecutive rows, each predicting the next row's close.
 import numpy as np
 
 from sentistock import chronological_split, fit_scalers, inverse_transform, make_windows, transform
-from sentistock.mapping import stock_only_master
 from sentistock.synth import random_walk_stock
 
-master = stock_only_master(random_walk_stock(n_days=50, seed=3))
+master = random_walk_stock(n_days=50, seed=3)
 
 # Scalers are fit on the first floor(0.8 * N) rows only, so the test rows
 # can fall outside [0, 1] -- no information leaks backwards in time.

@@ -18,11 +18,10 @@ from sentistock import (
     train,
     transform,
 )
-from sentistock.mapping import stock_only_master
 from sentistock.neuralnet import ModelConfig, TrainConfig
 from sentistock.synth import sine_stock
 
-master = stock_only_master(sine_stock(200, seed=0))
+master = sine_stock(200, seed=0)
 scalers = fit_scalers(master, 0.8)
 scaled = transform(scalers, master)
 train_part, test_part = chronological_split(scaled, 0.8)

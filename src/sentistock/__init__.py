@@ -32,7 +32,7 @@ from .harness import (
     run_master,
 )
 from .ingest import (
-    StockSeries,
+    MasterDataset,
     Tweet,
     TweetCorpus,
     clean_tweet,
@@ -43,14 +43,12 @@ from .ingest import (
 )
 from .mapping import (
     DailySentimentSeries,
-    MasterDataset,
     MemoryKernel,
     class_contributions,
     daily_aggregate,
     join_with_stock,
     load_master_csv,
     memory_weighted_map,
-    stock_only_master,
     write_master_csv,
 )
 from .neuralnet import (

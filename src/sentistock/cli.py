@@ -137,7 +137,7 @@ def _cmd_map(args) -> int:
     corpus = harness.load_corpus(cfg)
     table = harness.score(cfg, corpus)
     write_master_csv(harness.build_master(cfg, args.variant, stock, corpus, table), args.out)
-    print(f"mapped {len(corpus)} tweets onto {len(stock)} trading days -> {args.out}")
+    print(f"mapped {len(corpus)} tweets onto {stock.n_rows} trading days -> {args.out}")
     return 0
 
 

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateDatasetError, InsufficientRowsError, UnknownColumnError
-from .mapping import MasterDataset
+from .ingest import MasterDataset
 
 FIT_SCOPES = ("train_only", "full")
 
@@ -88,10 +88,7 @@ def fit_scalers(data: MasterDataset, split_ratio: float = 0.8, fit_scope: str = 
 
 def transform(scalers: ScalerSet, data: MasterDataset) -> MasterDataset:
     """Scale every column of a master dataset. Out-of-range values pass through unclipped."""
-    columns = {name: scalers[name].transform(values) for name, values in data.columns.items()}
-    return MasterDataset(
-        calendar=list(data.calendar), columns=columns, target_column=data.target_column
-    )
+    return replace(data, columns={name: scalers[name].transform(v) for name, v in data.columns.items()})
 
 
 def inverse_transform(scalers: ScalerSet, column: str, values: np.ndarray) -> np.ndarray:
@@ -111,17 +108,9 @@ def chronological_split(data: MasterDataset, split_ratio: float = 0.8) -> tuple[
     if n < 2:
         raise DegenerateDatasetError(f"cannot split {n} rows")
     n_train = math.floor(split_ratio * n)
-    train = MasterDataset(
-        calendar=data.calendar[:n_train],
-        columns={k: v[:n_train] for k, v in data.columns.items()},
-        target_column=data.target_column,
-    )
-    test = MasterDataset(
-        calendar=data.calendar[n_train:],
-        columns={k: v[n_train:] for k, v in data.columns.items()},
-        target_column=data.target_column,
-    )
-    return train, test
+    return tuple(replace(data, calendar=data.calendar[part],
+                         columns={name: values[part] for name, values in data.columns.items()})
+                 for part in (slice(0, n_train), slice(n_train, n)))
 
 
 def make_windows(data: MasterDataset, lookback: int, target: str | None = None) -> WindowedSet:

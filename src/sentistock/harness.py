@@ -27,15 +27,8 @@ from . import dataset as ds
 from . import evalmetrics as em
 from . import neuralnet as nn
 from .errors import ConfigError, PipelineError
-from .ingest import StockSeries, TweetCorpus, load_stock_csv, load_tweets
-from .mapping import (
-    MasterDataset,
-    MemoryKernel,
-    daily_aggregate,
-    join_with_stock,
-    memory_weighted_map,
-    stock_only_master,
-)
+from .ingest import MasterDataset, TweetCorpus, load_stock_csv, load_tweets
+from .mapping import MemoryKernel, daily_aggregate, join_with_stock, memory_weighted_map
 from .sentiment import VARIANTS, ScorerConfig, ScoreTable, score_corpus
 
 logger = logging.getLogger(__name__)
@@ -263,7 +256,7 @@ def merge_corpora(corpora: list[TweetCorpus]) -> TweetCorpus:
                                sources=len(corpora))
 
 
-def load_stock(cfg: ExperimentConfig) -> StockSeries:
+def load_stock(cfg: ExperimentConfig) -> MasterDataset:
     """Stage load_stock: read the configured stock file."""
     with _stage("load_stock"):
         if cfg.stock_file is None:
@@ -290,13 +283,13 @@ def score(cfg: ExperimentConfig, corpus: TweetCorpus) -> ScoreTable:
         return score_corpus(cfg.scorer, corpus, cfg.variants)
 
 
-def build_master(cfg: ExperimentConfig, variant: str, stock: StockSeries,
+def build_master(cfg: ExperimentConfig, variant: str, stock: MasterDataset,
                  corpus: TweetCorpus | None, table: ScoreTable | None) -> MasterDataset:
     """Produce the master dataset for one variant from a loaded corpus and
-    its score table (stage-tagged); both are None without sentiment."""
+    its score table (stage-tagged); both are None without sentiment, and
+    the master is the stock itself."""
     if not cfg.with_sentiment:
-        with _stage("join"):
-            return stock_only_master(stock)
+        return stock
     with _stage("score"):
         table.probabilities(variant)  # a variant that could not be scored fails here
     with _stage("aggregate"):
@@ -401,7 +394,7 @@ def run_grid(cfg: ExperimentConfig, tweet_loader=load_tweets) -> list[Experiment
     artifacts when output_dir is set.
     """
     stock = load_stock(cfg)
-    n = len(stock)
+    n = stock.n_rows
     n_test = n - math.floor(cfg.split_ratio * n)
     usable = []
     for w in cfg.lookbacks:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
@@ -21,6 +22,7 @@ from .errors import (
     EmptyCorpusError,
     EmptySeriesError,
     MissingColumnError,
+    UnknownColumnError,
     UnparseableRecordError,
     UnparseableRowError,
 )
@@ -38,28 +40,37 @@ _decode = json.JSONDecoder().raw_decode
 
 
 @dataclass
-class StockSeries:
-    """Daily OHLCV rows for one symbol: a trading calendar and, for each name in
-    STOCK_COLUMNS in that order, a float column on it."""
+class MasterDataset:
+    """Float columns on a trading calendar plus the prediction target column.
 
-    symbol: str
+    A stock series is one holding the STOCK_COLUMNS, with target Close and
+    its symbol; the pipeline joins sentiment columns onto it.
+    """
+
     calendar: list[date]
     columns: dict[str, np.ndarray]
+    target_column: str = "Close"
+    symbol: str = ""
 
-    def __len__(self) -> int:
+    def __post_init__(self):
+        n = len(self.calendar)
+        for name, values in self.columns.items():
+            if len(values) != n:
+                raise ValueError(f"column {name!r} has {len(values)} rows, calendar has {n}")
+        if self.target_column not in self.columns:
+            raise UnknownColumnError(self.target_column)
+
+    @property
+    def n_rows(self) -> int:
         return len(self.calendar)
 
-    def validate(self) -> None:
-        """Check date ordering and price sanity; raises ValueError on violation."""
-        for i in range(1, len(self.calendar)):
-            if self.calendar[i] <= self.calendar[i - 1]:
-                raise ValueError(f"dates not strictly increasing at {self.calendar[i]}")
-        for name, values in self.columns.items():
-            if name == "Volume":
-                if not np.all(np.isfinite(values)) or np.any(values < 0):
-                    raise ValueError("negative or non-finite volume")
-            elif not np.all(np.isfinite(values)) or np.any(values <= 0):
-                raise ValueError(f"non-finite or non-positive {name.lower()} price")
+    @property
+    def column_names(self) -> list[str]:
+        return list(self.columns)
+
+    def feature_matrix(self) -> np.ndarray:
+        """Columns stacked in order as a (n_rows, n_columns) float array."""
+        return np.column_stack([self.columns[name] for name in self.columns])
 
 
 class Tweet(NamedTuple):
@@ -141,12 +152,12 @@ def parse_day(text: str) -> date:
     return date.fromisoformat(text)
 
 
-def load_stock_csv(path: str | Path, symbol: str | None = None) -> StockSeries:
-    """Read an OHLCV CSV into a validated StockSeries.
+def load_stock_csv(path: str | Path, symbol: str | None = None) -> MasterDataset:
+    """Read an OHLCV CSV into a MasterDataset of the STOCK_COLUMNS, sorted by date.
 
-    Rows are sorted by date; duplicate dates are rejected. Extra columns are
-    ignored. Raises MissingColumnError, UnparseableRowError or
-    EmptySeriesError.
+    Extra columns are ignored. Raises MissingColumnError, EmptySeriesError, or
+    UnparseableRowError with the line number for a bad or repeated date, a
+    price not finite and > 0, or a volume not finite and >= 0.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -156,13 +167,17 @@ def load_stock_csv(path: str | Path, symbol: str | None = None) -> StockSeries:
             if col not in header:
                 raise MissingColumnError(col)
         rows = []
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             try:
                 d = parse_day(row["Date"].strip())
                 values = tuple(float(row[c]) for c in STOCK_COLUMNS)
             except (ValueError, TypeError, AttributeError) as exc:
-                raise UnparseableRowError(line_no, str(exc)) from exc
-            rows.append((d, line_no, values))
+                raise UnparseableRowError(reader.line_num, str(exc)) from exc
+            # Volume is the last of the STOCK_COLUMNS.
+            if not all(map(math.isfinite, values)) or min(values[:-1]) <= 0 or values[-1] < 0:
+                raise UnparseableRowError(reader.line_num, f"prices must be finite and > 0, volume finite "
+                                          f"and >= 0, not {dict(zip(STOCK_COLUMNS, values))}")
+            rows.append((d, reader.line_num, values))
     if not rows:
         raise EmptySeriesError(f"no data rows in {path}")
 
@@ -172,15 +187,13 @@ def load_stock_csv(path: str | Path, symbol: str | None = None) -> StockSeries:
             raise UnparseableRowError(cur[1], f"duplicate date {cur[0]}")
 
     columns = np.array([r[2] for r in rows], dtype=float)
-    series = StockSeries(symbol or path.stem, [r[0] for r in rows], dict(zip(STOCK_COLUMNS, columns.T)))
-    series.validate()
-    return series
+    return MasterDataset([r[0] for r in rows], dict(zip(STOCK_COLUMNS, columns.T)),
+                         symbol=symbol or path.stem)
 
 
-def write_stock_csv(series, path: str | Path) -> None:
-    """Write a table with ``calendar`` and ``columns`` (a StockSeries or a
-    MasterDataset) as CSV with a Date column first; load_stock_csv and
-    load_master_csv read back its exact values."""
+def write_stock_csv(series: MasterDataset, path: str | Path) -> None:
+    """Write a MasterDataset as CSV with a Date column first; load_stock_csv
+    and load_master_csv read back its exact values."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["Date", *series.columns])

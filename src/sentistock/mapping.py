@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CalendarMismatchError, MissingScoreError, UnknownColumnError, UnparseableRowError
-from .ingest import StockSeries, TweetCorpus, parse_day, write_stock_csv
+from .errors import CalendarMismatchError, MissingColumnError, MissingScoreError, UnparseableRowError
+from .ingest import MasterDataset, TweetCorpus, parse_day, write_stock_csv
 from .sentiment import ScoreTable, labels
 
 SENTIMENT_COLUMNS = ("sent_pos", "sent_neg", "sent_neu")
@@ -61,35 +61,6 @@ class DailySentimentSeries:
     positive: np.ndarray
     negative: np.ndarray
     neutral: np.ndarray
-
-
-@dataclass
-class MasterDataset:
-    """Per-trading-day feature columns plus the prediction target column."""
-
-    calendar: list[date]
-    columns: dict[str, np.ndarray]
-    target_column: str = "Close"
-
-    def __post_init__(self):
-        n = len(self.calendar)
-        for name, values in self.columns.items():
-            if len(values) != n:
-                raise ValueError(f"column {name!r} has {len(values)} rows, calendar has {n}")
-        if self.target_column not in self.columns:
-            raise UnknownColumnError(self.target_column)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.calendar)
-
-    @property
-    def column_names(self) -> list[str]:
-        return list(self.columns)
-
-    def feature_matrix(self) -> np.ndarray:
-        """Columns stacked in order as a (n_rows, n_columns) float array."""
-        return np.column_stack([self.columns[name] for name in self.columns])
 
 
 def class_contributions(probabilities: np.ndarray) -> np.ndarray:
@@ -154,24 +125,16 @@ def memory_weighted_map(daily: DailySentimentSeries, kernel: MemoryKernel) -> Da
                                 *map(smooth, (daily.positive, daily.negative, daily.neutral)))
 
 
-def join_with_stock(mapped: DailySentimentSeries, series: StockSeries) -> MasterDataset:
-    """Join mapped sentiment channels with the stock columns.
+def join_with_stock(mapped: DailySentimentSeries, stock: MasterDataset) -> MasterDataset:
+    """The stock's columns, then the mapped sentiment channels.
 
     Calendars must match exactly; the first differing date is reported.
     """
-    for a, b in zip_longest(mapped.calendar, series.calendar):
+    for a, b in zip_longest(mapped.calendar, stock.calendar):
         if a != b:
             raise CalendarMismatchError(a if a is not None else b)
-    master = stock_only_master(series)
-    for name, values in zip(SENTIMENT_COLUMNS, (mapped.positive, mapped.negative, mapped.neutral)):
-        master.columns[name] = values.copy()
-    return master
-
-
-def stock_only_master(series: StockSeries) -> MasterDataset:
-    """Master dataset with stock columns only (the no-sentiment pipeline)."""
-    columns = {name: values.copy() for name, values in series.columns.items()}
-    return MasterDataset(calendar=list(series.calendar), columns=columns, target_column="Close")
+    channels = (mapped.positive, mapped.negative, mapped.neutral)
+    return replace(stock, columns={**stock.columns, **dict(zip(SENTIMENT_COLUMNS, channels))})
 
 
 # A master dataset is written like a stock series: Date, then its columns in order.
@@ -179,30 +142,34 @@ write_master_csv = write_stock_csv
 
 
 def load_master_csv(path: str | Path, target_column: str = "Close") -> MasterDataset:
-    """Read a master dataset CSV written by write_master_csv.
+    """Read a master dataset CSV written by write_master_csv, skipping blank lines.
 
-    Raises UnparseableRowError, with the line number, for a row whose field
-    count differs from the header's or that holds an unparseable date or a
-    non-finite value.
+    Raises MissingColumnError without a leading Date column, and
+    UnparseableRowError with the line number for a repeated column name or
+    a row of the wrong field count, a bad date or a non-finite value.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "Date":
-            raise ValueError("master CSV must start with a Date column")
+        header = next(reader, [])
+        if header[:1] != ["Date"]:
+            raise MissingColumnError("master CSV must start with a Date column")
+        if len(set(header)) != len(header):
+            raise UnparseableRowError(reader.line_num, f"repeated column name in {header}")
         names = header[1:]
         calendar = []
         rows = []
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            if not row:
+                continue
             if len(row) != len(header):
-                raise UnparseableRowError(line_no, f"expected {len(header)} fields, got {len(row)}")
+                raise UnparseableRowError(reader.line_num, f"expected {len(header)} fields, got {len(row)}")
             try:
                 calendar.append(parse_day(row[0]))
                 values = [float(v) for v in row[1:]]
             except ValueError as exc:
-                raise UnparseableRowError(line_no, str(exc)) from exc
+                raise UnparseableRowError(reader.line_num, str(exc)) from exc
             if not all(math.isfinite(v) for v in values):
-                raise UnparseableRowError(line_no, f"non-finite value in {row[1:]}")
+                raise UnparseableRowError(reader.line_num, f"non-finite value in {row[1:]}")
             rows.append(values)
     data = np.array(rows, dtype=float).reshape(len(rows), len(names))
     columns = {name: data[:, j] for j, name in enumerate(names)}

@@ -16,16 +16,21 @@ import numpy as np
 
 from .errors import (
     AmbiguousTweetIdError,
+    MissingColumnError,
     MissingScoreError,
     MissingVariantTextError,
     ProbabilityRowInvalidError,
     ScorerUnavailableError,
     UnknownTweetIdError,
+    UnparseableRowError,
 )
 from .ingest import TweetCorpus
 
 # Canonical scoring variants, in the order used for result-table features 1-4.
 VARIANTS = ("cleaned_prosus", "cleaned_yiyanghkust", "pos_prosus", "pos_yiyanghkust")
+
+# The precomputed-score CSV header, one row per (tweet, variant).
+SCORE_COLUMNS = ("tweet_id", "variant", "p_pos", "p_neg", "p_neu")
 
 # The TweetCorpus column each variant scores; variants reading the same one share scores.
 TEXT_FORMS = dict(zip(VARIANTS, ("cleaned_texts",) * 2 + ("pos_texts",) * 2))
@@ -188,7 +193,9 @@ def load_precomputed_scores(path: str | Path, corpus: TweetCorpus) -> ScoreTable
     names two tweets raises AmbiguousTweetIdError, one naming none
     UnknownTweetIdError. Rows of non-negative probabilities summing within
     1e-3 of 1 are renormalized; others raise ProbabilityRowInvalidError. A variant that
-    misses a tweet maps to ScorerUnavailableError.
+    misses a tweet maps to ScorerUnavailableError. A header missing one of SCORE_COLUMNS raises
+    MissingColumnError; a short row, an unknown variant or a non-numeric probability
+    UnparseableRowError.
     """
     rows: dict[str, int] = {}
     ambiguous: set[str] = set()
@@ -198,7 +205,14 @@ def load_precomputed_scores(path: str | Path, corpus: TweetCorpus) -> ScoreTable
                 ambiguous.add(key)
     arrays = {variant: np.full((len(corpus), 3), np.nan) for variant in VARIANTS}
     with open(path, newline="") as fh:
-        for line_no, row in enumerate(csv.DictReader(fh), start=2):
+        reader = csv.DictReader(fh)
+        for col in SCORE_COLUMNS:
+            if col not in (reader.fieldnames or []):
+                raise MissingColumnError(col)
+        for row in reader:
+            line_no = reader.line_num
+            if None in row.values():
+                raise UnparseableRowError(line_no, f"fewer fields than the header's {len(reader.fieldnames)}")
             tweet_id = row["tweet_id"]
             variant = row["variant"]
             if tweet_id in ambiguous:
@@ -207,8 +221,11 @@ def load_precomputed_scores(path: str | Path, corpus: TweetCorpus) -> ScoreTable
             if tweet_id not in rows:
                 raise UnknownTweetIdError(f"line {line_no}: tweet id {tweet_id!r} not in corpus")
             if variant not in VARIANTS:
-                raise ValueError(f"line {line_no}: unknown variant {variant!r}")
-            p = [float(row[k]) for k in ("p_pos", "p_neg", "p_neu")]
+                raise UnparseableRowError(line_no, f"unknown variant {variant!r}")
+            try:
+                p = [float(row[k]) for k in SCORE_COLUMNS[2:]]
+            except ValueError as exc:
+                raise UnparseableRowError(line_no, str(exc)) from exc
             total = sum(p)
             if min(p) < 0 or not abs(total - 1.0) <= 1e-3:
                 raise ProbabilityRowInvalidError(
@@ -230,7 +247,7 @@ def write_scores_csv(table: ScoreTable, path: str | Path) -> None:
     arrays = {variant: table.probabilities(variant).tolist() for variant in table.variants}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(("tweet_id", "variant", "p_pos", "p_neg", "p_neu"))
+        writer.writerow(SCORE_COLUMNS)
         for row, tweet_id in enumerate(table.tweet_ids):
             for variant, scores in arrays.items():
                 writer.writerow((tweet_id, variant, *map(repr, scores[row])))

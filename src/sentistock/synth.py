@@ -1,8 +1,8 @@
 """Synthetic data generators for demos and verification runs.
 
-All generators take a seed and produce valid StockSeries / MasterDataset /
-tweet structures, so the full pipeline can be exercised without any
-proprietary market or social-media data.
+All generators take a seed and produce valid MasterDataset (stock series
+included) and tweet structures, so the full pipeline can be exercised
+without any proprietary market or social-media data.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .ingest import StockSeries, TweetCorpus, clean_tweets
-from .mapping import MasterDataset
+from .ingest import MasterDataset, TweetCorpus, clean_tweets
+from .mapping import SENTIMENT_COLUMNS
 
 _WEEKDAY_FRIDAY = 4
 
@@ -39,19 +39,21 @@ def _ohlcv_from_close(close: np.ndarray, seed: int) -> dict[str, np.ndarray]:
     return {"Open": open_, "High": high, "Low": low, "Close": close, "Volume": volume}
 
 
-def sine_stock(n_days: int = 200, seed: int = 0, symbol: str = "SINE") -> StockSeries:
+def sine_stock(n_days: int = 200, seed: int = 0, symbol: str = "SINE") -> MasterDataset:
     """A noiseless sine-wave close price (period ~40 days) around level 100."""
     t = np.arange(n_days, dtype=float)
     close = 100.0 + 10.0 * np.sin(2.0 * np.pi * t / 40.0)
-    return StockSeries(symbol, trading_calendar(date(2020, 1, 1), n_days), _ohlcv_from_close(close, seed))
+    return MasterDataset(trading_calendar(date(2020, 1, 1), n_days), _ohlcv_from_close(close, seed),
+                         symbol=symbol)
 
 
-def random_walk_stock(n_days: int = 300, seed: int = 0, symbol: str = "WALK") -> StockSeries:
+def random_walk_stock(n_days: int = 300, seed: int = 0, symbol: str = "WALK") -> MasterDataset:
     """A positive random-walk close with mild daily moves."""
     rng = np.random.default_rng(seed)
     close = 100.0 + np.cumsum(rng.normal(0.0, 1.0, n_days))
     close = np.maximum(close, 5.0)
-    return StockSeries(symbol, trading_calendar(date(2020, 1, 1), n_days), _ohlcv_from_close(close, seed + 1))
+    return MasterDataset(trading_calendar(date(2020, 1, 1), n_days), _ohlcv_from_close(close, seed + 1),
+                         symbol=symbol)
 
 
 def sentiment_driven_master(
@@ -76,15 +78,9 @@ def sentiment_driven_master(
     close[0] = 10.0
     for d in range(n_days - 1):
         close[d + 1] = close[d] + signal_strength * (sent_pos[d] - sent_neg[d]) + noise[d]
-    cols = _ohlcv_from_close(close, seed + 1)
-    cols["sent_pos"] = sent_pos
-    cols["sent_neg"] = sent_neg
-    cols["sent_neu"] = sent_neu
-    return MasterDataset(
-        calendar=trading_calendar(date(2020, 1, 1), n_days),
-        columns=cols,
-        target_column="Close",
-    )
+    sentiment = dict(zip(SENTIMENT_COLUMNS, (sent_pos, sent_neg, sent_neu)))
+    return MasterDataset(trading_calendar(date(2020, 1, 1), n_days),
+                         {**_ohlcv_from_close(close, seed + 1), **sentiment})
 
 
 _SAMPLE_PHRASES = (

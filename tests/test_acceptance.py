@@ -21,7 +21,7 @@ from sentistock.errors import InsufficientRowsError
 from sentistock.evalmetrics import best_time_offset, mae, rmse
 from sentistock.harness import ExperimentConfig, run_grid, run_master
 from sentistock.ingest import write_stock_csv
-from sentistock.mapping import MasterDataset, MemoryKernel, memory_weighted_map, stock_only_master
+from sentistock.mapping import MasterDataset, MemoryKernel, memory_weighted_map
 from sentistock.neuralnet import ModelConfig, forward, init_model, loss_and_gradients
 
 
@@ -120,7 +120,7 @@ def test_4_windowing_exactness():
 def test_5_overfit_sine():
     with criterion("5 overfit-sine", 60):
         stock = synth.sine_stock(200, seed=0)
-        master = stock_only_master(stock)
+        master = stock
         cfg = ExperimentConfig(
             hidden_units=16,
             epochs=500,

@@ -260,6 +260,25 @@ def test_stage_flag_bad_value_exit_code(workspace, capsys):
     assert "fit_scope" in capsys.readouterr().err
 
 
+def test_malformed_csv_exit_code(workspace, capsys):
+    """A score CSV without a variant column and an empty master CSV stop
+    their commands with exit 2 before any output is written."""
+    tmp_path, _, tweets_path = workspace
+    scores = tmp_path / "scores.csv"
+    scores.write_text("tweet_id,p_pos,p_neg,p_neu\n0,1,0,0\n")
+    out = tmp_path / "out.csv"
+    assert main(["score", "--tweets", str(tweets_path), "--scorer", "precomputed",
+                 "--scores-file", str(scores), "--out", str(out)]) == 2
+    assert "variant" in capsys.readouterr().err
+    assert not out.exists()
+    master = tmp_path / "master.csv"
+    master.write_text("")
+    model = tmp_path / "model.npz"
+    assert main(["train", "--master", str(master), "--lookback", "3", "--model-out", str(model)]) == 2
+    assert "Date" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_missing_input_exit_code(tmp_path):
     assert main(["clean", "--tweets", str(tmp_path / "none.jsonl"),
                  "--out", str(tmp_path / "o.jsonl")]) == 2

@@ -56,11 +56,11 @@ class TestRunPipeline:
     def test_without_sentiment_on_monotone_series(self, tmp_path):
         from datetime import date
 
-        from sentistock.ingest import StockSeries
+        from sentistock.ingest import MasterDataset
         from sentistock.synth import trading_calendar
 
         close = np.linspace(10.0, 40.0, 60)
-        stock = StockSeries(
+        stock = MasterDataset(
             symbol="MONO", calendar=trading_calendar(date(2020, 1, 1), 60),
             columns={"Open": close * 0.99, "High": close * 1.01, "Low": close * 0.98,
                      "Close": close, "Volume": np.full(60, 100.0)},

@@ -155,7 +155,7 @@ class TestLoadStockCsv:
             "2023-01-04,11,13,11,12,100\n"
         )
         series = load_stock_csv(path)
-        assert len(series) == 3
+        assert series.n_rows == 3
         assert list(series.columns["Close"]) == [10.0, 11.0, 12.0]
         assert series.calendar == [date(2023, 1, 2), date(2023, 1, 3), date(2023, 1, 4)]
 
@@ -202,6 +202,45 @@ class TestLoadStockCsv:
             load_stock_csv(path)
         assert exc.value.line_number == 3
 
+    def test_line_number_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text(
+            "Date,Open,High,Low,Close,Volume\n"
+            "2023-01-02,9,11,9,10,100\n"
+            "\n"
+            "not-a-date,10,12,10,11,100\n"
+        )
+        with pytest.raises(UnparseableRowError) as exc:
+            load_stock_csv(path)
+        assert exc.value.line_number == 4
+
+    @pytest.mark.parametrize("column, value, ok", [
+        ("Close", "nan", False),
+        ("High", "inf", False),
+        ("Open", "0", False),
+        ("Open", "-1", False),
+        ("Volume", "-1", False),
+        ("Volume", "0", True),
+    ])
+    def test_price_and_volume_check(self, tmp_path, column, value, ok):
+        """Prices must be finite and > 0, volume finite and >= 0; a bad row is
+        reported by its own line even though it sorts first."""
+        row = {"Date": "2023-01-02", "Open": "9", "High": "11", "Low": "9", "Close": "10", "Volume": "100"}
+        row[column] = value
+        path = tmp_path / "s.csv"
+        path.write_text(
+            "Date,Open,High,Low,Close,Volume\n"
+            "2023-01-03,10,12,10,11,100\n"
+            + ",".join(row.values()) + "\n"
+            "2023-01-04,11,13,11,12,100\n"
+        )
+        if ok:
+            assert load_stock_csv(path).columns[column][0] == float(value)
+            return
+        with pytest.raises(UnparseableRowError) as exc:
+            load_stock_csv(path)
+        assert exc.value.line_number == 3
+
     @pytest.mark.parametrize("day", ["20230103", "2023-W01-2"])
     def test_only_yyyy_mm_dd_dates(self, tmp_path, day):
         path = tmp_path / "s.csv"
@@ -220,7 +259,7 @@ class TestLoadStockCsv:
             "Date,Open,High,Low,Close,Volume,AdjClose\n2023-01-02,9,11,9,10,100,9.9\n"
         )
         series = load_stock_csv(path)
-        assert len(series) == 1
+        assert series.n_rows == 1
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -246,11 +285,11 @@ class TestLoadStockCsv:
 
 
 def three_row_series():
-    """A 3-row StockSeries whose values need repr's shortest round-trip digits."""
-    from sentistock.ingest import StockSeries
+    """A 3-row stock series whose values need repr's shortest round-trip digits."""
+    from sentistock.ingest import MasterDataset
     from sentistock.synth import trading_calendar
 
-    return StockSeries(
+    return MasterDataset(
         symbol="T",
         calendar=trading_calendar(date(2022, 3, 1), 3),
         columns={
@@ -265,10 +304,10 @@ def three_row_series():
 
 def load_stock_csv_from_arrays(tmp_path, close):
     from sentistock.synth import trading_calendar
-    from sentistock.ingest import StockSeries
+    from sentistock.ingest import MasterDataset
 
     n = len(close)
-    return StockSeries(
+    return MasterDataset(
         symbol="T",
         calendar=trading_calendar(date(2022, 3, 1), n),
         columns={

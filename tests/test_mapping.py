@@ -5,8 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import corpus_of, make_corpus
-from sentistock.errors import CalendarMismatchError, MissingScoreError, UnparseableRowError
-from sentistock.ingest import StockSeries, Tweet, write_stock_csv
+from sentistock.errors import (
+    CalendarMismatchError,
+    MissingColumnError,
+    MissingScoreError,
+    UnparseableRowError,
+)
+from sentistock.ingest import MasterDataset, Tweet
 from sentistock.mapping import (
     DailySentimentSeries,
     MemoryKernel,
@@ -15,12 +20,10 @@ from sentistock.mapping import (
     join_with_stock,
     load_master_csv,
     memory_weighted_map,
-    stock_only_master,
     write_master_csv,
 )
 from sentistock.sentiment import ScoreTable
 from sentistock.synth import trading_calendar
-from test_ingest import three_row_series
 from test_sentiment import argmax_label
 
 
@@ -71,7 +74,7 @@ def daily_series(values, start=date(2023, 1, 2)):
 
 def make_stock(n, start=date(2023, 1, 2)):
     close = np.linspace(10, 20, n)
-    return StockSeries(
+    return MasterDataset(
         symbol="T",
         calendar=trading_calendar(start, n),
         columns={
@@ -280,7 +283,7 @@ class TestJoinWithStock:
 class TestMasterCsv:
     def test_round_trip(self, tmp_path):
         stock = make_stock(6)
-        master = stock_only_master(stock)
+        master = stock
         path = tmp_path / "master.csv"
         write_master_csv(master, path)
         reloaded = load_master_csv(path)
@@ -289,19 +292,33 @@ class TestMasterCsv:
         for name in master.columns:
             np.testing.assert_array_equal(reloaded.columns[name], master.columns[name])
 
-    def test_stock_only_master_writes_stock_bytes(self, tmp_path):
-        stock = three_row_series()
-        write_stock_csv(stock, tmp_path / "stock.csv")
-        write_master_csv(stock_only_master(stock), tmp_path / "master.csv")
-        assert (tmp_path / "master.csv").read_bytes() == (tmp_path / "stock.csv").read_bytes()
-
     def write_with_row(self, tmp_path, line):
         path = tmp_path / "master.csv"
-        write_master_csv(stock_only_master(make_stock(4)), path)
+        write_master_csv(make_stock(4), path)
         rows = path.read_text().splitlines()
         rows[2] = line
         path.write_text("\n".join(rows) + "\n")
         return path
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "master.csv"
+        path.write_text("")
+        with pytest.raises(MissingColumnError, match="Date"):
+            load_master_csv(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "master.csv"
+        write_master_csv(make_stock(4), path)
+        with open(path, "a", newline="") as fh:
+            fh.write("\r\n")
+        assert load_master_csv(path).n_rows == 4
+
+    def test_repeated_column_rejected(self, tmp_path):
+        path = tmp_path / "master.csv"
+        path.write_text("Date,Close,Close\n2020-01-02,1.0,2.0\n")
+        with pytest.raises(UnparseableRowError, match="Close") as exc:
+            load_master_csv(path)
+        assert exc.value.line_number == 1
 
     def test_ragged_row_names_line(self, tmp_path):
         path = self.write_with_row(tmp_path, "2020-01-03,1.0,2.0")

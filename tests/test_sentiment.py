@@ -4,16 +4,19 @@ import pytest
 from conftest import corpus_of, make_corpus
 from sentistock.errors import (
     AmbiguousTweetIdError,
+    MissingColumnError,
     MissingVariantTextError,
     ProbabilityRowInvalidError,
     ScorerUnavailableError,
     UnknownTweetIdError,
+    UnparseableRowError,
 )
 from sentistock import sentiment
 from sentistock.harness import merge_corpora
 from sentistock.ingest import Tweet
 from sentistock.sentiment import (
     LABELS,
+    SCORE_COLUMNS,
     VARIANTS,
     ScorerConfig,
     labels,
@@ -274,6 +277,36 @@ class TestPrecomputedScores:
         corpus = make_corpus([("1", "2023-01-02", "x")])
         path = self.write_scores(tmp_path, [("99", "cleaned_prosus", 1, 0, 0)])
         with pytest.raises(UnknownTweetIdError):
+            load_precomputed_scores(path, corpus)
+
+    @pytest.mark.parametrize("column", SCORE_COLUMNS)
+    def test_missing_column_named(self, tmp_path, column):
+        corpus = make_corpus([("1", "2023-01-02", "x")])
+        row = dict(zip(SCORE_COLUMNS, ("1", "cleaned_prosus", "1", "0", "0")))
+        del row[column]
+        path = tmp_path / "scores.csv"
+        path.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+        with pytest.raises(MissingColumnError, match=column):
+            load_precomputed_scores(path, corpus)
+
+    @pytest.mark.parametrize("row", [
+        ("1",),
+        ("1", "cleaned_prosus", 0.5, 0.5),
+        ("1", "cleaned_prosus", "abc", 0.5, 0.5),
+        ("1", "bogus", 1, 0, 0),
+    ])
+    def test_malformed_row_names_line(self, tmp_path, row):
+        corpus = make_corpus([("1", "2023-01-02", "x")])
+        path = self.write_scores(tmp_path, [("1", "pos_prosus", 1, 0, 0), row])
+        with pytest.raises(UnparseableRowError) as exc:
+            load_precomputed_scores(path, corpus)
+        assert exc.value.line_number == 3
+
+    def test_line_number_counts_blank_lines(self, tmp_path):
+        corpus = make_corpus([("1", "2023-01-02", "x")])
+        path = tmp_path / "scores.csv"
+        path.write_text("tweet_id,variant,p_pos,p_neg,p_neu\n1,pos_prosus,1,0,0\n\n99,pos_prosus,1,0,0\n")
+        with pytest.raises(UnknownTweetIdError, match="line 4:"):
             load_precomputed_scores(path, corpus)
 
     def test_pass_through_bit_for_bit(self, tmp_path):
