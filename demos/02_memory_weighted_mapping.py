@@ -17,25 +17,19 @@ stock = random_walk_stock(n_days=60, seed=1, symbol="DEMO")
 corpus = random_tweets(stock.calendar, per_day=1.2, seed=2)
 table = score_corpus(ScorerConfig(kind="lexicon"), corpus, ["cleaned_prosus"])
 
-# Raw daily channels: per-day mean of one-hot class contributions. Tweets on
-# weekends roll forward to the next trading day.
+# Raw daily channels, one array per sentiment column: per-day mean of one-hot
+# class contributions. Tweets on weekends roll forward to the next trading day.
 daily = daily_aggregate(table, "cleaned_prosus", corpus, stock.calendar)
 print(f"{len(corpus)} tweets over {stock.n_rows} trading days")
-print(f"days with any sentiment: {int(np.sum(daily.positive + daily.negative + daily.neutral > 0))}")
+print(f"days with any sentiment: {int(np.sum(sum(daily.values()) > 0))}")
 
 # A single positive spike, smoothed by both kernels (memory of 10 days).
 # recency: yesterday counts most. literal: the oldest lag counts most.
-from sentistock.mapping import DailySentimentSeries
-
 spike = np.zeros(20)
 spike[5] = 1.0
-spiky = DailySentimentSeries(
-    calendar=stock.calendar[:20], positive=spike,
-    negative=np.zeros(20), neutral=np.zeros(20),
-)
 for mode in ("recency", "literal"):
-    mapped = memory_weighted_map(spiky, MemoryKernel(10, mode))
-    profile = " ".join(f"{v:.2f}" for v in mapped.positive[5:17])
+    mapped = memory_weighted_map({"sent_pos": spike}, MemoryKernel(10, mode))
+    profile = " ".join(f"{v:.2f}" for v in mapped["sent_pos"][5:17])
     print(f"{mode:8} response to a day-5 spike: {profile}")
 
 # The mapped channels join the stock columns into one dataset.

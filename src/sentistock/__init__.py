@@ -42,7 +42,6 @@ from .ingest import (
     write_stock_csv,
 )
 from .mapping import (
-    DailySentimentSeries,
     MemoryKernel,
     class_contributions,
     daily_aggregate,

@@ -113,23 +113,20 @@ def chronological_split(data: MasterDataset, split_ratio: float = 0.8) -> tuple[
                  for part in (slice(0, n_train), slice(n_train, n)))
 
 
-def make_windows(data: MasterDataset, lookback: int, target: str | None = None) -> WindowedSet:
+def make_windows(data: MasterDataset, lookback: int) -> WindowedSet:
     """Slice rows into supervised pairs.
 
-    Sample k covers feature rows [k, k+w) with target row k+w, giving N - w
-    samples. The target column defaults to the dataset's own. Raises
-    InsufficientRowsError when N <= w.
+    Sample k covers feature rows [k, k+w) with the dataset's target column
+    at row k+w, giving N - w samples. Raises InsufficientRowsError when
+    N <= w.
     """
     if lookback < 1:
         raise ValueError("lookback must be >= 1")
-    target = data.target_column if target is None else target
-    if target not in data.columns:
-        raise UnknownColumnError(target)
     n = data.n_rows
     if n <= lookback:
         raise InsufficientRowsError(f"{n} rows cannot form a window of {lookback}")
     features = data.feature_matrix()
     n_samples = n - lookback
     X = np.stack([features[k : k + lookback] for k in range(n_samples)])
-    y = data.columns[target][lookback:].astype(float).copy()
+    y = data.columns[data.target_column][lookback:].astype(float).copy()
     return WindowedSet(X=X, y=y, lookback=lookback)

@@ -20,7 +20,7 @@ class UnparseableRowError(SentiStockError):
 
 
 class EmptySeriesError(SentiStockError):
-    """A stock file contained no data rows."""
+    """A stock or master CSV file contained no data rows."""
 
 
 class UnparseableRecordError(SentiStockError):
@@ -66,14 +66,6 @@ class ProbabilityRowInvalidError(SentiStockError):
 
 class MissingScoreError(SentiStockError):
     """The score table has no entry for a (tweet, variant) pair."""
-
-
-class CalendarMismatchError(SentiStockError):
-    """Two trading-day calendars differ; carries the first differing date."""
-
-    def __init__(self, date, message=None):
-        super().__init__(message or f"calendars differ at {date}")
-        self.date = date
 
 
 # --- dataset ---

@@ -1,8 +1,11 @@
-"""Loading and cleaning of stock price series and tweet corpora.
+"""Loading and cleaning of day-indexed tables and tweet corpora.
 
-Stock data arrives as OHLCV CSV files (``Date,Open,High,Low,Close,Volume``,
-ISO dates, extra columns ignored). Tweets arrive as line-delimited JSON with
-keys ``date`` and ``text`` plus optional ``id`` and ``pos_text``.
+Stock and master datasets are dated CSV files: a header of unique names
+with a ``Date`` column, then one row per trading day of a ``YYYY-MM-DD``
+date and finite floats. A stock file needs ``Open,High,Low,Close,Volume``
+and ignores other columns; a master file is read whole. Tweets arrive as
+line-delimited JSON with keys ``date`` and ``text`` plus optional ``id`` and
+``pos_text``.
 """
 
 from __future__ import annotations
@@ -152,48 +155,80 @@ def parse_day(text: str) -> date:
     return date.fromisoformat(text)
 
 
-def load_stock_csv(path: str | Path, symbol: str | None = None) -> MasterDataset:
-    """Read an OHLCV CSV into a MasterDataset of the STOCK_COLUMNS, sorted by date.
+def _read_dated_csv(path: str | Path, names: tuple[str, ...] | None = None,
+                    ) -> tuple[list[date], list[str], np.ndarray, list[int]]:
+    """A dated CSV's rows sorted by date: (calendar, names, values, line numbers).
 
-    Extra columns are ignored. Raises MissingColumnError, EmptySeriesError, or
-    UnparseableRowError with the line number for a bad or repeated date, a
-    price not finite and > 0, or a volume not finite and >= 0.
+    ``values`` holds the named columns as a (rows, len(names)) float array;
+    without names, every column but Date in file order. Blank lines are
+    skipped. Raises MissingColumnError naming an absent column,
+    EmptySeriesError without data rows, and UnparseableRowError with the line
+    number for a repeated column name, a row of the wrong field count, a date
+    not YYYY-MM-DD, a value not a finite float or a repeated date.
     """
-    path = Path(path)
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in ("Date",) + STOCK_COLUMNS:
-            if col not in header:
-                raise MissingColumnError(col)
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if len(set(header)) != len(header):
+            raise UnparseableRowError(reader.line_num, f"repeated column name in {header}")
+        names = [name for name in header if name != "Date"] if names is None else list(names)
+        for name in ("Date", *names):
+            if name not in header:
+                raise MissingColumnError(f"no {name} column in {path}")
+        day_field = header.index("Date")
+        fields = [header.index(name) for name in names]
         rows = []
         for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise UnparseableRowError(reader.line_num, f"expected {len(header)} fields, got {len(row)}")
             try:
-                d = parse_day(row["Date"].strip())
-                values = tuple(float(row[c]) for c in STOCK_COLUMNS)
-            except (ValueError, TypeError, AttributeError) as exc:
+                day = parse_day(row[day_field].strip())
+                values = [float(row[i]) for i in fields]
+            except ValueError as exc:
                 raise UnparseableRowError(reader.line_num, str(exc)) from exc
-            # Volume is the last of the STOCK_COLUMNS.
-            if not all(map(math.isfinite, values)) or min(values[:-1]) <= 0 or values[-1] < 0:
-                raise UnparseableRowError(reader.line_num, f"prices must be finite and > 0, volume finite "
-                                          f"and >= 0, not {dict(zip(STOCK_COLUMNS, values))}")
-            rows.append((d, reader.line_num, values))
+            if not all(map(math.isfinite, values)):
+                raise UnparseableRowError(reader.line_num, f"non-finite value in {dict(zip(names, values))}")
+            rows.append((day, reader.line_num, values))
     if not rows:
         raise EmptySeriesError(f"no data rows in {path}")
-
-    rows.sort(key=lambda r: (r[0], r[1]))
+    rows.sort(key=lambda r: r[0])  # stable, so a repeated date is reported at its later line
     for prev, cur in zip(rows, rows[1:]):
         if cur[0] == prev[0]:
             raise UnparseableRowError(cur[1], f"duplicate date {cur[0]}")
+    calendar, lines, values = zip(*rows)
+    return list(calendar), names, np.array(values, dtype=float), list(lines)
 
-    columns = np.array([r[2] for r in rows], dtype=float)
-    return MasterDataset([r[0] for r in rows], dict(zip(STOCK_COLUMNS, columns.T)),
-                         symbol=symbol or path.stem)
+
+def load_stock_csv(path: str | Path, symbol: str | None = None) -> MasterDataset:
+    """Read an OHLCV CSV into a MasterDataset of the STOCK_COLUMNS, sorted by date.
+
+    Other columns are ignored. Raises the errors of _read_dated_csv, and
+    UnparseableRowError naming the first line in the file whose prices are
+    not all > 0 or whose volume is < 0.
+    """
+    calendar, _, values, lines = _read_dated_csv(path, STOCK_COLUMNS)
+    # Volume is the last of the STOCK_COLUMNS.
+    bad = np.flatnonzero((values[:, :-1] <= 0).any(axis=1) | (values[:, -1] < 0))
+    if bad.size:
+        row = min(bad, key=lines.__getitem__)
+        raise UnparseableRowError(lines[row], f"prices must be > 0 and volume >= 0, not "
+                                  f"{dict(zip(STOCK_COLUMNS, values[row].tolist()))}")
+    return MasterDataset(calendar, dict(zip(STOCK_COLUMNS, values.T)), symbol=symbol or Path(path).stem)
+
+
+def load_master_csv(path: str | Path) -> MasterDataset:
+    """Read a master dataset CSV written by write_stock_csv: every column but
+    Date, in file order, with target Close. Raises the errors of
+    _read_dated_csv, and UnknownColumnError without a Close column."""
+    calendar, names, values, _ = _read_dated_csv(path)
+    return MasterDataset(calendar, dict(zip(names, values.T)))
 
 
 def write_stock_csv(series: MasterDataset, path: str | Path) -> None:
-    """Write a MasterDataset as CSV with a Date column first; load_stock_csv
-    and load_master_csv read back its exact values."""
+    """Write a MasterDataset as a dated CSV with the Date column first;
+    load_stock_csv and load_master_csv read back its exact values."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["Date", *series.columns])

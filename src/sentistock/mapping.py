@@ -1,23 +1,20 @@
 """Mapping per-tweet scores onto the trading-day calendar.
 
-Tweets are aggregated into three raw daily channels (positive, negative,
-neutral), then smoothed with a memory kernel over the previous M trading
-days and joined with the stock columns into one master dataset.
+Tweets are aggregated into three raw daily channels, the SENTIMENT_COLUMNS
+(positive, negative, neutral), each one float array over the calendar; they
+are smoothed with a memory kernel over the previous M trading days and
+joined with the stock columns into one master dataset.
 """
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass, replace
 from datetime import date
-from itertools import zip_longest
-from pathlib import Path
 
 import numpy as np
 
-from .errors import CalendarMismatchError, MissingColumnError, MissingScoreError, UnparseableRowError
-from .ingest import MasterDataset, TweetCorpus, parse_day, write_stock_csv
+from .errors import MissingScoreError
+from .ingest import MasterDataset, TweetCorpus, load_master_csv, write_stock_csv
 from .sentiment import ScoreTable, labels
 
 SENTIMENT_COLUMNS = ("sent_pos", "sent_neg", "sent_neu")
@@ -49,20 +46,6 @@ class MemoryKernel:
         return lags
 
 
-@dataclass
-class DailySentimentSeries:
-    """Per-day channel values on the trading calendar, each in [0, 1].
-
-    daily_aggregate produces the raw channels and memory_weighted_map the
-    smoothed ones.
-    """
-
-    calendar: list[date]
-    positive: np.ndarray
-    negative: np.ndarray
-    neutral: np.ndarray
-
-
 def class_contributions(probabilities: np.ndarray) -> np.ndarray:
     """One-hot each (p_pos, p_neg, p_neu) row's class (sentiment.labels), keeping its
     probability; the other two classes contribute 0."""
@@ -78,8 +61,8 @@ def daily_aggregate(
     variant: str,
     corpus: TweetCorpus,
     calendar: list[date],
-) -> DailySentimentSeries:
-    """Average tweet contributions per trading day.
+) -> dict[str, np.ndarray]:
+    """Average tweet contributions per trading day, one array per SENTIMENT_COLUMNS name.
 
     Each tweet contributes its one-hot class contribution to the trading day
     it falls on; tweets on non-trading days roll forward to the next trading
@@ -99,10 +82,10 @@ def daily_aggregate(
     occupied = counts > 0
     channels = np.zeros_like(sums)
     channels[:, occupied] = sums[:, occupied] / counts[occupied]
-    return DailySentimentSeries(list(calendar), *channels)
+    return dict(zip(SENTIMENT_COLUMNS, channels))
 
 
-def memory_weighted_map(daily: DailySentimentSeries, kernel: MemoryKernel) -> DailySentimentSeries:
+def memory_weighted_map(daily: dict[str, np.ndarray], kernel: MemoryKernel) -> dict[str, np.ndarray]:
     """Smooth each channel with the lagged memory kernel.
 
     mapped[d] = sum_{i=1..M} k(i) * raw[d-i] / sum_{i=1..M} k(i), where lags
@@ -112,65 +95,22 @@ def memory_weighted_map(daily: DailySentimentSeries, kernel: MemoryKernel) -> Da
     """
     weights = kernel.weights()
     denom = weights.sum()
-    n = len(daily.calendar)
 
     def smooth(raw: np.ndarray) -> np.ndarray:
+        n = len(raw)
         out = np.zeros(n)
-        if n > 1:
+        if n > 1:  # np.convolve rejects an empty channel
             # full convolution index d-1 holds sum_i k(i) * raw[d-i]
             out[1:] = np.convolve(raw, weights)[: n - 1] / denom
         return out
 
-    return DailySentimentSeries(list(daily.calendar),
-                                *map(smooth, (daily.positive, daily.negative, daily.neutral)))
+    return {name: smooth(raw) for name, raw in daily.items()}
 
 
-def join_with_stock(mapped: DailySentimentSeries, stock: MasterDataset) -> MasterDataset:
-    """The stock's columns, then the mapped sentiment channels.
-
-    Calendars must match exactly; the first differing date is reported.
-    """
-    for a, b in zip_longest(mapped.calendar, stock.calendar):
-        if a != b:
-            raise CalendarMismatchError(a if a is not None else b)
-    channels = (mapped.positive, mapped.negative, mapped.neutral)
-    return replace(stock, columns={**stock.columns, **dict(zip(SENTIMENT_COLUMNS, channels))})
+def join_with_stock(mapped: dict[str, np.ndarray], stock: MasterDataset) -> MasterDataset:
+    """The stock's columns, then the mapped channels, each of the stock's row count."""
+    return replace(stock, columns={**stock.columns, **mapped})
 
 
 # A master dataset is written like a stock series: Date, then its columns in order.
 write_master_csv = write_stock_csv
-
-
-def load_master_csv(path: str | Path, target_column: str = "Close") -> MasterDataset:
-    """Read a master dataset CSV written by write_master_csv, skipping blank lines.
-
-    Raises MissingColumnError without a leading Date column, and
-    UnparseableRowError with the line number for a repeated column name or
-    a row of the wrong field count, a bad date or a non-finite value.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[:1] != ["Date"]:
-            raise MissingColumnError("master CSV must start with a Date column")
-        if len(set(header)) != len(header):
-            raise UnparseableRowError(reader.line_num, f"repeated column name in {header}")
-        names = header[1:]
-        calendar = []
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise UnparseableRowError(reader.line_num, f"expected {len(header)} fields, got {len(row)}")
-            try:
-                calendar.append(parse_day(row[0]))
-                values = [float(v) for v in row[1:]]
-            except ValueError as exc:
-                raise UnparseableRowError(reader.line_num, str(exc)) from exc
-            if not all(math.isfinite(v) for v in values):
-                raise UnparseableRowError(reader.line_num, f"non-finite value in {row[1:]}")
-            rows.append(values)
-    data = np.array(rows, dtype=float).reshape(len(rows), len(names))
-    columns = {name: data[:, j] for j, name in enumerate(names)}
-    return MasterDataset(calendar=calendar, columns=columns, target_column=target_column)

@@ -418,11 +418,12 @@ def loss_and_gradients(model: BiLstmModel, X, y) -> tuple[float, dict[str, np.nd
 class _Adam:
     """Adam update rule over a named parameter dict."""
 
-    def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params, learning_rate):
         self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -430,24 +431,24 @@ class _Adam:
 
     def step(self, params, grads):
         """Update m, v and the parameters in place, with the float operations of
-        m = beta1 * m + (1 - beta1) * g, v = beta2 * v + (1 - beta2) * g * g and
-        params -= lr * (m / correct1) / (sqrt(v / correct2) + eps), in that order."""
+        m = BETA1 * m + (1 - BETA1) * g, v = BETA2 * v + (1 - BETA2) * g * g and
+        params -= lr * (m / correct1) / (sqrt(v / correct2) + EPS), in that order."""
         self.t += 1
-        correct1 = 1.0 - self.beta1**self.t
-        correct2 = 1.0 - self.beta2**self.t
+        correct1 = 1.0 - self.BETA1**self.t
+        correct2 = 1.0 - self.BETA2**self.t
         for key, g in grads.items():
             m, v = self.m[key], self.v[key]
             a, b = (buffer[: g.size].reshape(g.shape) for buffer in self._scratch)
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=a)
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=a)
+            m *= self.BETA1
+            m += np.multiply(g, 1.0 - self.BETA1, out=a)
+            v *= self.BETA2
+            np.multiply(g, 1.0 - self.BETA2, out=a)
             v += np.multiply(a, g, out=a)
             np.divide(m, correct1, out=a)
             a *= self.lr
             np.divide(v, correct2, out=b)
             np.sqrt(b, out=b)
-            b += self.eps
+            b += self.EPS
             params[key] -= np.divide(a, b, out=a)
 
 

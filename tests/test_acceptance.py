@@ -79,7 +79,7 @@ def test_2_mapping_oracle_equivalence():
             for mode in ("recency", "literal"):
                 mapped = memory_weighted_map(daily_series(raw), MemoryKernel(memory_days, mode))
                 expected = oracle_memory_map(raw, memory_days, mode)
-                np.testing.assert_allclose(mapped.positive, expected, atol=1e-12, rtol=0)
+                np.testing.assert_allclose(mapped["sent_pos"], expected, atol=1e-12, rtol=0)
 
 
 def test_3_scaling_round_trip():

@@ -214,6 +214,20 @@ class TestLoadStockCsv:
             load_stock_csv(path)
         assert exc.value.line_number == 4
 
+    def test_short_row_names_field_count(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("Date,Open,High,Low,Close,Volume\n2023-01-03,10,12\n")
+        with pytest.raises(UnparseableRowError, match="expected 6 fields, got 3") as exc:
+            load_stock_csv(path)
+        assert exc.value.line_number == 2
+
+    def test_repeated_column_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("Date,Open,High,Low,Close,Volume,Close\n2023-01-02,9,11,9,10,100,10\n")
+        with pytest.raises(UnparseableRowError, match="Close") as exc:
+            load_stock_csv(path)
+        assert exc.value.line_number == 1
+
     @pytest.mark.parametrize("column, value, ok", [
         ("Close", "nan", False),
         ("High", "inf", False),
@@ -240,6 +254,17 @@ class TestLoadStockCsv:
         with pytest.raises(UnparseableRowError) as exc:
             load_stock_csv(path)
         assert exc.value.line_number == 3
+
+    def test_first_bad_price_line_in_file_reported(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text(
+            "Date,Open,High,Low,Close,Volume\n"
+            "2023-01-05,10,12,10,11,-5\n"
+            "2023-01-02,0,11,9,10,100\n"
+        )
+        with pytest.raises(UnparseableRowError, match="volume") as exc:
+            load_stock_csv(path)
+        assert exc.value.line_number == 2
 
     @pytest.mark.parametrize("day", ["20230103", "2023-W01-2"])
     def test_only_yyyy_mm_dd_dates(self, tmp_path, day):

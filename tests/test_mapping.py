@@ -6,14 +6,13 @@ import pytest
 
 from conftest import corpus_of, make_corpus
 from sentistock.errors import (
-    CalendarMismatchError,
+    EmptySeriesError,
     MissingColumnError,
     MissingScoreError,
     UnparseableRowError,
 )
 from sentistock.ingest import MasterDataset, Tweet
 from sentistock.mapping import (
-    DailySentimentSeries,
     MemoryKernel,
     class_contributions,
     daily_aggregate,
@@ -65,11 +64,10 @@ def oracle_daily_aggregate(table, variant, corpus, calendar):
     return channels
 
 
-def daily_series(values, start=date(2023, 1, 2)):
+def daily_series(values):
     values = np.asarray(values, dtype=float)
-    calendar = trading_calendar(start, values.size)
     zero = np.zeros_like(values)
-    return DailySentimentSeries(calendar=calendar, positive=values, negative=zero, neutral=zero)
+    return {"sent_pos": values, "sent_neg": zero, "sent_neu": zero}
 
 
 def make_stock(n, start=date(2023, 1, 2)):
@@ -110,16 +108,16 @@ class TestDailyAggregate:
         daily = daily_aggregate(table, "cleaned_prosus", corpus, calendar)
         expected = np.zeros(4)
         expected[1] = 0.8
-        np.testing.assert_allclose(daily.positive, expected)
-        np.testing.assert_allclose(daily.negative, 0)
-        np.testing.assert_allclose(daily.neutral, 0)
+        np.testing.assert_allclose(daily["sent_pos"], expected)
+        np.testing.assert_allclose(daily["sent_neg"], 0)
+        np.testing.assert_allclose(daily["sent_neu"], 0)
 
     def test_two_tweets_averaged(self):
         corpus = make_corpus([("1", "2023-01-02", "x"), ("2", "2023-01-02", "y")])
         table = self.table_for(corpus, [(0.6, 0.2, 0.2), (1.0, 0.0, 0.0)])
         calendar = trading_calendar(date(2023, 1, 2), 2)
         daily = daily_aggregate(table, "cleaned_prosus", corpus, calendar)
-        assert daily.positive[0] == pytest.approx(0.8)
+        assert daily["sent_pos"][0] == pytest.approx(0.8)
 
     def test_weekend_tweet_rolls_forward(self):
         # 2023-01-07 is a Saturday; next trading day is Monday 2023-01-09
@@ -127,14 +125,14 @@ class TestDailyAggregate:
         table = self.table_for(corpus, [(0.9, 0.05, 0.05)])
         calendar = [date(2023, 1, 6), date(2023, 1, 9), date(2023, 1, 10)]
         daily = daily_aggregate(table, "cleaned_prosus", corpus, calendar)
-        np.testing.assert_allclose(daily.positive, [0.0, 0.9, 0.0])
+        np.testing.assert_allclose(daily["sent_pos"], [0.0, 0.9, 0.0])
 
     def test_tweet_after_last_day_dropped(self):
         corpus = make_corpus([("1", "2023-02-01", "x")])
         table = self.table_for(corpus, [(1.0, 0.0, 0.0)])
         calendar = trading_calendar(date(2023, 1, 2), 3)
         daily = daily_aggregate(table, "cleaned_prosus", corpus, calendar)
-        np.testing.assert_allclose(daily.positive, 0)
+        np.testing.assert_allclose(daily["sent_pos"], 0)
 
     def test_matches_per_tweet_oracle_bit_for_bit(self):
         rng = np.random.default_rng(5)
@@ -157,7 +155,7 @@ class TestDailyAggregate:
             table = ScoreTable(tweet_ids=[t.id for t in tweets], scores={"v": probs})
             daily = daily_aggregate(table, "v", corpus, calendar)
             expected = oracle_daily_aggregate(table, "v", corpus, calendar)
-            for channel, values in zip(expected, (daily.positive, daily.negative, daily.neutral)):
+            for channel, values in zip(expected, (daily["sent_pos"], daily["sent_neg"], daily["sent_neu"])):
                 assert values.tobytes() == channel.tobytes(), f"case {case}"
 
     def test_table_of_another_corpus_rejected(self):
@@ -178,25 +176,25 @@ class TestMemoryWeightedMap:
     def test_zero_input_zero_output(self):
         daily = daily_series(np.zeros(40))
         mapped = memory_weighted_map(daily, MemoryKernel(30, "recency"))
-        np.testing.assert_array_equal(mapped.positive, 0)
+        np.testing.assert_array_equal(mapped["sent_pos"], 0)
 
     @pytest.mark.parametrize("mode", ["recency", "literal"])
     @pytest.mark.parametrize("memory_days", [1, 5, 30])
     def test_constant_input_reproduced_in_steady_state(self, mode, memory_days):
         daily = daily_series(np.full(80, 0.5))
         mapped = memory_weighted_map(daily, MemoryKernel(memory_days, mode))
-        np.testing.assert_allclose(mapped.positive[memory_days:], 0.5, atol=1e-12)
+        np.testing.assert_allclose(mapped["sent_pos"][memory_days:], 0.5, atol=1e-12)
 
     def test_hand_computed_m2_recency(self):
         # raw = [0, 1, 0, 0]; day index 2: (k1*raw[1] + k2*raw[0]) / (k1+k2) = 2/3
         daily = daily_series([0.0, 1.0, 0.0, 0.0])
         mapped = memory_weighted_map(daily, MemoryKernel(2, "recency"))
-        np.testing.assert_allclose(mapped.positive, [0.0, 0.0, 2 / 3, 1 / 3], atol=1e-15)
+        np.testing.assert_allclose(mapped["sent_pos"], [0.0, 0.0, 2 / 3, 1 / 3], atol=1e-15)
 
     def test_hand_computed_m2_literal(self):
         daily = daily_series([0.0, 1.0, 0.0, 0.0])
         mapped = memory_weighted_map(daily, MemoryKernel(2, "literal"))
-        np.testing.assert_allclose(mapped.positive, [0.0, 0.0, 1 / 3, 2 / 3], atol=1e-15)
+        np.testing.assert_allclose(mapped["sent_pos"], [0.0, 0.0, 1 / 3, 2 / 3], atol=1e-15)
 
     @pytest.mark.parametrize("mode", ["recency", "literal"])
     def test_oracle_equivalence(self, mode):
@@ -207,51 +205,53 @@ class TestMemoryWeightedMap:
                 raw = rng.uniform(0, 1, n)
                 mapped = memory_weighted_map(daily_series(raw), MemoryKernel(memory_days, mode))
                 np.testing.assert_allclose(
-                    mapped.positive, oracle_memory_map(raw, memory_days, mode), atol=1e-12, rtol=0
+                    mapped["sent_pos"], oracle_memory_map(raw, memory_days, mode), atol=1e-12, rtol=0
                 )
 
     def test_m1_modes_coincide_and_shift(self):
         raw = np.random.default_rng(5).uniform(0, 1, 30)
         rec = memory_weighted_map(daily_series(raw), MemoryKernel(1, "recency"))
         lit = memory_weighted_map(daily_series(raw), MemoryKernel(1, "literal"))
-        np.testing.assert_array_equal(rec.positive, lit.positive)
-        np.testing.assert_allclose(rec.positive[1:], raw[:-1], atol=1e-15)
-        assert rec.positive[0] == 0.0
+        np.testing.assert_array_equal(rec["sent_pos"], lit["sent_pos"])
+        np.testing.assert_allclose(rec["sent_pos"][1:], raw[:-1], atol=1e-15)
+        assert rec["sent_pos"][0] == 0.0
 
     def test_bounded(self):
         rng = np.random.default_rng(9)
         for mode in ("recency", "literal"):
             raw = rng.uniform(0, 1, 100)
             mapped = memory_weighted_map(daily_series(raw), MemoryKernel(7, mode))
-            assert np.all(mapped.positive >= 0) and np.all(mapped.positive <= 1)
+            assert np.all(mapped["sent_pos"] >= 0) and np.all(mapped["sent_pos"] <= 1)
 
     def test_shift_equivariance_in_steady_state(self):
         rng = np.random.default_rng(13)
         raw = rng.uniform(0, 1, 60)
         shifted = np.concatenate([[0.0], raw[:-1]])
         kernel = MemoryKernel(5, "recency")
-        a = memory_weighted_map(daily_series(raw), kernel).positive
-        b = memory_weighted_map(daily_series(shifted), kernel).positive
+        a = memory_weighted_map(daily_series(raw), kernel)["sent_pos"]
+        b = memory_weighted_map(daily_series(shifted), kernel)["sent_pos"]
         np.testing.assert_allclose(b[kernel.memory_days + 1 :], a[kernel.memory_days : -1], atol=1e-12)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_zero_and_one_day_channels_map_to_zeros(self, n):
+        mapped = memory_weighted_map(daily_series(np.ones(n)), MemoryKernel(5, "recency"))
+        assert list(mapped) == ["sent_pos", "sent_neg", "sent_neu"]
+        for values in mapped.values():
+            assert values.tolist() == [0.0] * n
 
     def test_linearity(self):
         rng = np.random.default_rng(21)
         raw = rng.uniform(0, 1, 50)
         kernel = MemoryKernel(6, "literal")
-        full = memory_weighted_map(daily_series(raw), kernel).positive
-        half = memory_weighted_map(daily_series(0.5 * raw), kernel).positive
+        full = memory_weighted_map(daily_series(raw), kernel)["sent_pos"]
+        half = memory_weighted_map(daily_series(0.5 * raw), kernel)["sent_pos"]
         np.testing.assert_allclose(half, 0.5 * full, atol=1e-12)
 
 
 class TestJoinWithStock:
     def mapped_for(self, calendar, value=0.0):
         n = len(calendar)
-        return DailySentimentSeries(
-            calendar=list(calendar),
-            positive=np.full(n, value),
-            negative=np.zeros(n),
-            neutral=np.zeros(n),
-        )
+        return {"sent_pos": np.full(n, value), "sent_neg": np.zeros(n), "sent_neu": np.zeros(n)}
 
     def test_column_cardinality(self):
         stock = make_stock(5)
@@ -260,17 +260,9 @@ class TestJoinWithStock:
         assert master.n_rows == 5
         assert master.target_column == "Close"
 
-    def test_calendar_mismatch_reports_first_diff(self):
-        stock = make_stock(5)
-        other = trading_calendar(date(2023, 1, 2), 5)
-        other[2] = date(2024, 6, 1)
-        with pytest.raises(CalendarMismatchError) as exc:
-            join_with_stock(self.mapped_for(other), stock)
-        assert exc.value.date == date(2024, 6, 1)
-
     def test_length_mismatch(self):
         stock = make_stock(5)
-        with pytest.raises(CalendarMismatchError):
+        with pytest.raises(ValueError, match="sent_pos"):
             join_with_stock(self.mapped_for(stock.calendar[:4]), stock)
 
     def test_zero_sentiment_pass_through(self):
@@ -312,6 +304,27 @@ class TestMasterCsv:
         with open(path, "a", newline="") as fh:
             fh.write("\r\n")
         assert load_master_csv(path).n_rows == 4
+
+    def test_header_only_is_empty(self, tmp_path):
+        path = tmp_path / "master.csv"
+        path.write_text("Date,Close\n")
+        with pytest.raises(EmptySeriesError):
+            load_master_csv(path)
+
+    def test_unsorted_rows_load_sorted(self, tmp_path):
+        path = tmp_path / "master.csv"
+        path.write_text("Date,Close,sent_pos\n2020-01-06,3.0,0.5\n2020-01-02,1.0,0.25\n2020-01-03,2.0,0.0\n")
+        master = load_master_csv(path)
+        assert master.calendar == [date(2020, 1, 2), date(2020, 1, 3), date(2020, 1, 6)]
+        assert master.columns["Close"].tolist() == [1.0, 2.0, 3.0]
+        assert master.columns["sent_pos"].tolist() == [0.25, 0.0, 0.5]
+
+    def test_repeated_date_names_line(self, tmp_path):
+        path = tmp_path / "master.csv"
+        path.write_text("Date,Close\n2020-01-03,2.0\n2020-01-02,1.0\n2020-01-03,3.0\n")
+        with pytest.raises(UnparseableRowError, match="duplicate date 2020-01-03") as exc:
+            load_master_csv(path)
+        assert exc.value.line_number == 4
 
     def test_repeated_column_rejected(self, tmp_path):
         path = tmp_path / "master.csv"
