@@ -55,7 +55,9 @@ class ScalerSet:
 
 @dataclass
 class WindowedSet:
-    """Supervised pairs: X[k] holds w consecutive rows, y[k] the next row's target."""
+    """Supervised pairs: X[k] holds w consecutive rows, y[k] the next row's target.
+
+    From make_windows, X is a read-only view whose windows share rows; copy it to write."""
 
     X: np.ndarray  # (n_samples, lookback, n_features)
     y: np.ndarray  # (n_samples,)
@@ -117,8 +119,8 @@ def make_windows(data: MasterDataset, lookback: int) -> WindowedSet:
     """Slice rows into supervised pairs.
 
     Sample k covers feature rows [k, k+w) with the dataset's target column
-    at row k+w, giving N - w samples. Raises InsufficientRowsError when
-    N <= w.
+    at row k+w, giving N - w samples. X is a read-only view of the (N, F)
+    feature matrix, not a copy. Raises InsufficientRowsError when N <= w.
     """
     if lookback < 1:
         raise ValueError("lookback must be >= 1")
@@ -127,6 +129,6 @@ def make_windows(data: MasterDataset, lookback: int) -> WindowedSet:
         raise InsufficientRowsError(f"{n} rows cannot form a window of {lookback}")
     features = data.feature_matrix()
     n_samples = n - lookback
-    X = np.stack([features[k : k + lookback] for k in range(n_samples)])
+    X = np.lib.stride_tricks.sliding_window_view(features, lookback, axis=0)[:n_samples].transpose(0, 2, 1)
     y = data.columns[data.target_column][lookback:].astype(float).copy()
     return WindowedSet(X=X, y=y, lookback=lookback)

@@ -338,7 +338,7 @@ def evaluate_model(model: nn.BiLstmModel, cell: CellData, windows: ds.WindowedSe
     without one.
     """
     with _stage("predict"):
-        pred_scaled = np.asarray(nn.predict(model, windows))
+        pred_scaled = np.asarray(nn.predict(model, windows, chunk_size=cfg.batch_size))
         actual_scaled = windows.y
     with _stage("inverse_scale"):
         target = cell.test.target_column

@@ -38,19 +38,19 @@ grow-only float64 buffer per role, each call carving its arrays from the
 front, so a training step allocates only parameter-sized arrays (the stacked
 weights and the gradients). The arena holds each layer's stacked input,
 gates, cell states, tanh of the cell states and hidden states; the head's
-input; the top layer's output gradient; and the per-step scratch of the
-recurrence and of BPTT. Layer 1's states are written straight into layer 2's
-stacked input. Two roles are reused once dead: the input gradient of layer 2
-is written over its stacked input after dWx is taken, and layer 1's output
-gradient over layer 2's tanh of the cell states. ``c`` and ``h`` zero only
-their initial state, and the top layer's output gradient every step but its
-last; every other value is written before it is read. forward
-and predict run in the same arena, so validation inside ``train`` reuses the
-training buffers; ``train`` empties the arena when it returns, and a model
-keeps the buffers of a later forward pass until the next ``train`` or until
-it is dropped. The arena is not saved in the .npz and not shown in the
-model's repr. Because of it, one model must not run on two threads at once;
-separate models may.
+input; and the per-step scratch of the recurrence and of BPTT. Layer 1's
+states are written straight into layer 2's stacked input. Two roles are
+reused once dead: the input gradient of layer 2 is written over its stacked
+input after dWx is taken, and layer 1's output gradient over layer 2's tanh
+of the cell states. The head reads only layer 2's last step, so layer 2's
+BPTT takes that one step's output gradient and no (2, w, B, H) buffer of
+zeros. ``c`` and ``h`` zero only their initial state; every other value is
+written before it is read. forward and predict run in the same arena, so
+validation inside ``train`` reuses the training buffers; ``train`` empties
+the arena when it returns, and a model keeps the buffers of its largest
+later forward chunk until the next ``train`` or until it is dropped. The
+arena is not saved in the .npz and not shown in the model's repr. Because of
+it, one model must not run on two threads at once; separate models may.
 """
 
 from __future__ import annotations
@@ -251,16 +251,20 @@ def _layer_forward(xs, Wx, Wh, b, arena: _Arena, layer: str) -> _LayerCache:
     return _LayerCache(xs, gates, c, tanh_c, h)
 
 
-def _layer_backward(cache: _LayerCache, dh_out, Wh, arena: _Arena):
+def _layer_backward(cache: _LayerCache, dh_last, Wh, arena: _Arena):
     """BPTT through both directions of a layer.
 
-    dh_out (2, w, B, H) is the gradient of each direction's output, indexed
-    like the cache. Overwrites ``cache.gates`` with the gate pre-activation
-    gradients dZ. Returns (dWx, dWh, db), each stacked over directions.
+    dh_last (2, k, B, H) is the gradient of each direction's output at its
+    last k processed steps, indexed like the cache; the outputs of the steps
+    before those get no gradient from above (k = w for layer 1, whose every
+    output feeds layer 2, and k = 1 for layer 2, whose last outputs feed the
+    head). Overwrites ``cache.gates`` with the gate pre-activation gradients
+    dZ. Returns (dWx, dWh, db), each stacked over directions.
     """
     xs, dz_all, c, tanh_c, h = cache
     _, w, B, H4 = dz_all.shape
     H = H4 // 4
+    first_fed = w - dh_last.shape[1]
     # tanh'(g) = (1 - g)(1 + g) and sigmoid'(z) = s(1 - s): (1 - a)(a + g_cols)
     g_cols = np.zeros(4 * H)
     g_cols[2 * H : 3 * H] = 1.0
@@ -275,7 +279,10 @@ def _layer_backward(cache: _LayerCache, dh_out, Wh, arena: _Arena):
         z = dz_all[:, s]
         i, f, g, o = (z[..., k * H : (k + 1) * H] for k in range(4))
         tc = tanh_c[:, s]
-        np.add(dh_out[:, s], dh_carry, out=dh)
+        if s >= first_fed:
+            np.add(dh_last[:, s - first_fed], dh_carry, out=dh)
+        else:  # the float operation of adding a zero output gradient
+            np.add(dh_carry, 0.0, out=dh)
         np.multiply(dh, o, out=dc)
         np.multiply(tc, tc, out=dtanh)
         dc *= np.subtract(1.0, dtanh, out=dtanh)
@@ -368,8 +375,11 @@ def forward(model: BiLstmModel, X) -> np.ndarray:
 
 
 def predict(model: BiLstmModel, windows, chunk_size: int = 64) -> np.ndarray:
-    """Forward pass over a WindowedSet or raw batch array, in chunks. The scratch arena keeps
-    its largest chunk's size: 64 windows cap it (245 at w=60: 49 MiB, not 184) at no cost in time."""
+    """Forward pass over a WindowedSet or raw batch array, in chunks of ``chunk_size`` windows.
+
+    The arena keeps its largest chunk's size, so chunks of the training batch (as validation and
+    ``harness.evaluate_model`` use) keep it within a training step's. With numpy's OpenBLAS, chunk
+    sizes that are multiples of 8 gave every window its one-pass bytes; 7 or 50 can move the last bit."""
     X = windows.X if hasattr(windows, "X") else windows
     X = _check_batch(model, np.asarray(X, dtype=float))
     if X.shape[0] == 0:
@@ -400,18 +410,16 @@ def loss_and_gradients(model: BiLstmModel, X, y) -> tuple[float, dict[str, np.nd
     grads["head_b"] = dz.sum(axis=0)
     dterminal = dz @ p["head_W"].T
 
-    w = model.config.input_shape[0]
-    dh_out = model._arena.take("dh_out", (2, w, B, H))
-    dh_out[:, :-1] = 0.0
-    dh_out[:, -1] = dterminal.reshape(B, 2, H).transpose(1, 0, 2)
+    # the head reads only the top layer's last processed step
+    dh_last = dterminal.reshape(B, 2, 1, H).transpose(1, 2, 0, 3)
     for layer in reversed(LAYERS):
-        dWx, dWh, db = _layer_backward(caches[layer], dh_out, _stacked(p, layer, "Wh"), model._arena)
+        dWx, dWh, db = _layer_backward(caches[layer], dh_last, _stacked(p, layer, "Wh"), model._arena)
         for d, direction in enumerate(DIRECTIONS):
             grads[f"{layer}_{direction}_Wx"] = dWx[d]
             grads[f"{layer}_{direction}_Wh"] = dWh[d]
             grads[f"{layer}_{direction}_b"] = db[d]
         if layer != LAYERS[0]:
-            dh_out = _input_gradient(caches[layer], _stacked(p, layer, "Wx"))
+            dh_last = _input_gradient(caches[layer], _stacked(p, layer, "Wx"))
     return loss, grads
 
 

@@ -194,8 +194,8 @@ def load_precomputed_scores(path: str | Path, corpus: TweetCorpus) -> ScoreTable
     UnknownTweetIdError. Rows of non-negative probabilities summing within
     1e-3 of 1 are renormalized; others raise ProbabilityRowInvalidError. A variant that
     misses a tweet maps to ScorerUnavailableError. A header missing one of SCORE_COLUMNS raises
-    MissingColumnError; a short row, an unknown variant or a non-numeric probability
-    UnparseableRowError.
+    MissingColumnError naming the column and the file; a short row, an unknown variant or a
+    non-numeric probability UnparseableRowError.
     """
     rows: dict[str, int] = {}
     ambiguous: set[str] = set()
@@ -208,7 +208,7 @@ def load_precomputed_scores(path: str | Path, corpus: TweetCorpus) -> ScoreTable
         reader = csv.DictReader(fh)
         for col in SCORE_COLUMNS:
             if col not in (reader.fieldnames or []):
-                raise MissingColumnError(col)
+                raise MissingColumnError(f"no {col} column in {path}")
         for row in reader:
             line_no = reader.line_num
             if None in row.values():

@@ -269,7 +269,7 @@ def test_malformed_csv_exit_code(workspace, capsys):
     out = tmp_path / "out.csv"
     assert main(["score", "--tweets", str(tweets_path), "--scorer", "precomputed",
                  "--scores-file", str(scores), "--out", str(out)]) == 2
-    assert "variant" in capsys.readouterr().err
+    assert f"no variant column in {scores}" in capsys.readouterr().err
     assert not out.exists()
     master = tmp_path / "master.csv"
     master.write_text("")

@@ -148,3 +148,24 @@ class TestMakeWindows:
             for k in range(len(windows)):
                 last_row_close = windows.X[k][-1, close_index]
                 assert windows.y[k] == last_row_close + 1.0
+
+    def test_view_matches_stacked_copies(self):
+        # X is a read-only strided view; its values, shape and nbytes (which the
+        # benchmark reports as the windowed size) are those of stacked copies.
+        rng = np.random.default_rng(11)
+        cases = [(int(rng.integers(2, 60)), None, int(rng.integers(0, 4))) for _ in range(30)]
+        cases += [(n, n - 1, extra) for n, extra in ((2, 0), (9, 3), (61, 1))]
+        for n, w, extra in cases:
+            w = int(rng.integers(1, n)) if w is None else w
+            master = make_master(rng.normal(size=n),
+                                 {f"x{j}": rng.normal(size=n) for j in range(extra)})
+            windows = make_windows(master, w)
+            features = master.feature_matrix()
+            expected = np.stack([features[k : k + w] for k in range(n - w)])
+            assert windows.X.shape == expected.shape == (n - w, w, 5 + extra)
+            assert windows.X.dtype == expected.dtype
+            assert windows.X.tobytes() == expected.tobytes(), (n, w, extra)
+            assert windows.X.nbytes == expected.nbytes
+            assert not windows.X.flags.writeable
+            with pytest.raises(ValueError):
+                windows.X[0, 0, 0] = 1.0

@@ -4,7 +4,8 @@ import logging
 import numpy as np
 import pytest
 
-from sentistock import harness, sentiment, synth
+from sentistock import harness, neuralnet, sentiment, synth
+from sentistock.dataset import inverse_transform
 from sentistock.errors import ConfigError, PipelineError
 from sentistock.harness import (
     ExperimentConfig,
@@ -483,3 +484,36 @@ class TestRunMasterUnits:
         # scale factor between the two unit systems is the close-price range
         span = master.columns["Close"][:48].max() - master.columns["Close"][:48].min()
         assert r_data.report.rmse == pytest.approx(r_scaled.report.rmse * span, rel=1e-9)
+
+
+class TestEvaluateModel:
+    @staticmethod
+    def cell_and_windows(batch_size):
+        # 500 days leave 100 test rows, so 80 test windows at w=20
+        cfg = fast_config(hidden_units=8, lookbacks=[20], batch_size=batch_size)
+        cell = harness.prepare_cell(synth.sentiment_driven_master(n_days=500, seed=4), cfg)
+        windows = harness.window(cell.test, 20)
+        model = neuralnet.init_model(neuralnet.ModelConfig(
+            hidden_units=8, input_shape=windows.X.shape[1:], seed=5))
+        return cfg, cell, windows, model
+
+    def test_arena_stays_batch_sized(self):
+        cfg, cell, windows, model = self.cell_and_windows(32)
+        assert len(windows) > 64
+        harness.evaluate_model(model, cell, windows, cfg)
+        batch = neuralnet.BiLstmModel(model.config, model.params)
+        neuralnet.forward(batch, windows.X[:32])
+        held, bound = (sum(b.nbytes for b in m._arena._buffers.values()) for m in (model, batch))
+        assert 0 < held <= bound, f"{held} > {bound} bytes"
+
+    @pytest.mark.parametrize("batch_size", [8, 16, 32, 64])
+    def test_predictions_equal_one_pass(self, batch_size):
+        """Test windows are predicted in chunks of the batch size, which keeps every
+        prediction's bytes for these multiples of 8. With numpy's OpenBLAS, a batch
+        size that is not a multiple of 8 (such as 7 or 50) can move the last bit, as
+        it already could for validation losses."""
+        cfg, cell, windows, model = self.cell_and_windows(batch_size)
+        evaluation = harness.evaluate_model(model, cell, windows, cfg)
+        one_pass = neuralnet.predict(model, windows, chunk_size=len(windows))
+        expected = inverse_transform(cell.scalers, cell.test.target_column, one_pass)
+        assert evaluation.predicted.tobytes() == expected.tobytes()

@@ -434,6 +434,45 @@ class TestScratchArena:
             fresh = BiLstmModel(model.config, {k: v.copy() for k, v in model.params.items()})
             assert same_bytes(pred, forward(fresh, X[:B])), B
 
+    def test_top_layer_gets_only_its_last_step_gradient(self):
+        # Paper shape. The arena holds no (2, w, B, H) output gradient for the top
+        # layer, 2 * 60 * 32 * 50 * 8 bytes = 1.46 MiB below the 25.70 MiB it took with one.
+        w, B, H, F = 60, 32, 50, 8
+        model = init_model(ModelConfig(hidden_units=H, input_shape=(w, F), seed=0))
+        X, y = random_batch(model.config, B, seed=0)
+        loss, grads = loss_and_gradients(model, X, y)
+        layer_state = 2 * w * B * 4 * H + 2 * 2 * (w + 1) * B * H + 2 * w * B * H  # gates, c, h, tanh_c
+        step_scratch = 3 * 2 * B * 4 * H + 6 * 2 * B * H  # recurrent, upstream, one_minus; ig, dh, ...
+        inputs_and_head = 2 * w * B * F + 2 * w * B * 2 * H + B * 2 * H
+        expected = 8 * (2 * layer_state + step_scratch + inputs_and_head)
+        assert arena_bytes(model) == expected == 26_946_560 - 2 * w * B * H * 8
+        again = loss_and_gradients(model, X, y)
+        fresh_model = BiLstmModel(model.config, {k: v.copy() for k, v in model.params.items()})
+        fresh = loss_and_gradients(fresh_model, X, y)
+        for other_loss, other_grads in (again, fresh):
+            assert same_bytes(loss, other_loss)
+            assert other_grads.keys() == grads.keys()
+            for key in grads:
+                assert same_bytes(grads[key], other_grads[key]), key
+
+    def test_last_step_gradient_equals_zero_padded_one(self):
+        # _layer_backward given the last k steps' output gradient gives the bytes it
+        # gives for the whole (2, w, B, H) gradient with zeros on the earlier steps.
+        model = init_model(ModelConfig(hidden_units=6, input_shape=(9, 3), seed=1))
+        X, _ = random_batch(model.config, 10, seed=1)
+        rng = np.random.default_rng(2)
+        for layer, k in (("l2", 1), ("l2", 4), ("l1", 9)):
+            dh_last = rng.normal(size=(2, k, 10, 6))
+            padded = np.zeros((2, 9, 10, 6))
+            padded[:, 9 - k :] = dh_last
+            results = []
+            for dh in (padded, dh_last):
+                _, caches = neuralnet._forward_full(model, X)
+                results.append(neuralnet._layer_backward(
+                    caches[layer], dh, neuralnet._stacked(model.params, layer, "Wh"), model._arena))
+            for expected, got in zip(*results):
+                assert same_bytes(expected, got), (layer, k)
+
     def test_train_empties_the_arena(self):
         model = init_model(ModelConfig(hidden_units=3, input_shape=(4, 2), seed=0))
         train(model, make_windows_for(20, 4, 2, seed=1), TrainConfig(epochs=2, batch_size=8))
