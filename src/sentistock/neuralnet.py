@@ -22,10 +22,10 @@ Both directions of a layer run as one stacked recurrence, after Appleyard et
 al., "Optimizing Performance of Recurrent Neural Networks on GPUs"
 (arXiv:1604.01946). The backward direction is fed the time-reversed input,
 so at each step s both directions take one (2, B, H) @ (2, H, 4H) matmul;
-the input projection for the whole window is one GEMM before the loop. All
-four gates come from a single tanh over the (2, B, 4H) block, using
-sigmoid(z) = 0.5 * tanh(z / 2) + 0.5 on the i/f/o columns (the halving is
-folded into the weights, which is exact). Per-step caches are arrays indexed
+the input projection for the whole window is one GEMM per direction before
+the loop. All four gates come from a single tanh over the (2, B, 4H) block,
+using sigmoid(z) = 0.5 * tanh(z / 2) + 0.5 on the i/f/o columns (the halving
+is folded into the weights, which is exact). Per-step caches are arrays indexed
 [direction, step, batch, unit], each direction in its own processing order;
 the gates are activated in place in the pre-activation buffer, and BPTT
 overwrites them with the gate gradients so that the weight and input
@@ -36,14 +36,17 @@ the .npz model format is unchanged.
 Every batch-sized array lives in the model's scratch arena (``_Arena``): one
 grow-only float64 buffer per role, each call carving its arrays from the
 front, so a training step allocates only parameter-sized arrays (the stacked
-weights and the gradients). The arena holds each layer's stacked input,
-gates, cell states, tanh of the cell states and hidden states; the head's
-input; and the per-step scratch of the recurrence and of BPTT. Layer 1's
-states are written straight into layer 2's stacked input. Two roles are
-reused once dead: the input gradient of layer 2 is written over its stacked
-input after dWx is taken, and layer 1's output gradient over layer 2's tanh
-of the cell states. The head reads only layer 2's last step, so layer 2's
-BPTT takes that one step's output gradient and no (2, w, B, H) buffer of
+weights and the gradients). Per layer it holds the gates, cell states
+(``c``), their tanh and the hidden states; besides those, the head's input
+and the per-step scratch of the recurrence and of BPTT. No role holds a
+stacked layer input: each direction's input (the window, or layer 1's states
+side by side) is rebuilt in the layer's ``c`` role whenever a GEMM reads it,
+while that role holds no live cell state: before the recurrence writes ``c``
+(input projection) and after BPTT has read it for the last time (dWx). Dead
+roles are reused: layer 2's input gradient goes to its ``c`` (direction 0)
+and ``h`` (direction 1) roles, and layer 1's output gradient over layer 2's
+tanh of the cell states. The head reads only layer 2's last step, so layer
+2's BPTT takes that one step's output gradient and no (2, w, B, H) buffer of
 zeros. ``c`` and ``h`` zero only their initial state; every other value is
 written before it is read. forward and predict run in the same arena, so
 validation inside ``train`` reuses the training buffers; ``train`` empties
@@ -209,30 +212,47 @@ class _LayerCache(NamedTuple):
     so step s reads [d, s] and writes [d, s + 1].
     """
 
-    x: np.ndarray  # (2, w, B, in) input, time-reversed for direction 1
+    inputs: tuple[np.ndarray, ...]  # time-major (w, B, .) pieces of the input, side by side
     gates: np.ndarray  # (2, w, B, 4H) activated gates; BPTT overwrites them with dZ
-    c: np.ndarray  # (2, w + 1, B, H) cell states
+    c: np.ndarray  # (2, w + 1, B, H) cell states, at the front of c_role
     tanh_c: np.ndarray  # (2, w, B, H)
     h: np.ndarray  # (2, w + 1, B, H) hidden states
+    c_role: np.ndarray  # flat, holding c or one direction's (w, B, in) input, whichever is live
 
 
-def _layer_forward(xs, Wx, Wh, b, arena: _Arena, layer: str) -> _LayerCache:
-    """Run both directions of one layer over its stacked (2, w, B, in) input.
+def _direction_input(inputs, d: int, in_dim: int, buffer: np.ndarray) -> np.ndarray:
+    """Direction d's input as a (w * B, in_dim) matrix written at the front of a flat buffer:
+    the time-major ``inputs`` side by side, time-reversed for the backward direction."""
+    w, B, _ = inputs[0].shape
+    x = buffer[: w * B * in_dim].reshape(w, B, in_dim)
+    np.concatenate([part[::-1] for part in inputs] if d else inputs, axis=2, out=x)
+    return x.reshape(w * B, in_dim)
 
-    xs[0] is the time-major input and xs[1] its time reversal. Wx (2, in, 4H),
-    Wh (2, H, 4H) and b (2, 4H) stack the forward and backward direction's
-    parameters, so both directions advance together: one (2, B, H) @ (2, H, 4H)
-    matmul and one tanh over the (2, B, 4H) gate block per step. The cache is
+
+def _layer_forward(inputs, Wx, Wh, b, arena: _Arena, layer: str) -> _LayerCache:
+    """Run both directions of one layer over its input, the time-major (w, B, .)
+    ``inputs`` side by side.
+
+    Wx (2, in, 4H), Wh (2, H, 4H) and b (2, 4H) stack the forward and backward
+    direction's parameters, so both directions advance together: one (2, B, H)
+    @ (2, H, 4H) matmul and one tanh over the (2, B, 4H) gate block per step.
+    Each direction's input is stacked into the cell-state role just before its
+    input-projection GEMM, before the recurrence writes c there. The cache is
     carved from the arena's roles for ``layer``.
     """
-    _, w, B, in_dim = xs.shape
+    w, B = inputs[0].shape[:2]
     H = Wh.shape[1]
     scale, shift = _gate_affine(H)
     gates = arena.take(f"{layer}_gates", (2, w, B, 4 * H))
-    np.matmul(xs.reshape(2, w * B, in_dim), Wx * scale, out=gates.reshape(2, w * B, 4 * H))
+    in_dim = Wx.shape[1]
+    c_role = arena.take(f"{layer}_c", (max(2 * (w + 1) * B * H, w * B * in_dim),))
+    Wx_scaled = Wx * scale
+    for d in range(2):
+        np.matmul(_direction_input(inputs, d, in_dim, c_role), Wx_scaled[d],
+                  out=gates[d].reshape(w * B, 4 * H))
     gates += (b * scale)[:, None, None, :]
     Wh_scaled = Wh * scale
-    c = arena.take(f"{layer}_c", (2, w + 1, B, H))
+    c = c_role[: 2 * (w + 1) * B * H].reshape(2, w + 1, B, H)
     h = arena.take(f"{layer}_h", (2, w + 1, B, H))
     c[:, 0] = 0.0
     h[:, 0] = 0.0
@@ -248,7 +268,7 @@ def _layer_forward(xs, Wx, Wh, b, arena: _Arena, layer: str) -> _LayerCache:
         c_new = np.multiply(z[..., H : 2 * H], c[:, s], out=c[:, s + 1])
         c_new += np.multiply(z[..., :H], z[..., 2 * H : 3 * H], out=ig)
         np.multiply(z[..., 3 * H :], np.tanh(c_new, out=tanh_c[:, s]), out=h[:, s + 1])
-    return _LayerCache(xs, gates, c, tanh_c, h)
+    return _LayerCache(inputs, gates, c, tanh_c, h, c_role)
 
 
 def _layer_backward(cache: _LayerCache, dh_last, Wh, arena: _Arena):
@@ -259,9 +279,11 @@ def _layer_backward(cache: _LayerCache, dh_last, Wh, arena: _Arena):
     before those get no gradient from above (k = w for layer 1, whose every
     output feeds layer 2, and k = 1 for layer 2, whose last outputs feed the
     head). Overwrites ``cache.gates`` with the gate pre-activation gradients
-    dZ. Returns (dWx, dWh, db), each stacked over directions.
+    dZ, and ``cache.c`` with the input of each direction in turn, stacked
+    again for its dWx GEMM once the loop has read c for the last time.
+    Returns (dWx, dWh, db), each stacked over directions.
     """
-    xs, dz_all, c, tanh_c, h = cache
+    inputs, dz_all, c, tanh_c, h, c_role = cache
     _, w, B, H4 = dz_all.shape
     H = H4 // 4
     first_fed = w - dh_last.shape[1]
@@ -298,7 +320,10 @@ def _layer_backward(cache: _LayerCache, dh_last, Wh, arena: _Arena):
         z *= upstream
         np.matmul(z, Wh_T, out=dh_carry)
     dz = dz_all.reshape(2, w * B, 4 * H)
-    dWx = np.matmul(xs.reshape(2, w * B, xs.shape[-1]).transpose(0, 2, 1), dz)
+    in_dim = sum(part.shape[2] for part in inputs)
+    dWx = np.empty((2, in_dim, 4 * H))
+    for d in range(2):
+        np.matmul(_direction_input(inputs, d, in_dim, c_role).T, dz[d], out=dWx[d])
     dWh = np.matmul(h[:, :w].reshape(2, w * B, H).transpose(0, 2, 1), dz)
     return dWx, dWh, dz.sum(axis=1)
 
@@ -307,18 +332,21 @@ def _input_gradient(cache: _LayerCache, Wx) -> np.ndarray:
     """The (2, w, B, in / 2) output gradient of the layer below, after _layer_backward.
 
     Indexed like that layer's cache, each direction in its processing order.
-    The stacked input gradient is written over ``cache.x`` (dWx has been taken)
-    and the result over ``cache.tanh_c``; both are dead by then.
+    Direction 0's input gradient is written over ``cache.c`` and direction 1's
+    over ``cache.h`` (dWx and dWh have been taken), and the result over
+    ``cache.tanh_c``; all three are dead by then.
     """
     _, w, B, H4 = cache.gates.shape
-    in_dim = cache.x.shape[-1]
-    dxs = np.matmul(cache.gates.reshape(2, w * B, H4), np.ascontiguousarray(Wx.transpose(0, 2, 1)),
-                    out=cache.x.reshape(2, w * B, in_dim)).reshape(2, w, B, in_dim)
-    # time-major input gradient dxs[0] + dxs[1, ::-1], split by the lower layer's direction
+    in_dim = Wx.shape[1]
+    Wx_T = np.ascontiguousarray(Wx.transpose(0, 2, 1))
+    dx0, dx1 = (np.matmul(cache.gates[d].reshape(w * B, H4), Wx_T[d],
+                          out=buffer[: w * B * in_dim].reshape(w * B, in_dim)).reshape(w, B, in_dim)
+                for d, buffer in enumerate((cache.c_role, cache.h.reshape(-1))))
+    # time-major input gradient dx0 + dx1[::-1], split by the lower layer's direction
     half = in_dim // 2
     dh_lower = cache.tanh_c
-    np.add(dxs[0, ..., :half], dxs[1, ::-1, ..., :half], out=dh_lower[0])
-    np.add(dxs[0, ::-1, ..., half:], dxs[1, ..., half:], out=dh_lower[1])
+    np.add(dx0[..., :half], dx1[::-1, ..., :half], out=dh_lower[0])
+    np.add(dx0[::-1, ..., half:], dx1[..., half:], out=dh_lower[1])
     return dh_lower
 
 
@@ -339,24 +367,17 @@ def _stacked(p: dict[str, np.ndarray], layer: str, name: str) -> np.ndarray:
 def _forward_full(model: BiLstmModel, X: np.ndarray):
     p = model.params
     arena = model._arena
-    B, w, n_features = X.shape
+    B = X.shape[0]
     H = model.config.hidden_units
     caches = {}
-    xs = arena.take("l1_x", (2, w, B, n_features))
-    xs[0] = X.transpose(1, 0, 2)
-    xs[1] = xs[0, ::-1]
+    inputs = (X.transpose(1, 0, 2),)
     for layer in LAYERS:
-        if layer != LAYERS[0]:
-            # the lower layer's time-major (w, B, 2H) states, forward half then
-            # backward half, and their time reversal
-            h = cache.h
-            xs = arena.take(f"{layer}_x", (2, w, B, 2 * H))
-            xs[0, ..., :H], xs[0, ..., H:] = h[0, 1:], h[1, :0:-1]
-            xs[1, ..., :H], xs[1, ..., H:] = h[0, :0:-1], h[1, 1:]
         cache = caches[layer] = _layer_forward(
-            xs, _stacked(p, layer, "Wx"), _stacked(p, layer, "Wh"), _stacked(p, layer, "b"),
+            inputs, _stacked(p, layer, "Wx"), _stacked(p, layer, "Wh"), _stacked(p, layer, "b"),
             arena, layer,
         )
+        # the next layer reads this one's time-major states, forward half then backward half
+        inputs = (cache.h[0, 1:], cache.h[1, :0:-1])
     # each direction's last processed state: forward at t = w-1, backward at t = 0
     terminal = np.concatenate([cache.h[0, -1], cache.h[1, -1]], axis=1,
                               out=arena.take("terminal", (B, 2 * H)))
@@ -559,7 +580,9 @@ def save_model(model: BiLstmModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> BiLstmModel:
-    """Load a model saved by save_model."""
+    """Load a model saved by save_model, checking its parameters against ``init_model``'s for
+    its config: ValueError names the file and any missing, unexpected, non-float or non-finite
+    parameter; InvalidShapeError a parameter of another shape, with both shapes."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["__meta__"]))
         if meta.get("format_version") != MODEL_FORMAT_VERSION:
@@ -574,4 +597,15 @@ def load_model(path: str | Path) -> BiLstmModel:
         input_shape=tuple(meta["input_shape"]),
         seed=meta["seed"],
     )
+    expected = init_model(config).params
+    wrong_keys = [f"{what} {', '.join(sorted(keys))}" for what, keys in (
+        ("lacks", expected.keys() - params.keys()), ("has unexpected", params.keys() - expected.keys())) if keys]
+    if wrong_keys:
+        raise ValueError(f"model file {path} {' and '.join(wrong_keys)}")
+    for key, value in params.items():
+        if value.shape != expected[key].shape:
+            raise InvalidShapeError(f"model file {path}: {key} has shape {value.shape}, "
+                                    f"expected {expected[key].shape}")
+        if value.dtype.kind != "f" or not np.isfinite(value).all():
+            raise ValueError(f"model file {path}: {key} holds non-finite or non-float values")
     return BiLstmModel(config=config, params=params)

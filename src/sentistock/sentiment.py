@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,10 @@ def score_texts(config: ScorerConfig, texts: list[str]) -> np.ndarray:
             "text scoring needs the lexicon scorer; precomputed scores are "
             "looked up by tweet id via load_precomputed_scores"
         )
+    # each word's lexicon bits: 1 if positive, 2 if negative, 3 if both
+    lexicon = dict.fromkeys(config.positive_words, 1)
+    for word in config.negative_words:
+        lexicon[word] = lexicon.get(word, 0) | 2
     n_tokens = np.empty(len(texts), dtype=np.int64)
     c_pos, c_neg = counts = np.zeros((2, len(texts)), dtype=np.int64)
     for start in range(0, len(texts), _TOKEN_BLOCK):
@@ -133,9 +138,9 @@ def score_texts(config: ScorerConfig, texts: list[str]) -> np.ndarray:
         block = slice(start, start + len(lengths))
         n_tokens[block] = lengths
         owner = np.repeat(np.arange(len(lengths)), n_tokens[block])
-        for hits, words in zip(counts, (config.positive_words, config.negative_words)):
-            mask = np.fromiter(map(words.__contains__, tokens), dtype=bool, count=len(tokens))
-            hits[block] = np.bincount(owner[mask], minlength=len(lengths))
+        kind = np.fromiter(map(lexicon.get, tokens, repeat(0)), dtype=np.int8, count=len(tokens))
+        for hits, bit in zip(counts, (1, 2)):
+            hits[block] = np.bincount(owner[(kind & bit) != 0], minlength=len(lengths))
     total = c_pos + c_neg
     u = (c_pos - c_neg) / np.maximum(1, total)
     # An empty text has no hits, so s is 0 and the text scores neutral.

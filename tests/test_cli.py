@@ -5,10 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sentistock
-from sentistock import synth
+from sentistock import neuralnet as nn, synth
 from sentistock.cli import main
 from sentistock.ingest import write_stock_csv
 
@@ -86,6 +87,27 @@ def test_train_and_evaluate_subcommands(workspace):
     assert pred_lines[0] == "date,actual,predicted"
     _, actual, predicted = pred_lines[1].split(",")
     float(actual), float(predicted)  # plain decimal numbers, no repr wrappers
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"l2_bwd_b": None}, "lacks l2_bwd_b"),
+    ({"extra": np.zeros(3)}, "has unexpected extra"),
+    ({"l1_fwd_Wh": np.zeros((5, 16))}, "l1_fwd_Wh has shape (5, 16), expected (4, 16)"),
+    ({"head_b": np.array([np.nan])}, "head_b holds non-finite"),
+])
+def test_evaluate_rejects_bad_model_file(tmp_path, capsys, change, message):
+    """A bad model file stops evaluate at load time, before it reads the master CSV."""
+    model = tmp_path / "model.npz"
+    nn.save_model(nn.init_model(nn.ModelConfig(hidden_units=4, input_shape=(3, 9))), model)
+    with np.load(model) as data:
+        arrays = {**{k: data[k] for k in data.files}, **change}
+    np.savez(model, **{k: v for k, v in arrays.items() if v is not None})
+    code = main(["evaluate", "--model", str(model), "--master", str(tmp_path / "absent.csv"),
+                 "--out", str(tmp_path / "report.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"model file {model}" in err and message in err and "absent.csv" not in err
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_stage_commands_match_grid_cell(workspace):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -183,8 +184,7 @@ class TestForward:
         def terminal_of(x, first, second):
             # the stacked layer reads time-major input; direction 0 runs forward
             params = [np.stack([a, b]) for a, b in zip(first, second)]
-            h = _layer_forward(np.stack([x.transpose(1, 0, 2), x[:, ::-1].transpose(1, 0, 2)]),
-                               *params, _Arena(), "l1").h
+            h = _layer_forward((x.transpose(1, 0, 2),), *params, _Arena(), "l1").h
             return np.concatenate([h[0, -1], h[1, -1]], axis=1)
 
         terminal = terminal_of(x, (Wxf, Whf, bf), (Wxb, Whb, bb))
@@ -436,16 +436,17 @@ class TestScratchArena:
 
     def test_top_layer_gets_only_its_last_step_gradient(self):
         # Paper shape. The arena holds no (2, w, B, H) output gradient for the top
-        # layer, 2 * 60 * 32 * 50 * 8 bytes = 1.46 MiB below the 25.70 MiB it took with one.
+        # layer, 2 * 60 * 32 * 50 * 8 bytes = 1.46 MiB below the 25.70 MiB it took with one,
+        # and no stacked layer inputs, which the cell-state roles hold in turn.
         w, B, H, F = 60, 32, 50, 8
         model = init_model(ModelConfig(hidden_units=H, input_shape=(w, F), seed=0))
         X, y = random_batch(model.config, B, seed=0)
         loss, grads = loss_and_gradients(model, X, y)
         layer_state = 2 * w * B * 4 * H + 2 * 2 * (w + 1) * B * H + 2 * w * B * H  # gates, c, h, tanh_c
         step_scratch = 3 * 2 * B * 4 * H + 6 * 2 * B * H  # recurrent, upstream, one_minus; ig, dh, ...
-        inputs_and_head = 2 * w * B * F + 2 * w * B * 2 * H + B * 2 * H
-        expected = 8 * (2 * layer_state + step_scratch + inputs_and_head)
-        assert arena_bytes(model) == expected == 26_946_560 - 2 * w * B * H * 8
+        head = B * 2 * H
+        expected = 8 * (2 * layer_state + step_scratch + head)
+        assert arena_bytes(model) == expected == 22_092_800
         again = loss_and_gradients(model, X, y)
         fresh_model = BiLstmModel(model.config, {k: v.copy() for k, v in model.params.items()})
         fresh = loss_and_gradients(fresh_model, X, y)
@@ -472,6 +473,49 @@ class TestScratchArena:
                     caches[layer], dh, neuralnet._stacked(model.params, layer, "Wh"), model._arena))
             for expected, got in zip(*results):
                 assert same_bytes(expected, got), (layer, k)
+
+    SHAPES = [(60, 32, 50, 8), (20, 32, 50, 8), (5, 6, 4, 8), (3, 7, 1, 8), (1, 1, 2, 3), (7, 16, 3, 5)]
+
+    @pytest.mark.parametrize("w,B,H,F", SHAPES)
+    def test_layer_inputs_live_in_the_cell_state_roles(self, w, B, H, F):
+        # No role holds a stacked layer input; a cell-state role grows to one
+        # direction's (w, B, in) input only when that is larger than its cell states
+        # (H = 1, F = 8), and the arena stays below the sum of the roles it had when
+        # it held both directions' inputs of both layers.
+        model = init_model(ModelConfig(hidden_units=H, input_shape=(w, F), seed=0))
+        X, y = random_batch(model.config, B, seed=1)
+        loss_and_gradients(model, X, y)
+        roles = {role: buffer.size for role, buffer in model._arena._buffers.items()}
+        assert not {"l1_x", "l2_x"} & roles.keys()
+        c_size = 2 * (w + 1) * B * H
+        assert roles["l1_c"] == max(c_size, w * B * F) and roles["l2_c"] == c_size
+        layer_state = 2 * w * B * 4 * H + 2 * c_size + 2 * w * B * H
+        step_scratch = 3 * 2 * B * 4 * H + 6 * 2 * B * H
+        stacked_inputs = 2 * w * B * F + 2 * w * B * 2 * H
+        held_before = 8 * (2 * layer_state + step_scratch + stacked_inputs + B * 2 * H)
+        assert arena_bytes(model) < held_before
+
+    @pytest.mark.parametrize("w,B,H,F", SHAPES)
+    def test_per_direction_gemms_equal_the_stacked_ones(self, w, B, H, F):
+        # Each direction's input, stacked into a flat buffer, gives the input
+        # projection and dWx the bytes of one matmul over both directions' inputs.
+        model = init_model(ModelConfig(hidden_units=H, input_shape=(w, F), seed=0))
+        X, _ = random_batch(model.config, B, seed=1)
+        _, caches = neuralnet._forward_full(model, X)
+        h = caches["l1"].h
+        rng = np.random.default_rng(w)
+        for layer, inputs in (("l1", (X.transpose(1, 0, 2),)), ("l2", (h[0, 1:], h[1, :0:-1]))):
+            time_major = np.concatenate(inputs, axis=2)
+            stacked = np.stack([time_major, time_major[::-1]]).reshape(2, w * B, -1)  # the oracle
+            Wx = neuralnet._stacked(model.params, layer, "Wx")
+            dz = rng.normal(size=(2, w * B, 4 * H))
+            projection, dWx = np.matmul(stacked, Wx), np.matmul(stacked.transpose(0, 2, 1), dz)
+            buffer = np.full(w * B * stacked.shape[-1] + 5, np.nan)
+            for d in range(2):
+                x = neuralnet._direction_input(inputs, d, stacked.shape[-1], buffer)
+                assert same_bytes(x, stacked[d]), (layer, d)
+                assert same_bytes(np.matmul(x, Wx[d]), projection[d]), (layer, d)
+                assert same_bytes(np.matmul(x.T, dz[d], out=np.empty_like(dWx[d])), dWx[d]), (layer, d)
 
     def test_train_empties_the_arena(self):
         model = init_model(ModelConfig(hidden_units=3, input_shape=(4, 2), seed=0))
@@ -602,3 +646,40 @@ class TestPersistence:
         assert reloaded.config == cfg
         X, _ = random_batch(cfg, 4, seed=9)
         np.testing.assert_array_equal(predict(reloaded, X), predict(model, X))
+
+    @staticmethod
+    def saved_with_params(path, **changes):
+        """Save a model, then rewrite its parameters with ``changes`` (None drops one)."""
+        model = init_model(ModelConfig(hidden_units=3, input_shape=(4, 2), seed=8))
+        save_model(model, path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays.update(changes)
+        np.savez(path, **{k: v for k, v in arrays.items() if v is not None})
+
+    def test_missing_parameter_rejected(self, tmp_path):
+        path = tmp_path / "model.npz"
+        self.saved_with_params(path, l2_bwd_b=None)
+        with pytest.raises(ValueError, match=re.escape(f"model file {path} lacks l2_bwd_b") + "$"):
+            load_model(path)
+
+    def test_unexpected_parameter_rejected(self, tmp_path):
+        path = tmp_path / "model.npz"
+        self.saved_with_params(path, l3_fwd_Wx=np.zeros((6, 12)))
+        with pytest.raises(ValueError, match=re.escape(f"model file {path} has unexpected l3_fwd_Wx") + "$"):
+            load_model(path)
+
+    def test_misshaped_parameter_rejected(self, tmp_path):
+        path = tmp_path / "model.npz"
+        self.saved_with_params(path, l1_fwd_Wh=np.zeros((4, 12)))
+        with pytest.raises(InvalidShapeError, match=r"l1_fwd_Wh has shape \(4, 12\), expected \(3, 12\)"):
+            load_model(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, bad):
+        path = tmp_path / "model.npz"
+        head_W = np.zeros((6, 1))
+        head_W[4, 0] = bad
+        self.saved_with_params(path, head_W=head_W)
+        with pytest.raises(ValueError, match="head_W holds non-finite"):
+            load_model(path)

@@ -179,6 +179,14 @@ class TestLexiconScores:
         assert not np.signbit(got).any()
         assert score_texts(self.OVERLAP, []).shape == (0, 3)
 
+    def test_word_in_both_lists_counts_for_both(self):
+        # "wild" is one positive and one negative hit: u = 0, so the text scores neutral
+        assert score_text(self.OVERLAP, "wild") == (0.0, 0.0, 1.0)
+        # c+ = 2 (up, wild), c- = 1 (wild), n = 3: u = 1/3, s = 1
+        assert score_text(self.OVERLAP, "up wild flat") == (1 / 3, 0.0, 1.0 - 1 / 3)
+        assert score_text(self.OVERLAP, "wild down down") == reference_lexicon_probabilities(
+            self.OVERLAP, "wild down down")
+
     def test_score_tweet_uses_the_same_formula(self):
         for text in ("growth growth crash", "", "crash", "flat"):
             assert score_text(LEXICON, text) == reference_lexicon_probabilities(LEXICON, text)
