@@ -37,6 +37,7 @@ from .ingest import (
     TweetCorpus,
     clean_tweet,
     clean_tweets,
+    load_master_csv,
     load_stock_csv,
     load_tweets,
     write_stock_csv,
@@ -46,9 +47,7 @@ from .mapping import (
     class_contributions,
     daily_aggregate,
     join_with_stock,
-    load_master_csv,
     memory_weighted_map,
-    write_master_csv,
 )
 from .neuralnet import (
     BiLstmModel,

@@ -18,8 +18,7 @@ from pathlib import Path
 from . import harness
 from . import neuralnet as nn
 from .errors import SentiStockError
-from .ingest import load_tweets
-from .mapping import load_master_csv, write_master_csv
+from .ingest import load_master_csv, load_tweets, write_stock_csv
 from .sentiment import VARIANTS, ScorerConfig, score_corpus, write_scores_csv
 
 
@@ -136,7 +135,7 @@ def _cmd_map(args) -> int:
     stock = harness.load_stock(cfg)
     corpus = harness.load_corpus(cfg)
     table = harness.score(cfg, corpus)
-    write_master_csv(harness.build_master(cfg, args.variant, stock, corpus, table), args.out)
+    write_stock_csv(harness.build_master(cfg, args.variant, stock, corpus, table), args.out)
     print(f"mapped {len(corpus)} tweets onto {stock.n_rows} trading days -> {args.out}")
     return 0
 

@@ -3,10 +3,10 @@
 A run wires the stages together: load stock and tweets, score, aggregate to
 daily channels, memory-map, join, scale, split, window, train, predict,
 inverse-scale, evaluate. This module is the only place that knows that
-sequence; the CLI subcommands call the same stage functions. A grid loads
-the stock and tweet files once and sweeps (variant, lookback) cells with
-per-cell derived seeds, isolating failures so one bad cell cannot take down
-the sweep.
+sequence; the CLI subcommands call the same stage functions. A grid first
+builds every variant's master dataset from stock and tweet files read once,
+then sweeps (variant, lookback) cells with per-cell derived seeds, isolating
+failures so one bad cell cannot take down the sweep.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import date
+from itertools import product
 from pathlib import Path
 from typing import NamedTuple
 
@@ -91,6 +92,8 @@ class ExperimentConfig:
             raise ConfigError(f"lookbacks must be a non-empty list of integers >= 1, not {self.lookbacks!r}")
         if len(set(self.lookbacks)) != len(self.lookbacks):
             raise ConfigError(f"lookbacks repeat a value: {self.lookbacks!r}")
+        if not self.variants:  # a grid with sentiment would have no cell
+            raise ConfigError("variants must name at least one variant")
         unknown = [v for v in self.variants if v not in VARIANTS]
         if unknown:
             raise ConfigError(f"unknown variants {unknown}; choose from {list(VARIANTS)}")
@@ -104,8 +107,9 @@ class ExperimentConfig:
             raise ConfigError(f"metric_units must be 'data' or 'scaled', not {self.metric_units!r}")
         if self.hidden_units < 1:
             raise ConfigError(f"hidden_units must be >= 1, not {self.hidden_units!r}")
-        if self.max_lag < 0:
-            raise ConfigError(f"max_lag must be >= 0, not {self.max_lag!r}")
+        for name in ("max_lag", "seed"):  # numpy's generators reject a negative seed
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, not {getattr(self, name)!r}")
         try:
             self.training = nn.TrainConfig(
                 epochs=self.epochs,
@@ -264,13 +268,8 @@ def load_stock(cfg: ExperimentConfig) -> MasterDataset:
         return load_stock_csv(cfg.stock_file, symbol=cfg.scrip)
 
 
-def load_corpus(cfg: ExperimentConfig, tweet_loader=load_tweets) -> TweetCorpus | None:
-    """Stage load_tweets: read and merge every tweet file, once per run.
-
-    Returns None without reading anything when the run uses no sentiment.
-    """
-    if not cfg.with_sentiment:
-        return None
+def load_corpus(cfg: ExperimentConfig, tweet_loader=load_tweets) -> TweetCorpus:
+    """Stage load_tweets: read and merge every tweet file, once per run."""
     with _stage("load_tweets"):
         if not cfg.tweet_files:
             raise ConfigError("with_sentiment=true requires at least one tweet file")
@@ -284,12 +283,9 @@ def score(cfg: ExperimentConfig, corpus: TweetCorpus) -> ScoreTable:
 
 
 def build_master(cfg: ExperimentConfig, variant: str, stock: MasterDataset,
-                 corpus: TweetCorpus | None, table: ScoreTable | None) -> MasterDataset:
+                 corpus: TweetCorpus, table: ScoreTable) -> MasterDataset:
     """Produce the master dataset for one variant from a loaded corpus and
-    its score table (stage-tagged); both are None without sentiment, and
-    the master is the stock itself."""
-    if not cfg.with_sentiment:
-        return stock
+    its score table (stage-tagged)."""
     with _stage("score"):
         table.probabilities(variant)  # a variant that could not be scored fails here
     with _stage("aggregate"):
@@ -298,6 +294,29 @@ def build_master(cfg: ExperimentConfig, variant: str, stock: MasterDataset,
         mapped = memory_weighted_map(daily, cfg.kernel)
     with _stage("join"):
         return join_with_stock(mapped, stock)
+
+
+def build_masters(cfg: ExperimentConfig, stock: MasterDataset,
+                  tweet_loader=load_tweets) -> dict[str, MasterDataset | PipelineError]:
+    """Each variant's master dataset, or the stage-tagged error that stopped it.
+
+    Without sentiment the stock is the one master, variant "none", and no
+    tweet is read. Otherwise the corpus is loaded and scored once (an error
+    there fails every variant); the masters hold no reference to it."""
+    if not cfg.with_sentiment:
+        return {"none": stock}
+    try:
+        corpus = load_corpus(cfg, tweet_loader)
+        table = score(cfg, corpus)
+    except PipelineError as exc:
+        return dict.fromkeys(cfg.variants, exc)
+    masters = {}
+    for variant in cfg.variants:
+        try:
+            masters[variant] = build_master(cfg, variant, stock, corpus, table)
+        except PipelineError as exc:
+            masters[variant] = exc
+    return masters
 
 
 def prepare_cell(master: MasterDataset, cfg: ExperimentConfig) -> CellData:
@@ -388,10 +407,11 @@ def run_master(master: MasterDataset, cfg: ExperimentConfig, variant: str, lookb
 def run_grid(cfg: ExperimentConfig, tweet_loader=load_tweets) -> list[ExperimentRecord]:
     """Sweep every (variant, lookback) cell, isolating per-cell failures.
 
-    The stock and tweet files are read and hashed once, and the corpus is
-    scored once for all variants. Lookbacks of at least half the test-set
-    length are skipped with a warning. Writes summary and per-record
-    artifacts when output_dir is set.
+    First, each once: read the stock, skip with a warning each lookback of
+    at least half the test-set length (a ConfigError if none is left), build
+    every master (build_masters) and hash the input files. Then run the cells
+    variant-major with seed cfg.seed + cell index, a failed master failing
+    its cells. Writes summary and per-record artifacts when output_dir is set.
     """
     stock = load_stock(cfg)
     n = stock.n_rows
@@ -402,44 +422,29 @@ def run_grid(cfg: ExperimentConfig, tweet_loader=load_tweets) -> list[Experiment
             logger.warning("skipping lookback %d: test set has only %d rows", w, n_test)
         else:
             usable.append(w)
-    variants = list(cfg.variants) if cfg.with_sentiment else ["none"]
-    corpus = table = None
-    corpus_error: PipelineError | None = None
-    try:
-        corpus = load_corpus(cfg, tweet_loader)
-        if cfg.with_sentiment:
-            table = score(cfg, corpus)
-    except PipelineError as exc:
-        corpus_error = exc
+    if not usable:
+        raise ConfigError(f"no lookback in {cfg.lookbacks} is below half the test set's {n_test} rows")
+    masters = build_masters(cfg, stock, tweet_loader)
     try:
         hashes = input_hashes(cfg)
     except OSError:
         hashes = None  # an unreadable input fails every cell before training
 
     records = []
-    cell_index = 0
-    for variant in variants:
-        master = None
-        master_error = corpus_error
-        if master_error is None:
+    for cell_index, (variant, lookback) in enumerate(product(masters, usable)):
+        seed = cfg.seed + cell_index
+        master = masters[variant]
+        if isinstance(master, PipelineError):
+            record = _failure_record(cfg, stock.symbol, variant, lookback, seed, master, hashes)
+        else:
             try:
-                master = build_master(cfg, variant, stock, corpus, table)
+                record = run_master(master, cfg, variant, lookback, seed, scrip=stock.symbol,
+                                    hashes=hashes)
             except PipelineError as exc:
-                master_error = exc
-        for lookback in usable:
-            seed = cfg.seed + cell_index
-            cell_index += 1
-            if master_error is not None:
-                record = _failure_record(cfg, stock.symbol, variant, lookback, seed, master_error, hashes)
-            else:
-                try:
-                    record = run_master(master, cfg, variant, lookback, seed, scrip=stock.symbol,
-                                        hashes=hashes)
-                except PipelineError as exc:
-                    logger.warning("cell (%s, %d) failed at %s: %s", variant, lookback, exc.stage, exc.cause)
-                    record = _failure_record(cfg, stock.symbol, variant, lookback, seed, exc, hashes)
-            records.append(record)
-    if cfg.output_dir is not None and records:
+                logger.warning("cell (%s, %d) failed at %s: %s", variant, lookback, exc.stage, exc.cause)
+                record = _failure_record(cfg, stock.symbol, variant, lookback, seed, exc, hashes)
+        records.append(record)
+    if cfg.output_dir is not None:
         emit_report(records, cfg.output_dir)
         for record in records:
             write_record_artifacts(record, cfg.output_dir)

@@ -14,7 +14,7 @@ from datetime import date
 import numpy as np
 
 from .errors import MissingScoreError
-from .ingest import MasterDataset, TweetCorpus, load_master_csv, write_stock_csv
+from .ingest import MasterDataset, TweetCorpus
 from .sentiment import ScoreTable, labels
 
 SENTIMENT_COLUMNS = ("sent_pos", "sent_neg", "sent_neu")
@@ -110,7 +110,3 @@ def memory_weighted_map(daily: dict[str, np.ndarray], kernel: MemoryKernel) -> d
 def join_with_stock(mapped: dict[str, np.ndarray], stock: MasterDataset) -> MasterDataset:
     """The stock's columns, then the mapped channels, each of the stock's row count."""
     return replace(stock, columns={**stock.columns, **mapped})
-
-
-# A master dataset is written like a stock series: Date, then its columns in order.
-write_master_csv = write_stock_csv

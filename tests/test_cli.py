@@ -232,6 +232,20 @@ def test_grid_malformed_lookbacks_exit_code(workspace):
     assert not out.exists()
 
 
+def test_grid_every_lookback_skipped_exit_code(workspace, capsys):
+    """70 days leave 14 test rows: lookback 7 is skipped, and a grid without a cell is an error."""
+    tmp_path, stock_path, tweets_path = workspace
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "config_version": 1, "stock_file": str(stock_path), "tweet_files": [str(tweets_path)],
+        "lookbacks": [7], "hidden_units": 4, "epochs": 1,
+    }))
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(config), "--out-dir", str(out)]) == 2
+    assert "no lookback in [7]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_grid_failure_exit_code(workspace, tmp_path):
     _, stock_path, _ = workspace
     bad_tweets = tmp_path / "nopos.jsonl"

@@ -1,5 +1,6 @@
 import json
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -69,8 +70,8 @@ class TestRunPipeline:
         path = tmp_path / "MONO.csv"
         write_stock_csv(stock, path)
         cfg = fast_config(stock_file=str(path), with_sentiment=False)
-        master = harness.build_master(cfg, "none", stock, None, None)
-        assert len(master.columns) == 5  # stock columns only
+        masters = harness.build_masters(cfg, stock)
+        assert list(masters) == ["none"] and masters["none"] is stock
         [record] = run_grid(cfg)
         assert record.ok and record.variant == "none"
         report = record.report
@@ -156,6 +157,64 @@ class TestRunGrid:
         assert len(records) == 1
         assert records[0].lookback == 3
         assert any("skipping lookback 60" in m for m in caplog.messages)
+
+    def test_every_lookback_skipped_is_a_config_error(self, synthetic_inputs, tmp_path):
+        stock_path, tweets_path = synthetic_inputs  # 80 days -> 16 test rows
+        out = tmp_path / "out"
+        cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)],
+                          lookbacks=[8, 60], output_dir=str(out))
+        with pytest.raises(ConfigError, match=r"\[8, 60\].* 16 rows"):
+            run_grid(cfg)
+        assert not out.exists()
+
+    def test_paper_lookbacks(self, tmp_path, caplog):
+        """Lookbacks up to 94 on a 950-day series: 190 test rows, so 95 is
+        the first lookback the skip rule drops."""
+        stock = synth.random_walk_stock(n_days=950, seed=3, symbol="PAPER")
+        stock_path = tmp_path / "PAPER.csv"
+        write_stock_csv(stock, stock_path)
+        tweets_path = tmp_path / "tweets.jsonl"
+        with open(tweets_path, "w") as fh:
+            for tweet in synth.random_tweets(stock.calendar, per_day=1.0, seed=4):
+                fh.write(json.dumps({"id": tweet.id, "date": tweet.date.isoformat(),
+                                     "text": tweet.raw_text}) + "\n")
+        cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)],
+                          variants=["cleaned_prosus"], epochs=1, batch_size=32,
+                          lookbacks=[30, 60, 90, 94, 95])
+        with caplog.at_level(logging.WARNING):
+            records = run_grid(cfg)
+        assert [m for m in caplog.messages if "skipping" in m] == [
+            "skipping lookback 95: test set has only 190 rows"]
+        assert [r.lookback for r in records] == [30, 60, 90, 94]
+        for r in records:
+            assert r.ok, r.error
+            n_windows = 190 - r.lookback
+            assert r.report.n_samples == len(r.predicted) == n_windows
+            assert r.test_dates == stock.calendar[760 + r.lookback:]
+            np.testing.assert_allclose(r.actual, stock.columns["Close"][760 + r.lookback:])
+
+    def test_corpus_freed_before_training(self, synthetic_inputs, monkeypatch):
+        stock_path, tweets_path = synthetic_inputs
+        corpora = []
+
+        def recording_loader(path):  # one file, so this corpus is the grid's own
+            corpus = load_tweets(path)
+            corpora.append(weakref.ref(corpus))
+            return corpus
+
+        alive = []
+        real_train = harness.nn.train
+
+        def recording_train(*args, **kwargs):
+            alive.append(corpora[0]() is not None)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(harness.nn, "train", recording_train)
+        cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)],
+                          variants=["cleaned_prosus", "pos_prosus"], lookbacks=[2, 3])
+        records = run_grid(cfg, tweet_loader=recording_loader)
+        assert all(r.ok for r in records)
+        assert alive == [False] * 4
 
     def test_without_sentiment_never_reads_tweets(self, synthetic_inputs):
         stock_path, tweets_path = synthetic_inputs
@@ -435,6 +494,7 @@ class TestConfigFile:
         pytest.param({"lookbacks": [True]}, id="lookbacks-bool"),
         pytest.param({"lookbacks": [3, 3]}, id="lookbacks-repeated"),
         pytest.param({"variants": ["nope"]}, id="variants-unknown"),
+        pytest.param({"variants": []}, id="variants-empty"),
         pytest.param({"variants": ["cleaned_prosus"] * 2}, id="variants-repeated"),
         pytest.param({"batch_size": 0}, id="batch_size"),
         pytest.param({"epochs": 0}, id="epochs"),
@@ -444,6 +504,7 @@ class TestConfigFile:
         pytest.param({"hidden_units": 0}, id="hidden_units"),
         pytest.param({"fit_scope": "bogus"}, id="fit_scope"),
         pytest.param({"max_lag": -1}, id="max_lag"),
+        pytest.param({"seed": -1}, id="seed-negative"),
         pytest.param({"memory_days": 0}, id="memory_days"),
         pytest.param({"kernel_mode": "x"}, id="kernel_mode"),
         pytest.param({"scorer_kind": "x"}, id="scorer_kind"),

@@ -11,15 +11,13 @@ from sentistock.errors import (
     MissingScoreError,
     UnparseableRowError,
 )
-from sentistock.ingest import MasterDataset, Tweet
+from sentistock.ingest import MasterDataset, Tweet, load_master_csv, write_stock_csv
 from sentistock.mapping import (
     MemoryKernel,
     class_contributions,
     daily_aggregate,
     join_with_stock,
-    load_master_csv,
     memory_weighted_map,
-    write_master_csv,
 )
 from sentistock.sentiment import ScoreTable
 from sentistock.synth import trading_calendar
@@ -277,7 +275,7 @@ class TestMasterCsv:
         stock = make_stock(6)
         master = stock
         path = tmp_path / "master.csv"
-        write_master_csv(master, path)
+        write_stock_csv(master, path)
         reloaded = load_master_csv(path)
         assert reloaded.calendar == master.calendar
         assert reloaded.column_names == master.column_names
@@ -286,7 +284,7 @@ class TestMasterCsv:
 
     def write_with_row(self, tmp_path, line):
         path = tmp_path / "master.csv"
-        write_master_csv(make_stock(4), path)
+        write_stock_csv(make_stock(4), path)
         rows = path.read_text().splitlines()
         rows[2] = line
         path.write_text("\n".join(rows) + "\n")
@@ -300,7 +298,7 @@ class TestMasterCsv:
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "master.csv"
-        write_master_csv(make_stock(4), path)
+        write_stock_csv(make_stock(4), path)
         with open(path, "a", newline="") as fh:
             fh.write("\r\n")
         assert load_master_csv(path).n_rows == 4
