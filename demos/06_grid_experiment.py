@@ -7,10 +7,9 @@ table the sweep writes. Also runs the sentiment-free baseline for the same
 lookbacks, mirroring a with/without comparison.
 """
 
-import json
 from pathlib import Path
 
-from sentistock import run_grid, write_stock_csv
+from sentistock import run_grid, write_stock_csv, write_tweets
 from sentistock.harness import ExperimentConfig
 from sentistock.synth import random_tweets, sine_stock
 
@@ -22,12 +21,7 @@ stock_path = workdir / "DEMO.csv"
 write_stock_csv(stock, stock_path)
 
 tweets_path = workdir / "tweets.jsonl"
-with open(tweets_path, "w") as fh:
-    for tweet in random_tweets(stock.calendar, per_day=1.5, seed=11):
-        fh.write(json.dumps({
-            "id": tweet.id, "date": tweet.date.isoformat(),
-            "text": tweet.raw_text, "pos_text": tweet.pos_tagged_text,
-        }) + "\n")
+write_tweets(random_tweets(stock.calendar, per_day=1.5, seed=11), tweets_path)
 
 common = dict(
     stock_file=str(stock_path),

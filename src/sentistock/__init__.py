@@ -41,6 +41,7 @@ from .ingest import (
     load_stock_csv,
     load_tweets,
     write_stock_csv,
+    write_tweets,
 )
 from .mapping import (
     MemoryKernel,

@@ -10,15 +10,15 @@ Exit codes: 0 success, 1 some grid cells failed, 2 config or input error.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import logging
 import sys
 from pathlib import Path
 
 from . import harness
 from . import neuralnet as nn
-from .errors import SentiStockError
-from .ingest import load_master_csv, load_tweets, write_stock_csv
+from .errors import PipelineError, SentiStockError
+from .ingest import load_master_csv, load_tweets, write_stock_csv, write_tweets
 from .sentiment import VARIANTS, ScorerConfig, score_corpus, write_scores_csv
 
 
@@ -108,12 +108,7 @@ def _config_flags(args) -> dict:
 
 def _cmd_clean(args) -> int:
     corpus = load_tweets(args.tweets)
-    with open(args.out, "w") as fh:
-        for tweet in corpus:
-            record = {"id": tweet.id, "date": tweet.date.isoformat(), "text": tweet.cleaned_text}
-            if tweet.pos_tagged_text is not None:
-                record["pos_text"] = tweet.pos_tagged_text
-            fh.write(json.dumps(record) + "\n")
+    write_tweets(dataclasses.replace(corpus, raw_texts=corpus.cleaned_texts), args.out)
     print(f"cleaned {len(corpus)} tweets -> {args.out}")
     return 0
 
@@ -132,11 +127,11 @@ def _cmd_map(args) -> int:
     cfg = harness.ExperimentConfig(tweet_files=[args.tweets], variants=[args.variant],
                                    scorer_kind="precomputed" if args.scores_file else "lexicon",
                                    **_config_flags(args))
-    stock = harness.load_stock(cfg)
-    corpus = harness.load_corpus(cfg)
-    table = harness.score(cfg, corpus)
-    write_stock_csv(harness.build_master(cfg, args.variant, stock, corpus, table), args.out)
-    print(f"mapped {len(corpus)} tweets onto {stock.n_rows} trading days -> {args.out}")
+    master = harness.build_masters(cfg, harness.load_stock(cfg))[args.variant]
+    if isinstance(master, PipelineError):
+        raise master
+    write_stock_csv(master, args.out)
+    print(f"mapped {args.variant} onto {master.n_rows} trading days -> {args.out}")
     return 0
 
 

@@ -268,20 +268,6 @@ def load_stock(cfg: ExperimentConfig) -> MasterDataset:
         return load_stock_csv(cfg.stock_file, symbol=cfg.scrip)
 
 
-def load_corpus(cfg: ExperimentConfig, tweet_loader=load_tweets) -> TweetCorpus:
-    """Stage load_tweets: read and merge every tweet file, once per run."""
-    with _stage("load_tweets"):
-        if not cfg.tweet_files:
-            raise ConfigError("with_sentiment=true requires at least one tweet file")
-        return merge_corpora([tweet_loader(f) for f in cfg.tweet_files])
-
-
-def score(cfg: ExperimentConfig, corpus: TweetCorpus) -> ScoreTable:
-    """Stage score: the corpus scored once for every variant; one that fails, fails alone in build_master."""
-    with _stage("score"):
-        return score_corpus(cfg.scorer, corpus, cfg.variants)
-
-
 def build_master(cfg: ExperimentConfig, variant: str, stock: MasterDataset,
                  corpus: TweetCorpus, table: ScoreTable) -> MasterDataset:
     """Produce the master dataset for one variant from a loaded corpus and
@@ -301,21 +287,26 @@ def build_masters(cfg: ExperimentConfig, stock: MasterDataset,
     """Each variant's master dataset, or the stage-tagged error that stopped it.
 
     Without sentiment the stock is the one master, variant "none", and no
-    tweet is read. Otherwise the corpus is loaded and scored once (an error
-    there fails every variant); the masters hold no reference to it."""
+    tweet is read. Otherwise the tweet files (none is a ConfigError) are
+    loaded and scored once, an error there failing every variant; no master
+    or stored error refers to the corpus."""
     if not cfg.with_sentiment:
         return {"none": stock}
+    if not cfg.tweet_files:
+        raise ConfigError("with_sentiment=true requires at least one tweet file")
     try:
-        corpus = load_corpus(cfg, tweet_loader)
-        table = score(cfg, corpus)
+        with _stage("load_tweets"):
+            corpus = merge_corpora([tweet_loader(f) for f in cfg.tweet_files])
+        with _stage("score"):  # a variant that could not be scored fails alone in build_master
+            table = score_corpus(cfg.scorer, corpus, cfg.variants)
     except PipelineError as exc:
         return dict.fromkeys(cfg.variants, exc)
     masters = {}
     for variant in cfg.variants:
         try:
             masters[variant] = build_master(cfg, variant, stock, corpus, table)
-        except PipelineError as exc:
-            masters[variant] = exc
+        except PipelineError as exc:  # the cause's traceback frames hold the corpus
+            masters[variant] = PipelineError(exc.stage, exc.cause.with_traceback(None))
     return masters
 
 
@@ -434,15 +425,13 @@ def run_grid(cfg: ExperimentConfig, tweet_loader=load_tweets) -> list[Experiment
     for cell_index, (variant, lookback) in enumerate(product(masters, usable)):
         seed = cfg.seed + cell_index
         master = masters[variant]
-        if isinstance(master, PipelineError):
-            record = _failure_record(cfg, stock.symbol, variant, lookback, seed, master, hashes)
-        else:
-            try:
-                record = run_master(master, cfg, variant, lookback, seed, scrip=stock.symbol,
-                                    hashes=hashes)
-            except PipelineError as exc:
-                logger.warning("cell (%s, %d) failed at %s: %s", variant, lookback, exc.stage, exc.cause)
-                record = _failure_record(cfg, stock.symbol, variant, lookback, seed, exc, hashes)
+        try:
+            if isinstance(master, PipelineError):
+                raise master
+            record = run_master(master, cfg, variant, lookback, seed, scrip=stock.symbol, hashes=hashes)
+        except PipelineError as exc:
+            logger.warning("cell (%s, %d) failed at %s: %s", variant, lookback, exc.stage, exc.cause)
+            record = _failure_record(cfg, stock.symbol, variant, lookback, seed, exc, hashes)
         records.append(record)
     if cfg.output_dir is not None:
         emit_report(records, cfg.output_dir)

@@ -5,7 +5,7 @@ with a ``Date`` column, then one row per trading day of a ``YYYY-MM-DD``
 date and finite floats. A stock file needs ``Open,High,Low,Close,Volume``
 and ignores other columns; a master file is read whole. Tweets arrive as
 line-delimited JSON with keys ``date`` and ``text`` plus optional ``id`` and
-``pos_text``.
+``pos_text``, as write_tweets writes them.
 """
 
 from __future__ import annotations
@@ -302,3 +302,17 @@ def load_tweets(path: str | Path) -> TweetCorpus:
     ids, ordinals, raws, pos_texts = zip(*rows)
     # Cleaned as one batch once every record has parsed.
     return TweetCorpus.by_date(ids, ordinals, raws, clean_tweets(raws), pos_texts)
+
+
+def write_tweets(corpus: TweetCorpus, path: str | Path) -> None:
+    """Write a corpus in date order as the JSON lines load_tweets reads: per tweet,
+    the bytes json.dumps gives ``{"id", "date", "text": raw text}``, plus
+    ``pos_text`` when set."""
+    encode = json.JSONEncoder().encode
+    ordinals = corpus.ordinals.tolist()
+    days = {ordinal: encode(date.fromordinal(ordinal).isoformat()) for ordinal in set(ordinals)}
+    pos_fields = ["" if pos is None else f', "pos_text": {encode(pos)}' for pos in corpus.pos_texts]
+    lines = map('{{"id": {}, "date": {}, "text": {}{}}}\n'.format, map(encode, corpus.ids),
+                map(days.__getitem__, ordinals), map(encode, corpus.raw_texts), pos_fields)
+    with open(path, "w") as fh:
+        fh.write("".join(lines))

@@ -11,7 +11,7 @@ import pytest
 import sentistock
 from sentistock import neuralnet as nn, synth
 from sentistock.cli import main
-from sentistock.ingest import write_stock_csv
+from sentistock.ingest import clean_tweet, write_stock_csv, write_tweets
 
 
 @pytest.fixture
@@ -22,24 +22,22 @@ def workspace(tmp_path):
 
     corpus = synth.random_tweets(stock.calendar, per_day=1.0, seed=5)
     tweets_path = tmp_path / "tweets.jsonl"
-    with open(tweets_path, "w") as fh:
-        for tweet in corpus:
-            fh.write(json.dumps({
-                "id": tweet.id, "date": tweet.date.isoformat(),
-                "text": tweet.raw_text, "pos_text": tweet.pos_tagged_text,
-            }) + "\n")
+    write_tweets(corpus, tweets_path)
     return tmp_path, stock_path, tweets_path
 
 
 def test_clean_subcommand(workspace):
+    """clean writes each input record in date order with its text cleaned,
+    in json.dumps' bytes; a record without pos_text gets none."""
     tmp_path, _, tweets_path = workspace
+    tweets = tmp_path / "mixed.jsonl"
+    tweets.write_text(tweets_path.read_text() + json.dumps(
+        {"id": "x", "date": "2020-01-06", "text": 'Say "HI" \\ caf\u00e9 #Up @who'}) + "\n")
     out = tmp_path / "cleaned.jsonl"
-    assert main(["clean", "--tweets", str(tweets_path), "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert lines
-    for line in lines:
-        record = json.loads(line)
-        assert record["text"] == record["text"].lower()
+    assert main(["clean", "--tweets", str(tweets), "--out", str(out)]) == 0
+    records = sorted(map(json.loads, tweets.read_text().splitlines()), key=lambda r: r["date"])
+    want = "".join(json.dumps({**r, "text": clean_tweet(r["text"])}) + "\n" for r in records)
+    assert out.read_text() == want
 
 
 def test_score_subcommand(workspace):
@@ -243,6 +241,20 @@ def test_grid_every_lookback_skipped_exit_code(workspace, capsys):
     out = tmp_path / "out"
     assert main(["grid", "--config", str(config), "--out-dir", str(out)]) == 2
     assert "no lookback in [7]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_grid_without_tweet_files_exit_code(workspace, capsys):
+    """Sentiment on and no tweet file is a bad config, not a failure of every cell."""
+    tmp_path, stock_path, _ = workspace
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "config_version": 1, "stock_file": str(stock_path), "tweet_files": [],
+        "lookbacks": [3], "hidden_units": 4, "epochs": 1,
+    }))
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(config), "--out-dir", str(out)]) == 2
+    assert "requires at least one tweet file" in capsys.readouterr().err
     assert not out.exists()
 
 

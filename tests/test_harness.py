@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import weakref
@@ -16,7 +17,7 @@ from sentistock.harness import (
     run_grid,
     run_master,
 )
-from sentistock.ingest import load_tweets, write_stock_csv
+from sentistock.ingest import load_tweets, write_stock_csv, write_tweets
 from sentistock.mapping import MasterDataset
 from sentistock.sentiment import VARIANTS
 
@@ -43,12 +44,7 @@ def synthetic_inputs(tmp_path):
 
     corpus = synth.random_tweets(stock.calendar, per_day=1.0, seed=2)
     tweets_path = tmp_path / "tweets.jsonl"
-    with open(tweets_path, "w") as fh:
-        for tweet in corpus:
-            fh.write(json.dumps({
-                "id": tweet.id, "date": tweet.date.isoformat(),
-                "text": tweet.raw_text, "pos_text": tweet.pos_tagged_text,
-            }) + "\n")
+    write_tweets(corpus, tweets_path)
     return stock_path, tweets_path
 
 
@@ -84,9 +80,7 @@ class TestRunPipeline:
                           variants=["cleaned_prosus"])
         from sentistock.ingest import load_stock_csv
 
-        corpus = harness.load_corpus(cfg)
-        master = harness.build_master(cfg, "cleaned_prosus", load_stock_csv(stock_path),
-                                      corpus, harness.score(cfg, corpus))
+        [master] = harness.build_masters(cfg, load_stock_csv(stock_path)).values()
         assert len(master.columns) == 8
         [record] = run_grid(cfg)
         assert record.ok and record.variant == "cleaned_prosus"
@@ -128,7 +122,7 @@ class TestRunGrid:
         assert len(records) == 4
         assert all(r.ok for r in records)
 
-    def test_failures_isolated(self, tmp_path, synthetic_inputs):
+    def test_failures_isolated(self, tmp_path, synthetic_inputs, caplog):
         stock_path, _ = synthetic_inputs
         # tweets without pos_text make pos_* variants fail at the score stage
         tweets_path = tmp_path / "nopos.jsonl"
@@ -139,12 +133,16 @@ class TestRunGrid:
             stock_file=str(stock_path), tweet_files=[str(tweets_path)],
             variants=["cleaned_prosus", "pos_prosus"], lookbacks=[2, 3],
         )
-        records = run_grid(cfg)
+        with caplog.at_level(logging.WARNING):
+            records = run_grid(cfg)
         ok = [r for r in records if r.ok]
         failed = [r for r in records if not r.ok]
         assert len(ok) == 2 and len(failed) == 2
         assert all(r.variant == "pos_prosus" for r in failed)
         assert all(r.failed_stage == "score" for r in failed)
+        # every failed cell is logged, also one whose master failed
+        assert [m.split(":")[0] for m in caplog.messages if "failed" in m] == [
+            "cell (pos_prosus, 2) failed at score", "cell (pos_prosus, 3) failed at score"]
 
     def test_oversized_lookbacks_skipped_with_warning(self, synthetic_inputs, caplog):
         stock_path, tweets_path = synthetic_inputs  # 80 days -> 16 test rows
@@ -174,10 +172,7 @@ class TestRunGrid:
         stock_path = tmp_path / "PAPER.csv"
         write_stock_csv(stock, stock_path)
         tweets_path = tmp_path / "tweets.jsonl"
-        with open(tweets_path, "w") as fh:
-            for tweet in synth.random_tweets(stock.calendar, per_day=1.0, seed=4):
-                fh.write(json.dumps({"id": tweet.id, "date": tweet.date.isoformat(),
-                                     "text": tweet.raw_text}) + "\n")
+        write_tweets(synth.random_tweets(stock.calendar, per_day=1.0, seed=4), tweets_path)
         cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)],
                           variants=["cleaned_prosus"], epochs=1, batch_size=32,
                           lookbacks=[30, 60, 90, 94, 95])
@@ -193,8 +188,12 @@ class TestRunGrid:
             assert r.test_dates == stock.calendar[760 + r.lookback:]
             np.testing.assert_allclose(r.actual, stock.columns["Close"][760 + r.lookback:])
 
-    def test_corpus_freed_before_training(self, synthetic_inputs, monkeypatch):
+    def test_corpus_freed_before_training(self, synthetic_inputs, tmp_path, monkeypatch):
+        """Also when a variant's master fails: its stored error holds no frame."""
         stock_path, tweets_path = synthetic_inputs
+        nopos = tmp_path / "nopos.jsonl"  # pos_prosus fails to score
+        corpus = load_tweets(tweets_path)
+        write_tweets(dataclasses.replace(corpus, pos_texts=[None] * len(corpus)), nopos)
         corpora = []
 
         def recording_loader(path):  # one file, so this corpus is the grid's own
@@ -210,11 +209,14 @@ class TestRunGrid:
             return real_train(*args, **kwargs)
 
         monkeypatch.setattr(harness.nn, "train", recording_train)
-        cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)],
-                          variants=["cleaned_prosus", "pos_prosus"], lookbacks=[2, 3])
-        records = run_grid(cfg, tweet_loader=recording_loader)
-        assert all(r.ok for r in records)
-        assert alive == [False] * 4
+        for path, n_ok in ((tweets_path, 4), (nopos, 2)):
+            corpora.clear()
+            alive.clear()
+            cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(path)],
+                              variants=["cleaned_prosus", "pos_prosus"], lookbacks=[2, 3])
+            records = run_grid(cfg, tweet_loader=recording_loader)
+            assert sum(r.ok for r in records) == n_ok
+            assert alive == [False] * n_ok, path.name
 
     def test_without_sentiment_never_reads_tweets(self, synthetic_inputs):
         stock_path, tweets_path = synthetic_inputs

@@ -12,15 +12,18 @@ from sentistock.errors import (
     UnparseableRecordError,
     UnparseableRowError,
 )
+from sentistock import synth
 from sentistock.harness import merge_corpora
 from sentistock.ingest import (
     Tweet,
+    TweetCorpus,
     clean_tweet,
     clean_tweets,
     load_stock_csv,
     load_tweets,
     parse_tweet_date,
     write_stock_csv,
+    write_tweets,
 )
 
 
@@ -554,3 +557,46 @@ class TestLoaderMatchesPerLineOracle:
         rows = list(load_tweets(path))
         assert rows == reference_load_tweets(path)
         assert [(t.id, t.cleaned_text) for t in rows] == [("1", "crash"), ("g", "growth")]
+
+
+def reference_write_tweets(corpus, path):
+    """The per-row writer: one json.dumps of one record per Tweet row."""
+    with open(path, "w") as fh:
+        for tweet in corpus:
+            record = {"id": tweet.id, "date": tweet.date.isoformat(), "text": tweet.raw_text}
+            if tweet.pos_tagged_text is not None:
+                record["pos_text"] = tweet.pos_tagged_text
+            fh.write(json.dumps(record) + "\n")
+
+
+def hard_corpus():
+    """Texts that JSON must escape, a tweet without pos_text, and several tweets a day."""
+    raws = ['say "hi"', "back\\slash \\n", "ctrl \x00\x1f\t\n\r end", "caf\u00e9 \u6f22\u5b57 \U0001f600",
+            "line\u2028sep", "", "plain"]
+    pos = ['"q"_NN', None, "x\ty", "\u00e9_JJ", None, "", "plain_NN"]
+    ordinals = [date(2020, 1, 3).toordinal()] * 3 + [date(2019, 12, 31).toordinal()] * 4
+    ids = ['a"1', "b\\2", "c", "d\u00e9", "e", "f", "g"]
+    return TweetCorpus.by_date(ids, ordinals, raws, clean_tweets(raws), pos)
+
+
+class TestWriteTweets:
+    @pytest.fixture(params=["hard", "grid_e2e_seed0"])
+    def corpus(self, request):
+        if request.param == "hard":
+            return hard_corpus()
+        # the size of the benchmark's grid_e2e inputs at seed 0: 5,943 tweets
+        calendar = synth.random_walk_stock(300, seed=0).calendar
+        return synth.random_tweets(calendar, per_day=20, seed=7919)
+
+    def test_bytes_match_per_row_dumps(self, tmp_path, corpus):
+        write_tweets(corpus, tmp_path / "got.jsonl")
+        reference_write_tweets(corpus, tmp_path / "want.jsonl")
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+    def test_load_round_trip(self, tmp_path, corpus):
+        write_tweets(corpus, tmp_path / "t.jsonl")
+        loaded = load_tweets(tmp_path / "t.jsonl")
+        assert loaded.ids == corpus.ids
+        assert loaded.ordinals.tolist() == corpus.ordinals.tolist()
+        assert loaded.raw_texts == corpus.raw_texts
+        assert loaded.pos_texts == corpus.pos_texts
