@@ -36,24 +36,25 @@ the .npz model format is unchanged.
 Every batch-sized array lives in the model's scratch arena (``_Arena``): one
 grow-only float64 buffer per role, each call carving its arrays from the
 front, so a training step allocates only parameter-sized arrays (the stacked
-weights and the gradients). Per layer it holds the gates, cell states
-(``c``), their tanh and the hidden states; besides those, the head's input
-and the per-step scratch of the recurrence and of BPTT. No role holds a
-stacked layer input: each direction's input (the window, or layer 1's states
-side by side) is rebuilt in the layer's ``c`` role whenever a GEMM reads it,
-while that role holds no live cell state: before the recurrence writes ``c``
-(input projection) and after BPTT has read it for the last time (dWx). Dead
-roles are reused: layer 2's input gradient goes to its ``c`` (direction 0)
-and ``h`` (direction 1) roles, and layer 1's output gradient over layer 2's
-tanh of the cell states. The head reads only layer 2's last step, so layer
-2's BPTT takes that one step's output gradient and no (2, w, B, H) buffer of
-zeros. ``c`` and ``h`` zero only their initial state; every other value is
-written before it is read. forward and predict run in the same arena, so
-validation inside ``train`` reuses the training buffers; ``train`` empties
-the arena when it returns, and a model keeps the buffers of its largest
-later forward chunk until the next ``train`` or until it is dropped. The
-arena is not saved in the .npz and not shown in the model's repr. Because of
-it, one model must not run on two threads at once; separate models may.
+weights and the gradients). Per layer it holds the gates, cell states (``c``)
+and hidden states; besides those, the head's input and the per-step scratch
+of the recurrence and of BPTT, which includes tanh(c): BPTT recomputes it
+from ``c``. No role holds a stacked layer input: each direction's input (the
+window, or layer 1's states side by side) is rebuilt in the layer's ``c``
+role whenever a GEMM reads it, while that role holds no live cell state:
+before the recurrence writes ``c`` (input projection) and after BPTT has read
+it for the last time (dWx). Dead roles are reused: layer 2's input gradient
+goes to its ``c`` (direction 0) and ``h`` (direction 1) roles, and layer 1's
+output gradient over layer 2's gates (dZ, once both input-gradient GEMMs have
+read it). The head reads only layer 2's last step, so layer 2's BPTT takes
+that one step's output gradient and no (2, w, B, H) buffer of zeros. ``c``
+and ``h`` zero only their initial state; every other value is written before
+it is read. forward and predict run in the same arena, so validation inside
+``train`` reuses the training buffers; ``train`` empties the arena when it
+returns, and a model keeps the buffers of its largest later forward chunk
+until the next ``train`` or until it is dropped. The arena is not saved in
+the .npz and not shown in the model's repr. Because of it, one model must not
+run on two threads at once; separate models may.
 """
 
 from __future__ import annotations
@@ -214,8 +215,7 @@ class _LayerCache(NamedTuple):
 
     inputs: tuple[np.ndarray, ...]  # time-major (w, B, .) pieces of the input, side by side
     gates: np.ndarray  # (2, w, B, 4H) activated gates; BPTT overwrites them with dZ
-    c: np.ndarray  # (2, w + 1, B, H) cell states, at the front of c_role
-    tanh_c: np.ndarray  # (2, w, B, H)
+    c: np.ndarray  # (2, w + 1, B, H) cell states, at the front of c_role; BPTT recomputes their tanh
     h: np.ndarray  # (2, w + 1, B, H) hidden states
     c_role: np.ndarray  # flat, holding c or one direction's (w, B, in) input, whichever is live
 
@@ -256,7 +256,7 @@ def _layer_forward(inputs, Wx, Wh, b, arena: _Arena, layer: str) -> _LayerCache:
     h = arena.take(f"{layer}_h", (2, w + 1, B, H))
     c[:, 0] = 0.0
     h[:, 0] = 0.0
-    tanh_c = arena.take(f"{layer}_tanh_c", (2, w, B, H))
+    tc = arena.take("tanh_c", (2, B, H))
     recurrent = arena.take("recurrent", (2, B, 4 * H))
     ig = arena.take("ig", (2, B, H))
     for s in range(w):
@@ -267,8 +267,8 @@ def _layer_forward(inputs, Wx, Wh, b, arena: _Arena, layer: str) -> _LayerCache:
         z += shift
         c_new = np.multiply(z[..., H : 2 * H], c[:, s], out=c[:, s + 1])
         c_new += np.multiply(z[..., :H], z[..., 2 * H : 3 * H], out=ig)
-        np.multiply(z[..., 3 * H :], np.tanh(c_new, out=tanh_c[:, s]), out=h[:, s + 1])
-    return _LayerCache(inputs, gates, c, tanh_c, h, c_role)
+        np.multiply(z[..., 3 * H :], np.tanh(c_new, out=tc), out=h[:, s + 1])
+    return _LayerCache(inputs, gates, c, h, c_role)
 
 
 def _layer_backward(cache: _LayerCache, dh_last, Wh, arena: _Arena):
@@ -283,24 +283,24 @@ def _layer_backward(cache: _LayerCache, dh_last, Wh, arena: _Arena):
     again for its dWx GEMM once the loop has read c for the last time.
     Returns (dWx, dWh, db), each stacked over directions.
     """
-    inputs, dz_all, c, tanh_c, h, c_role = cache
+    inputs, dz_all, c, h, c_role = cache
     _, w, B, H4 = dz_all.shape
     H = H4 // 4
     first_fed = w - dh_last.shape[1]
     # tanh'(g) = (1 - g)(1 + g) and sigmoid'(z) = s(1 - s): (1 - a)(a + g_cols)
     g_cols = np.zeros(4 * H)
     g_cols[2 * H : 3 * H] = 1.0
-    Wh_T = np.ascontiguousarray(Wh.transpose(0, 2, 1))
+    Wh_T = np.ascontiguousarray(Wh.transpose(0, 2, 1))  # matmul on the view: other bytes, slower
     upstream = arena.take("upstream", (2, B, 4 * H))
     one_minus = arena.take("one_minus", (2, B, 4 * H))
-    dh, dc, dtanh, dh_carry, dc_carry = (arena.take(role, (2, B, H))
-                                         for role in ("dh", "dc", "dtanh", "dh_carry", "dc_carry"))
+    tc, dh, dc, dtanh, dh_carry, dc_carry = (arena.take(role, (2, B, H)) for role in (
+        "tanh_c", "dh", "dc", "dtanh", "dh_carry", "dc_carry"))
     dh_carry[...] = 0.0
     dc_carry[...] = 0.0
     for s in range(w - 1, -1, -1):
         z = dz_all[:, s]
         i, f, g, o = (z[..., k * H : (k + 1) * H] for k in range(4))
-        tc = tanh_c[:, s]
+        np.tanh(c[:, s + 1], out=tc)
         if s >= first_fed:
             np.add(dh_last[:, s - first_fed], dh_carry, out=dh)
         else:  # the float operation of adding a zero output gradient
@@ -334,17 +334,17 @@ def _input_gradient(cache: _LayerCache, Wx) -> np.ndarray:
     Indexed like that layer's cache, each direction in its processing order.
     Direction 0's input gradient is written over ``cache.c`` and direction 1's
     over ``cache.h`` (dWx and dWh have been taken), and the result over
-    ``cache.tanh_c``; all three are dead by then.
+    ``cache.gates``, whose dZ both GEMMs have read; all three are dead by then.
     """
     _, w, B, H4 = cache.gates.shape
     in_dim = Wx.shape[1]
-    Wx_T = np.ascontiguousarray(Wx.transpose(0, 2, 1))
+    Wx_T = np.ascontiguousarray(Wx.transpose(0, 2, 1))  # the view gives other bytes at some shapes
     dx0, dx1 = (np.matmul(cache.gates[d].reshape(w * B, H4), Wx_T[d],
                           out=buffer[: w * B * in_dim].reshape(w * B, in_dim)).reshape(w, B, in_dim)
                 for d, buffer in enumerate((cache.c_role, cache.h.reshape(-1))))
     # time-major input gradient dx0 + dx1[::-1], split by the lower layer's direction
     half = in_dim // 2
-    dh_lower = cache.tanh_c
+    dh_lower = cache.gates.reshape(-1)[: 2 * w * B * half].reshape(2, w, B, half)
     np.add(dx0[..., :half], dx1[::-1, ..., :half], out=dh_lower[0])
     np.add(dx0[::-1, ..., half:], dx1[..., half:], out=dh_lower[1])
     return dh_lower

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sentistock import neuralnet
+from sentistock import harness, neuralnet, synth
 from sentistock.dataset import WindowedSet
 from sentistock.errors import (
     EmptyTrainingSetError,
@@ -416,6 +416,21 @@ class TestScratchArena:
             tracemalloc.stop()
         assert peak <= 2 * 2**20, f"second step peaked at {peak / 2**20:.2f} MiB"
 
+    def test_paper_shape_epoch_peaks_below_the_cached_tanh(self):
+        # One epoch of the benchmark's train_cell shape (212 windows, w=60, H=50, 8
+        # features, B=32) peaks at 20.99 MiB; the bound lies below the 23.90 MiB
+        # that a per-layer (2, w, B, H) cache of tanh(c) peaks at.
+        cfg = harness.ExperimentConfig(hidden_units=50, epochs=1, batch_size=32)
+        windows = harness.window(harness.prepare_cell(synth.sentiment_driven_master(340), cfg).train, 60)
+        model = init_model(ModelConfig(hidden_units=50, input_shape=windows.X.shape[1:], seed=0))
+        tracemalloc.start()
+        try:
+            train(model, windows, TrainConfig(epochs=1, batch_size=32))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 22 * 2**20, f"one epoch peaked at {peak / 2**20:.2f} MiB"
+
     def test_batch_sizes_in_turn_match_fresh_models(self):
         model = init_model(ModelConfig(hidden_units=5, input_shape=(9, 3), seed=4))
         X, y = random_batch(model.config, 55, seed=4)
@@ -437,16 +452,18 @@ class TestScratchArena:
     def test_top_layer_gets_only_its_last_step_gradient(self):
         # Paper shape. The arena holds no (2, w, B, H) output gradient for the top
         # layer, 2 * 60 * 32 * 50 * 8 bytes = 1.46 MiB below the 25.70 MiB it took with one,
-        # and no stacked layer inputs, which the cell-state roles hold in turn.
+        # no stacked layer inputs, which the cell-state roles hold in turn, and no
+        # per-layer tanh of the cell states, which BPTT recomputes in one step role.
         w, B, H, F = 60, 32, 50, 8
         model = init_model(ModelConfig(hidden_units=H, input_shape=(w, F), seed=0))
         X, y = random_batch(model.config, B, seed=0)
         loss, grads = loss_and_gradients(model, X, y)
-        layer_state = 2 * w * B * 4 * H + 2 * 2 * (w + 1) * B * H + 2 * w * B * H  # gates, c, h, tanh_c
-        step_scratch = 3 * 2 * B * 4 * H + 6 * 2 * B * H  # recurrent, upstream, one_minus; ig, dh, ...
+        layer_state = 2 * w * B * 4 * H + 2 * 2 * (w + 1) * B * H  # gates, c, h
+        step_scratch = 3 * 2 * B * 4 * H + 7 * 2 * B * H  # recurrent, upstream, one_minus; tanh_c, ig, dh, ...
         head = B * 2 * H
         expected = 8 * (2 * layer_state + step_scratch + head)
-        assert arena_bytes(model) == expected == 22_092_800
+        assert arena_bytes(model) == expected == 19_046_400
+        assert not {"l1_tanh_c", "l2_tanh_c"} & model._arena._buffers.keys()
         again = loss_and_gradients(model, X, y)
         fresh_model = BiLstmModel(model.config, {k: v.copy() for k, v in model.params.items()})
         fresh = loss_and_gradients(fresh_model, X, y)
@@ -516,6 +533,18 @@ class TestScratchArena:
                 assert same_bytes(x, stacked[d]), (layer, d)
                 assert same_bytes(np.matmul(x, Wx[d]), projection[d]), (layer, d)
                 assert same_bytes(np.matmul(x.T, dz[d], out=np.empty_like(dWx[d])), dWx[d]), (layer, d)
+
+    @pytest.mark.parametrize("w,B,H,F", SHAPES)
+    def test_recomputed_tanh_rebuilds_the_hidden_states(self, w, B, H, F):
+        # BPTT recomputes tanh(c) from the cached cell states; it must be the tanh
+        # that built h, so that o * tanh(c) gives back every hidden state's bytes.
+        model = init_model(ModelConfig(hidden_units=H, input_shape=(w, F), seed=0))
+        X, _ = random_batch(model.config, B, seed=1)
+        _, caches = neuralnet._forward_full(model, X)
+        for layer in neuralnet.LAYERS:
+            cache = caches[layer]
+            rebuilt = np.multiply(cache.gates[..., 3 * H :], np.tanh(cache.c[:, 1:]))
+            assert same_bytes(rebuilt, cache.h[:, 1:]), layer
 
     def test_train_empties_the_arena(self):
         model = init_model(ModelConfig(hidden_units=3, input_shape=(4, 2), seed=0))
