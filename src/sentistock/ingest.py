@@ -40,6 +40,7 @@ _DAY_RE = re.compile(r"\d{4}-\d\d-\d\d", re.ASCII)
 _TIMESTAMP_RE = re.compile(r"(\d{4}-\d\d-\d\d[T ]\d\d:\d\d(?::\d\d)?)(?:\.\d+)?(Z|[+-]\d\d:\d\d)?", re.ASCII)
 
 _decode = json.JSONDecoder().raw_decode
+_ID_TYPES = (str, int, type(None))  # exact types: a bool is not an id
 
 
 @dataclass
@@ -260,9 +261,10 @@ def load_tweets(path: str | Path) -> TweetCorpus:
     """Read line-delimited JSON tweets into a date-sorted corpus.
 
     Each line needs ``date`` (ISO day or timestamp, see parse_tweet_date) and
-    ``text``; ``id`` and ``pos_text`` are optional. Missing ids are assigned
-    sequentially in file order. Lines are checked in file order, so the
-    first bad one is reported. Raises UnparseableRecordError or
+    ``text``; ``id`` and ``pos_text`` are optional, and null counts as absent.
+    An id is a string or an integer, kept as its decimal string; missing ids
+    are assigned sequentially in file order. Lines are checked in file order,
+    so the first bad one is reported. Raises UnparseableRecordError or
     EmptyCorpusError.
     """
     rows = []
@@ -292,7 +294,11 @@ def load_tweets(path: str | Path) -> TweetCorpus:
             if not isinstance(pos_text, (str, type(None))):
                 raise UnparseableRecordError(
                     line_no, f"pos_text is a {type(pos_text).__name__}, not a string")
-            tweet_id = str(record.get("id", len(rows)))
+            tweet_id = record.get("id")
+            if type(tweet_id) not in _ID_TYPES:
+                raise UnparseableRecordError(
+                    line_no, f"id is a {type(tweet_id).__name__}, not a string or an integer")
+            tweet_id = str(len(rows) if tweet_id is None else tweet_id)
             if tweet_id in seen_ids:
                 raise UnparseableRecordError(line_no, f"duplicate id {tweet_id!r}")
             seen_ids.add(tweet_id)

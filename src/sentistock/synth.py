@@ -7,7 +7,7 @@ without any proprietary market or social-media data.
 
 from __future__ import annotations
 
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 
@@ -18,14 +18,11 @@ _WEEKDAY_FRIDAY = 4
 
 
 def trading_calendar(start: date, n_days: int) -> list[date]:
-    """n_days consecutive weekdays starting at (or after) start."""
-    days = []
-    current = start
-    while len(days) < n_days:
-        if current.weekday() <= _WEEKDAY_FRIDAY:
-            days.append(current)
-        current += timedelta(days=1)
-    return days
+    """n_days consecutive weekdays starting at (or after) start, picked by ``(ordinal + 6) % 7``
+    (``date.weekday()``) from the first ``7 * (n_days // 5 + 1)`` days, 5 of every 7 a weekday."""
+    ordinals = np.arange(start.toordinal(), start.toordinal() + 7 * (n_days // 5 + 1))
+    weekdays = ordinals[(ordinals + 6) % 7 <= _WEEKDAY_FRIDAY]
+    return list(map(date.fromordinal, weekdays[:n_days].tolist()))
 
 
 def _ohlcv_from_close(close: np.ndarray, seed: int) -> dict[str, np.ndarray]:
@@ -64,20 +61,23 @@ def sentiment_driven_master(
 ) -> MasterDataset:
     """Master dataset whose next-day price move is driven by today's sentiment.
 
-    close[d+1] - close[d] = signal_strength * (sent_pos[d] - sent_neg[d]) +
-    noise. With the sentiment columns present the next move is largely
-    predictable; without them it is noise, which is what makes this series
-    useful for measuring the value of the sentiment channels.
+    close[d+1] = (close[d] + signal[d]) + noise[d] from close[0] = 10, where
+    signal = signal_strength * (sent_pos - sent_neg): every other partial sum of
+    one running sum over ``[10, signal[0], noise[0], signal[1], ...]``, added in
+    that order, which a seed's bytes depend on. With the sentiment columns
+    present the next move is largely predictable; without them it is noise,
+    which is what makes this series useful for measuring the value of the
+    sentiment channels.
     """
     rng = np.random.default_rng(seed)
     sent_pos = rng.uniform(0.0, 0.1, n_days)
     sent_neg = rng.uniform(0.0, 0.1, n_days)
     sent_neu = rng.uniform(0.0, 0.1, n_days)
     noise = rng.normal(0.0, noise_sigma, n_days)
-    close = np.empty(n_days)
-    close[0] = 10.0
-    for d in range(n_days - 1):
-        close[d + 1] = close[d] + signal_strength * (sent_pos[d] - sent_neg[d]) + noise[d]
+    steps = np.empty((n_days, 2))  # row d: 10 or noise[d - 1], then signal[d]
+    steps[:1, 0], steps[1:, 0] = 10.0, noise[:-1]
+    steps[:, 1] = signal_strength * (sent_pos - sent_neg)
+    close = np.add.accumulate(steps.ravel())[::2]
     sentiment = dict(zip(SENTIMENT_COLUMNS, (sent_pos, sent_neg, sent_neu)))
     return MasterDataset(trading_calendar(date(2020, 1, 1), n_days),
                          {**_ohlcv_from_close(close, seed + 1), **sentiment})

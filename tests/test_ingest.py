@@ -58,7 +58,13 @@ def reference_load_tweets(path):
             if not isinstance(pos_text, (str, type(None))):
                 raise UnparseableRecordError(
                     line_no, f"pos_text is a {type(pos_text).__name__}, not a string")
-            tweet_id = str(record.get("id", len(tweets)))
+            tweet_id = record.get("id")
+            if tweet_id is None:
+                tweet_id = len(tweets)
+            elif type(tweet_id) not in (str, int):
+                raise UnparseableRecordError(
+                    line_no, f"id is a {type(tweet_id).__name__}, not a string or an integer")
+            tweet_id = str(tweet_id)
             if tweet_id in seen_ids:
                 raise UnparseableRecordError(line_no, f"duplicate id {tweet_id!r}")
             seen_ids.add(tweet_id)
@@ -457,8 +463,9 @@ class TestLoaderMatchesPerLineOracle:
         for i in range(n):
             record = {"date": str(rng.choice(self.DATES)),
                       "text": "".join(rng.choice(self.PIECES, size=rng.integers(0, 8)))}
-            if rng.random() < 0.5:
-                record["id"] = f"x{i}"
+            kind = rng.random()
+            if kind < 0.7:  # null counts as absent; an integer id is kept as its decimal string
+                record["id"] = f"x{i}" if kind < 0.5 else None if kind < 0.6 else i
             if rng.random() < 0.7:
                 record["pos_text"] = record["text"].upper() if rng.random() < 0.8 else None
             text = json.dumps(record, ensure_ascii=bool(rng.random() < 0.5))
@@ -497,7 +504,9 @@ class TestLoaderMatchesPerLineOracle:
                        '{"date": "2020-13-02", "text": "a"}', '{"date": "2020-01-02"}', '[1, 2]',
                        '{"date": "2020-01-02", "text": 3}', '{"id": "x0", "date": "2020-01-02", "text": "a"}',
                        '\ufeff{"date": "2020-01-02", "text": "a"}', '\xa0{"date": "2020-01-02", "text": "a"}',
-                       '{"a": [{}', '{}]}', '{"b": 1}, {"c": 2}']
+                       '{"a": [{}', '{}]}', '{"b": 1}, {"c": 2}',
+                       '{"id": 1.0, "date": "2020-01-02", "text": "a"}',
+                       '{"id": false, "date": "2020-01-02", "text": "a"}']
         for case in range(150):
             lines = self.random_lines(rng, int(rng.integers(1, 30)))
             for _ in range(int(rng.integers(1, 3))):
@@ -531,6 +540,16 @@ class TestLoaderMatchesPerLineOracle:
         pytest.param([GOOD + "\r", '{"date": "2020-01-02", "text": "a"}\r', "{\r"], UnparseableRecordError, 3,
                      id="crlf"),
         pytest.param(["", " \t ", "\xa0", "\u3000", "\x0c"], EmptyCorpusError, None, id="blanks-only"),
+        pytest.param(['{"id": null, "date": "2020-01-02", "text": "a"}',
+                      '{"id": null, "date": "2020-01-03", "text": "b"}',
+                      '{"id": "1", "date": "2020-01-03", "text": "c"}'], UnparseableRecordError, 3,
+                     id="null-ids"),
+        pytest.param([GOOD, '{"id": true, "date": "2020-01-02", "text": "a"}'], UnparseableRecordError, 2,
+                     id="bool-id"),
+        pytest.param([GOOD, '{"id": 1.0, "date": "2020-01-02", "text": "a"}'], UnparseableRecordError, 2,
+                     id="float-id"),
+        pytest.param([GOOD, '{"id": [1], "date": "2020-01-02", "text": "a"}'], UnparseableRecordError, 2,
+                     id="list-id"),
     ])
     def test_errors_match_oracle(self, tmp_path, lines, error, line_number):
         path = self.write(tmp_path / "t.jsonl", lines)
@@ -539,6 +558,18 @@ class TestLoaderMatchesPerLineOracle:
         assert got[:2] == (error, line_number)
         if line_number is not None:
             assert f"line {line_number}" in got[2]
+
+    def test_null_and_integer_ids(self, tmp_path):
+        lines = ['{"id": null, "date": "2020-01-02", "text": "a"}',
+                 '{"id": 7, "date": "2020-01-03", "text": "b"}',
+                 '{"date": "2020-01-06", "text": "c"}',
+                 '{"id": null, "date": "2020-01-07", "text": "d"}']
+        path = self.write(tmp_path / "t.jsonl", lines)
+        assert load_tweets(path).ids == ["0", "7", "2", "3"]
+        lines.append('{"id": true, "date": "2020-01-08", "text": "e"}')
+        with pytest.raises(UnparseableRecordError) as exc:
+            load_tweets(self.write(tmp_path / "t.jsonl", lines))
+        assert str(exc.value) == "line 5: id is a bool, not a string or an integer"
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_bad_json_error_names_one_line(self, tmp_path, newline):
