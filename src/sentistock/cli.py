@@ -22,6 +22,31 @@ from .ingest import load_master_csv, load_tweets, write_stock_csv, write_tweets
 from .sentiment import VARIANTS, ScorerConfig, score_corpus, write_scores_csv
 
 
+# argparse names a bad value's type function in its usage error, hence no underscore.
+def file_list(text: str) -> list[str]:
+    return [f.strip() for f in text.split(",") if f.strip()]
+
+
+def int_list(text: str) -> list[int]:
+    return [int(w) for w in text.split(",")]
+
+
+# Parsers by config field annotation (else str), and the flags not named as their field.
+_PARSERS = {"int": int, "float": float, "list[int]": int_list, "list[str]": file_list}
+_FIELD_FLAGS = {"stock_file": "--stock", "scores_file": "--scores", "kernel_mode": "--mode",
+                "metric_units": "--units", "tweet_files": "--tweets", "output_dir": "--out-dir"}
+
+
+def _add_config_flags(p, *names: str, **kwargs):
+    """Add a flag setting each named ExperimentConfig field: the field's
+    annotation picks its parser, and gives a list field its help text."""
+    for name in names:
+        annotation = harness.ExperimentConfig.__dataclass_fields__[name].type
+        list_help = f"comma-separated {name.replace('_', ' ')}" if annotation.startswith("list[") else None
+        p.add_argument(_FIELD_FLAGS.get(name, "--" + name.replace("_", "-")), dest=name,
+                       type=_PARSERS.get(annotation, str), **{"help": list_help, **kwargs})
+
+
 def _add_clean(sub):
     p = sub.add_parser("clean", help="normalize tweet text")
     p.add_argument("--tweets", required=True, help="input tweets (JSON lines)")
@@ -34,17 +59,16 @@ def _add_score(sub):
     p.add_argument("--out", required=True)
     p.add_argument("--scorer", default="lexicon", choices=["lexicon", "precomputed"])
     p.add_argument("--scores-file", default=None, help="source CSV for precomputed scores")
-    p.add_argument("--variants", default=",".join(VARIANTS), help="comma-separated variant names")
+    _add_config_flags(p, "variants", default=list(VARIANTS), help="comma-separated variant names")
 
 
 def _add_map(sub):
     p = sub.add_parser("map", help="map scores onto the trading calendar and join with stock")
-    p.add_argument("--stock", dest="stock_file", required=True)
+    _add_config_flags(p, "stock_file", required=True)
     p.add_argument("--tweets", required=True)
-    p.add_argument("--scores", dest="scores_file", help="precomputed score CSV (default: lexicon scorer)")
+    _add_config_flags(p, "scores_file", help="precomputed score CSV (default: lexicon scorer)")
     p.add_argument("--variant", default="cleaned_prosus", choices=list(VARIANTS))
-    p.add_argument("--memory-days", dest="memory_days", type=int)
-    p.add_argument("--mode", dest="kernel_mode")
+    _add_config_flags(p, "memory_days", "kernel_mode")
     p.add_argument("--out", required=True, help="output master CSV")
 
 
@@ -52,15 +76,8 @@ def _add_train(sub):
     p = sub.add_parser("train", help="train a model on a master CSV")
     p.add_argument("--master", required=True)
     p.add_argument("--lookback", type=int, required=True)
-    p.add_argument("--hidden-units", dest="hidden_units", type=int)
-    p.add_argument("--epochs", dest="epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--validation-split", dest="validation_split", type=float)
-    p.add_argument("--patience", dest="patience", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--split-ratio", dest="split_ratio", type=float)
-    p.add_argument("--fit-scope", dest="fit_scope")
-    p.add_argument("--seed", dest="seed", type=int)
+    _add_config_flags(p, "hidden_units", "epochs", "batch_size", "validation_split", "patience",
+                      "learning_rate", "split_ratio", "fit_scope", "seed")
     p.add_argument("--model-out", required=True, help="output model .npz")
     p.add_argument("--history-out", default=None, help="optional loss-curve CSV")
 
@@ -69,33 +86,16 @@ def _add_evaluate(sub):
     p = sub.add_parser("evaluate", help="evaluate a trained model on a master CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--master", required=True)
-    p.add_argument("--split-ratio", dest="split_ratio", type=float)
-    p.add_argument("--fit-scope", dest="fit_scope")
-    p.add_argument("--units", dest="metric_units")
-    p.add_argument("--max-lag", dest="max_lag", type=int)
+    _add_config_flags(p, "split_ratio", "fit_scope", "metric_units", "max_lag")
     p.add_argument("--out", required=True, help="output report CSV row")
     p.add_argument("--pred-out", default=None, help="optional prediction CSV")
-
-
-# argparse names a bad value's type function in its usage error, hence no underscore.
-def file_list(text: str) -> list[str]:
-    return [f.strip() for f in text.split(",") if f.strip()]
-
-
-def int_list(text: str) -> list[int]:
-    return [int(w) for w in text.split(",")]
 
 
 def _add_grid(sub):
     p = sub.add_parser("grid", help="run the full (variant x lookback) sweep")
     p.add_argument("--config", required=True, help="JSON experiment config")
-    p.add_argument("--stock", dest="stock_file")
-    p.add_argument("--tweets", dest="tweet_files", type=file_list, help="comma-separated tweet files")
-    p.add_argument("--out-dir", dest="output_dir")
-    p.add_argument("--seed", dest="seed", type=int)
-    p.add_argument("--epochs", dest="epochs", type=int)
-    p.add_argument("--lookbacks", dest="lookbacks", type=int_list, help="comma-separated lookbacks")
-    p.add_argument("--with-sentiment", dest="with_sentiment", action="store_true", default=None)
+    _add_config_flags(p, "stock_file", "tweet_files", "output_dir", "seed", "epochs", "lookbacks")
+    p.add_argument("--with-sentiment", action="store_true", default=None)
     p.add_argument("--without-sentiment", dest="with_sentiment", action="store_false")
 
 
@@ -115,11 +115,10 @@ def _cmd_clean(args) -> int:
 
 def _cmd_score(args) -> int:
     corpus = load_tweets(args.tweets)
-    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     config = ScorerConfig(kind=args.scorer, source=args.scores_file)
-    table = score_corpus(config, corpus, variants)
+    table = score_corpus(config, corpus, args.variants)
     write_scores_csv(table, args.out)
-    print(f"scored {len(corpus)} tweets x {len(variants)} variants -> {args.out}")
+    print(f"scored {len(corpus)} tweets x {len(args.variants)} variants -> {args.out}")
     return 0
 
 
@@ -174,17 +173,17 @@ def _cmd_grid(args) -> int:
     return 1 if n_failed else 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sentistock", description=__doc__)
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_clean(sub)
-    _add_score(sub)
-    _add_map(sub)
-    _add_train(sub)
-    _add_evaluate(sub)
-    _add_grid(sub)
-    args = parser.parse_args(argv)
+    for add_subcommand in (_add_clean, _add_score, _add_map, _add_train, _add_evaluate, _add_grid):
+        add_subcommand(sub)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO)
 
     handlers = {

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateDatasetError, InsufficientRowsError, UnknownColumnError
-from .ingest import MasterDataset
+from .ingest import TARGET_COLUMN, MasterDataset
 
 FIT_SCOPES = ("train_only", "full")
 
@@ -118,7 +118,7 @@ def chronological_split(data: MasterDataset, split_ratio: float = 0.8) -> tuple[
 def make_windows(data: MasterDataset, lookback: int) -> WindowedSet:
     """Slice rows into supervised pairs.
 
-    Sample k covers feature rows [k, k+w) with the dataset's target column
+    Sample k covers feature rows [k, k+w) with the TARGET_COLUMN
     at row k+w, giving N - w samples. X is a read-only view of the (N, F)
     feature matrix, not a copy. Raises InsufficientRowsError when N <= w.
     """
@@ -130,5 +130,5 @@ def make_windows(data: MasterDataset, lookback: int) -> WindowedSet:
     features = data.feature_matrix()
     n_samples = n - lookback
     X = np.lib.stride_tricks.sliding_window_view(features, lookback, axis=0)[:n_samples].transpose(0, 2, 1)
-    y = data.columns[data.target_column][lookback:].astype(float).copy()
+    y = data.columns[TARGET_COLUMN][lookback:].astype(float).copy()
     return WindowedSet(X=X, y=y, lookback=lookback)

@@ -16,7 +16,7 @@ import json
 import logging
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import date
 from itertools import product
 from pathlib import Path
@@ -28,7 +28,7 @@ from . import dataset as ds
 from . import evalmetrics as em
 from . import neuralnet as nn
 from .errors import ConfigError, PipelineError
-from .ingest import MasterDataset, TweetCorpus, load_stock_csv, load_tweets
+from .ingest import TARGET_COLUMN, MasterDataset, TweetCorpus, load_stock_csv, load_tweets
 from .mapping import MemoryKernel, daily_aggregate, join_with_stock, memory_weighted_map
 from .sentiment import VARIANTS, ScorerConfig, ScoreTable, score_corpus
 
@@ -37,9 +37,12 @@ logger = logging.getLogger(__name__)
 CONFIG_VERSION = 1
 SUMMARY_COLUMNS = ("scrip", "variant", "lookback", "val_score", "r2", "rmse", "mae", "T", "acc", "units")
 DEFAULT_LOOKBACKS = (5, 10, 20, 30, 60, 90)
-_INT_FIELDS = ("memory_days", "hidden_units", "epochs", "batch_size", "patience", "max_lag", "seed")
-_FLOAT_FIELDS = ("split_ratio", "validation_split", "learning_rate")
-_NAME_FIELDS = ("stock_file", "scores_file", "output_dir", "scrip")
+# Per field annotation, the exact types a value (a list's items) may have and
+# the error's name for them: an int is a number, and a bool is neither.
+_FIELD_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+                "bool": ((bool,), "true or false"), "str": ((str,), "a string"),
+                "str | None": ((str, type(None)), "a string"),
+                "list[int]": ((int,), "a list of integers"), "list[str]": ((str,), "a list of strings")}
 
 
 @dataclass
@@ -75,20 +78,13 @@ class ExperimentConfig:
         ``training``, ``scorer`` and ``kernel`` are plain attributes, not
         fields, so asdict (and with it the fingerprint) sees only the values.
         """
-        for name in _INT_FIELDS:
-            if type(getattr(self, name)) is not int:
-                raise ConfigError(f"{name} must be an integer, not {getattr(self, name)!r}")
-        for name in _FLOAT_FIELDS:  # an int is a number; a bool is not
-            if type(getattr(self, name)) not in (int, float):
-                raise ConfigError(f"{name} must be a number, not {getattr(self, name)!r}")
-        for name in _NAME_FIELDS:
-            if type(getattr(self, name)) not in (str, type(None)):
-                raise ConfigError(f"{name} must be a string, not {getattr(self, name)!r}")
-        if type(self.with_sentiment) is not bool:
-            raise ConfigError(f"with_sentiment must be true or false, not {self.with_sentiment!r}")
-        if type(self.tweet_files) is not list or any(type(f) is not str for f in self.tweet_files):
-            raise ConfigError(f"tweet_files must be a list of file names, not {self.tweet_files!r}")
-        if not self.lookbacks or any(type(w) is not int or w < 1 for w in self.lookbacks):
+        for f in fields(self):  # a list field needs a list, any other field a non-list
+            types, kind = _FIELD_TYPES[f.type]
+            value = getattr(self, f.name)
+            items = value if type(value) is list else [value]
+            if (items is value) != f.type.startswith("list[") or any(type(x) not in types for x in items):
+                raise ConfigError(f"{f.name} must be {kind}, not {value!r}")
+        if not self.lookbacks or any(w < 1 for w in self.lookbacks):
             raise ConfigError(f"lookbacks must be a non-empty list of integers >= 1, not {self.lookbacks!r}")
         if len(set(self.lookbacks)) != len(self.lookbacks):
             raise ConfigError(f"lookbacks repeat a value: {self.lookbacks!r}")
@@ -120,14 +116,14 @@ class ExperimentConfig:
             )
             self.scorer = ScorerConfig(kind=self.scorer_kind, source=self.scores_file)
             self.kernel = MemoryKernel(self.memory_days, self.kernel_mode)
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentConfig:
     """Read a JSON config file, applying overrides on top."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
@@ -142,10 +138,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        return ExperimentConfig(**raw)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**raw)
 
 
 @dataclass
@@ -197,14 +190,14 @@ def _hash_file(path: str | Path) -> str:
 
 
 def input_hashes(cfg: ExperimentConfig) -> dict:
-    """SHA-256 of each input file a run reads; tweet and score files only
-    when the sentiment path reads them."""
+    """SHA-256 of each input file a run reads: tweet files only when the
+    sentiment path reads them, and the score file only when its scorer does."""
     hashes = {}
     if cfg.stock_file:
         hashes["stock"] = _hash_file(cfg.stock_file)
     if cfg.with_sentiment:
         hashes["tweets"] = [_hash_file(f) for f in cfg.tweet_files]
-        if cfg.scores_file:
+        if cfg.scorer_kind == "precomputed":
             hashes["scores"] = _hash_file(cfg.scores_file)
     return hashes
 
@@ -351,9 +344,8 @@ def evaluate_model(model: nn.BiLstmModel, cell: CellData, windows: ds.WindowedSe
         pred_scaled = np.asarray(nn.predict(model, windows, chunk_size=cfg.batch_size))
         actual_scaled = windows.y
     with _stage("inverse_scale"):
-        target = cell.test.target_column
-        pred_data = ds.inverse_transform(cell.scalers, target, pred_scaled)
-        actual_data = ds.inverse_transform(cell.scalers, target, actual_scaled)
+        pred_data = ds.inverse_transform(cell.scalers, TARGET_COLUMN, pred_scaled)
+        actual_data = ds.inverse_transform(cell.scalers, TARGET_COLUMN, actual_scaled)
     with _stage("evaluate"):
         if cfg.metric_units == "scaled":
             pred_eval, actual_eval = pred_scaled, actual_scaled
@@ -463,7 +455,7 @@ def _loss_and_pred_paths(record: ExperimentRecord, out_dir: Path) -> list[Path]:
 
 def write_loss_csv(history: nn.TrainingHistory, path: str | Path) -> Path:
     """Loss-curve CSV: epoch,train_loss,val_loss."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("epoch,train_loss,val_loss\n")
         for epoch, (tl, vl) in enumerate(zip(history.train_loss, history.val_loss)):
             fh.write(f"{epoch},{_fmt(tl)},{_fmt(vl)}\n")
@@ -472,7 +464,7 @@ def write_loss_csv(history: nn.TrainingHistory, path: str | Path) -> Path:
 
 def write_pred_csv(record: ExperimentRecord, path: str | Path) -> Path:
     """Prediction CSV: date,actual,predicted in data units."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("date,actual,predicted\n")
         for d, a, p in zip(record.test_dates, record.actual, record.predicted):
             fh.write(f"{d.isoformat()},{_fmt(a)},{_fmt(p)}\n")
@@ -505,7 +497,7 @@ def write_record_artifacts(record: ExperimentRecord, out_dir: str | Path) -> lis
             "stopped_early": record.history.stopped_early,
         }
         blob["artifacts"] = [p.name for p in _loss_and_pred_paths(record, out_dir)]
-    with open(record_path, "w") as fh:
+    with open(record_path, "w", encoding="utf-8") as fh:
         json.dump(blob, fh, indent=2)
     return [record_path]
 
@@ -522,7 +514,7 @@ def _summary_row(record: ExperimentRecord) -> list[str]:
 
 def write_summary_csv(records: list[ExperimentRecord], path: str | Path) -> Path:
     """Summary CSV with one row per record; failed cells carry failed:<stage>."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(SUMMARY_COLUMNS) + "\n")
         for record in records:
             fh.write(",".join(_summary_row(record)) + "\n")

@@ -31,6 +31,7 @@ from .errors import (
 )
 
 STOCK_COLUMNS = ("Open", "High", "Low", "Close", "Volume")
+TARGET_COLUMN = "Close"  # the column every model predicts
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _MENTION_RE = re.compile(r"@\w+")
@@ -45,15 +46,14 @@ _ID_TYPES = (str, int, type(None))  # exact types: a bool is not an id
 
 @dataclass
 class MasterDataset:
-    """Float columns on a trading calendar plus the prediction target column.
+    """Float columns on a trading calendar, the TARGET_COLUMN among them.
 
-    A stock series is one holding the STOCK_COLUMNS, with target Close and
-    its symbol; the pipeline joins sentiment columns onto it.
+    A stock series is one holding the STOCK_COLUMNS and its symbol; the
+    pipeline joins sentiment columns onto it.
     """
 
     calendar: list[date]
     columns: dict[str, np.ndarray]
-    target_column: str = "Close"
     symbol: str = ""
 
     def __post_init__(self):
@@ -61,8 +61,8 @@ class MasterDataset:
         for name, values in self.columns.items():
             if len(values) != n:
                 raise ValueError(f"column {name!r} has {len(values)} rows, calendar has {n}")
-        if self.target_column not in self.columns:
-            raise UnknownColumnError(self.target_column)
+        if TARGET_COLUMN not in self.columns:
+            raise UnknownColumnError(TARGET_COLUMN)
 
     @property
     def n_rows(self) -> int:
@@ -167,7 +167,7 @@ def _read_dated_csv(path: str | Path, names: tuple[str, ...] | None = None,
     number for a repeated column name, a row of the wrong field count, a date
     not YYYY-MM-DD, a value not a finite float or a repeated date.
     """
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if len(set(header)) != len(header):
@@ -221,8 +221,8 @@ def load_stock_csv(path: str | Path, symbol: str | None = None) -> MasterDataset
 
 def load_master_csv(path: str | Path) -> MasterDataset:
     """Read a master dataset CSV written by write_stock_csv: every column but
-    Date, in file order, with target Close. Raises the errors of
-    _read_dated_csv, and UnknownColumnError without a Close column."""
+    Date, in file order. Raises the errors of _read_dated_csv, and
+    UnknownColumnError without a TARGET_COLUMN."""
     calendar, names, values, _ = _read_dated_csv(path)
     return MasterDataset(calendar, dict(zip(names, values.T)))
 
@@ -230,7 +230,7 @@ def load_master_csv(path: str | Path) -> MasterDataset:
 def write_stock_csv(series: MasterDataset, path: str | Path) -> None:
     """Write a MasterDataset as a dated CSV with the Date column first;
     load_stock_csv and load_master_csv read back its exact values."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["Date", *series.columns])
         columns = list(series.columns.values())
@@ -270,7 +270,7 @@ def load_tweets(path: str | Path) -> TweetCorpus:
     rows = []
     seen_ids = set()
     day_ordinals: dict[str, int] = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.strip(" \t\n\r")  # JSON's whitespace, which json.loads skips
             try:
@@ -320,5 +320,5 @@ def write_tweets(corpus: TweetCorpus, path: str | Path) -> None:
     pos_fields = ["" if pos is None else f', "pos_text": {encode(pos)}' for pos in corpus.pos_texts]
     lines = map('{{"id": {}, "date": {}, "text": {}{}}}\n'.format, map(encode, corpus.ids),
                 map(days.__getitem__, ordinals), map(encode, corpus.raw_texts), pos_fields)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(lines))

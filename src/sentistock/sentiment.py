@@ -199,8 +199,8 @@ def load_precomputed_scores(path: str | Path, corpus: TweetCorpus) -> ScoreTable
     UnknownTweetIdError. Rows of non-negative probabilities summing within
     1e-3 of 1 are renormalized; others raise ProbabilityRowInvalidError. A variant that
     misses a tweet maps to ScorerUnavailableError. A header missing one of SCORE_COLUMNS raises
-    MissingColumnError naming the column and the file; a short row, an unknown variant or a
-    non-numeric probability UnparseableRowError.
+    MissingColumnError naming the column and the file; a short row, an unknown variant, a
+    non-numeric probability or a second row for one (tweet, variant) UnparseableRowError.
     """
     rows: dict[str, int] = {}
     ambiguous: set[str] = set()
@@ -209,7 +209,8 @@ def load_precomputed_scores(path: str | Path, corpus: TweetCorpus) -> ScoreTable
             if rows.setdefault(key, row) != row:
                 ambiguous.add(key)
     arrays = {variant: np.full((len(corpus), 3), np.nan) for variant in VARIANTS}
-    with open(path, newline="") as fh:
+    seen: dict[tuple[int, str], int] = {}  # (tweet row, variant) -> its line
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         for col in SCORE_COLUMNS:
             if col not in (reader.fieldnames or []):
@@ -237,6 +238,10 @@ def load_precomputed_scores(path: str | Path, corpus: TweetCorpus) -> ScoreTable
                     f"line {line_no}: tweet {tweet_id!r}, variant {variant!r}: "
                     f"probabilities {p} are not a distribution"
                 )
+            first_line = seen.setdefault((rows[tweet_id], variant), line_no)
+            if first_line != line_no:
+                raise UnparseableRowError(line_no, f"tweet {corpus.ids[rows[tweet_id]]!r}, variant "
+                                          f"{variant!r} was already scored at line {first_line}")
             arrays[variant][rows[tweet_id]] = [v / total for v in p]
     table = ScoreTable(tweet_ids=corpus.ids)
     for variant, probabilities in arrays.items():
@@ -250,7 +255,7 @@ def write_scores_csv(table: ScoreTable, path: str | Path) -> None:
     """Write a score table in the precomputed-score CSV format; a variant
     that failed to score raises its error before the file is opened."""
     arrays = {variant: table.probabilities(variant).tolist() for variant in table.variants}
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SCORE_COLUMNS)
         for row, tweet_id in enumerate(table.tweet_ids):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 import sentistock
-from sentistock import neuralnet as nn, synth
-from sentistock.cli import main
+from sentistock import harness, neuralnet as nn, synth
+from sentistock.cli import build_parser, main
 from sentistock.ingest import clean_tweet, write_stock_csv, write_tweets
 
 
@@ -325,6 +326,59 @@ def test_malformed_csv_exit_code(workspace, capsys):
     assert main(["train", "--master", str(master), "--lookback", "3", "--model-out", str(model)]) == 2
     assert "Date" in capsys.readouterr().err
     assert not model.exists()
+
+
+@pytest.mark.parametrize("command", ["score", "map", "train", "evaluate", "grid"])
+def test_config_flags_parse_to_field_types(command):
+    """Every flag that sets a config field parses its value into the type
+    that the field's annotation declares."""
+    samples = {"int": ("5", 5), "float": ("0.7", 0.7), "str": ("x", "x"), "str | None": ("x", "x"),
+               "list[int]": ("5,20", [5, 20]), "list[str]": ("a,b", ["a", "b"]), "bool": (None, None)}
+    fields = harness.ExperimentConfig.__dataclass_fields__
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parser = subcommands.choices[command]
+    required = [arg for a in parser._actions if a.required for arg in (a.option_strings[0], "1")]
+    checked = []
+    for action in parser._actions:
+        if action.dest not in fields:
+            continue
+        annotation = fields[action.dest].type
+        text, want = samples[annotation]
+        flag = action.option_strings[0]
+        args = parser.parse_args(required + ([flag] if text is None else [flag, text]))
+        value = getattr(args, action.dest)
+        types, _ = harness._FIELD_TYPES[annotation]
+        assert all(type(v) in types for v in (value if annotation.startswith("list[") else [value])), flag
+        assert want is None or value == want, flag
+        checked.append(flag)
+    assert checked
+
+
+def test_non_utf8_locale_reads_and_writes_utf8(tmp_path):
+    """Under an ASCII locale, clean and score read a UTF-8 tweet file, and its
+    raw texts survive write_tweets then load_tweets."""
+    texts = ["\u092c\u093e\u091c\u093c\u093e\u0930 growth \U0001f680", "\u0917\u093f\u0930\u093e\u0935\u091f crash"]
+    tweets = tmp_path / "hindi.jsonl"
+    tweets.write_text("".join(json.dumps({"id": str(i), "date": f"2020-01-0{i + 2}", "text": text,
+                                          "pos_text": text}, ensure_ascii=False) + "\n"
+                              for i, text in enumerate(texts)), encoding="utf-8")
+    src = str(Path(sentistock.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           "LC_ALL": "POSIX", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=tmp_path)
+
+    probe = run("-c", "import locale; print(locale.getpreferredencoding(False))")
+    assert probe.stdout.strip().lower() not in ("utf-8", "utf8")
+    for command in (["clean", "--out", "clean.jsonl"], ["score", "--out", "scores.csv"]):
+        proc = run("-m", "sentistock", command[0], "--tweets", str(tweets), *command[1:])
+        assert proc.returncode == 0, proc.stderr
+    round_trip = run("-c", "import json, sys; from sentistock.ingest import load_tweets, write_tweets; "
+                     "write_tweets(load_tweets(sys.argv[1]), 'again.jsonl'); "
+                     "print(json.dumps(load_tweets('again.jsonl').raw_texts))", str(tweets))
+    assert round_trip.returncode == 0, round_trip.stderr
+    assert json.loads(round_trip.stdout) == texts
 
 
 def test_missing_input_exit_code(tmp_path):

@@ -420,6 +420,20 @@ class TestFingerprint:
         for r in records:
             assert r.fingerprint == fingerprint(cfg, r.variant, r.lookback, r.seed)
 
+    def test_lexicon_grid_ignores_scores_file(self, tmp_path):
+        """The lexicon scorer reads no score file, so a grid whose config names
+        a missing one neither hashes nor opens it."""
+        stock = synth.random_walk_stock(n_days=200, seed=1, symbol="SYN")
+        stock_path, tweets_path = tmp_path / "SYN.csv", tmp_path / "tweets.jsonl"
+        write_stock_csv(stock, stock_path)
+        write_tweets(synth.random_tweets(stock.calendar, per_day=1.0, seed=2), tweets_path)
+        cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)],
+                          variants=["cleaned_prosus"], lookbacks=[5],
+                          scores_file=str(tmp_path / "missing.csv"))
+        records = run_grid(cfg)
+        assert records and all(r.ok for r in records)
+        assert "scores" not in harness.input_hashes(cfg)
+
     def test_inline_master_fingerprint_follows_data(self):
         cfg = fast_config()  # no stock file: the master is the only data
         a = synth.sentiment_driven_master(n_days=60, seed=0)
@@ -524,11 +538,38 @@ class TestConfigFile:
         pytest.param({"scores_file": 7}, id="scores_file-int"),
         pytest.param({"output_dir": 1}, id="output_dir-int"),
         pytest.param({"scrip": 3}, id="scrip-int"),
+        pytest.param({"lookbacks": 5}, id="lookbacks-int"),
+        pytest.param({"variants": 5}, id="variants-int"),
+        pytest.param({"variants": "cleaned_prosus"}, id="variants-str"),
+        pytest.param({"variants": [1]}, id="variants-item"),
+        pytest.param({"fit_scope": ["train_only"]}, id="fit_scope-list"),
+        pytest.param({"kernel_mode": 3}, id="kernel_mode-int"),
+        pytest.param({"metric_units": None}, id="metric_units-none"),
+        pytest.param({"scorer_kind": None}, id="scorer_kind-none"),
     ])
     def test_invalid_values_rejected(self, bad):
         for with_sentiment in (True, False):
             with pytest.raises(ConfigError):
                 ExperimentConfig(**{"with_sentiment": with_sentiment, **bad})
+
+    def test_every_field_type_is_checked(self):
+        """A field whose annotation the type table lacks would go unchecked."""
+        for f in dataclasses.fields(ExperimentConfig):
+            assert f.type in harness._FIELD_TYPES, f.name
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"lookbacks": 5}, "lookbacks must be a list of integers, not 5"),
+        ({"variants": "cleaned_prosus"}, "variants must be a list of strings, not 'cleaned_prosus'"),
+    ], ids=["lookbacks", "variants"])
+    def test_list_field_needs_a_list(self, tmp_path, bad, message):
+        """A scalar where a list belongs is named by its field, from the
+        constructor and from a config file alike."""
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(**bad)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
 
     def test_int_accepted_for_float_fields(self):
         cfg = ExperimentConfig(learning_rate=1, validation_split=0, scrip="S")
@@ -578,5 +619,5 @@ class TestEvaluateModel:
         cfg, cell, windows, model = self.cell_and_windows(batch_size)
         evaluation = harness.evaluate_model(model, cell, windows, cfg)
         one_pass = neuralnet.predict(model, windows, chunk_size=len(windows))
-        expected = inverse_transform(cell.scalers, cell.test.target_column, one_pass)
+        expected = inverse_transform(cell.scalers, harness.TARGET_COLUMN, one_pass)
         assert evaluation.predicted.tobytes() == expected.tobytes()

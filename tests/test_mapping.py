@@ -11,7 +11,7 @@ from sentistock.errors import (
     MissingScoreError,
     UnparseableRowError,
 )
-from sentistock.ingest import MasterDataset, Tweet, load_master_csv, write_stock_csv
+from sentistock.ingest import TARGET_COLUMN, MasterDataset, Tweet, load_master_csv, write_stock_csv
 from sentistock.mapping import (
     MemoryKernel,
     class_contributions,
@@ -256,7 +256,7 @@ class TestJoinWithStock:
         master = join_with_stock(self.mapped_for(stock.calendar, 0.3), stock)
         assert len(master.columns) == 8
         assert master.n_rows == 5
-        assert master.target_column == "Close"
+        assert TARGET_COLUMN in master.columns
 
     def test_length_mismatch(self):
         stock = make_stock(5)

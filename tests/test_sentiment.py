@@ -311,6 +311,16 @@ class TestPrecomputedScores:
             load_precomputed_scores(path, corpus)
         assert exc.value.line_number == 3
 
+    def test_repeated_row_rejected(self, tmp_path):
+        """A second row for one (tweet, variant) is an error at its own line,
+        which names the earlier one, not a silent overwrite."""
+        corpus = make_corpus([("1", "2023-01-02", "x")])
+        path = self.write_scores(tmp_path, [("1", "cleaned_prosus", 1, 0, 0), ("1", "pos_prosus", 1, 0, 0),
+                                            ("1", "cleaned_prosus", 0, 1, 0)])
+        with pytest.raises(UnparseableRowError, match="line 4: tweet '1', variant 'cleaned_prosus' "
+                                                      "was already scored at line 2"):
+            load_precomputed_scores(path, corpus)
+
     def test_line_number_counts_blank_lines(self, tmp_path):
         corpus = make_corpus([("1", "2023-01-02", "x")])
         path = tmp_path / "scores.csv"
@@ -363,6 +373,13 @@ class TestMergedCorpusScores:
         table = score_corpus(config, corpus, ["cleaned_prosus"])
         by_id = dict(zip(table.tweet_ids, table.probabilities("cleaned_prosus")[:, 0].tolist()))
         assert by_id == pytest.approx({"0:1": 0.0, "0:a": 0.1, "1:1": 0.2, "1:b": 0.3})
+
+    def test_own_and_merged_id_of_one_tweet_repeat(self, tmp_path):
+        """'a' is tweet 0:a's own id in its file, so a row for each repeats."""
+        path = self.write_scores(tmp_path, ["0:a", "b", "a"])
+        with pytest.raises(UnparseableRowError, match="line 4: tweet '0:a', variant 'cleaned_prosus' "
+                                                      "was already scored at line 2"):
+            load_precomputed_scores(path, self.merged())
 
     def test_id_of_two_files_is_ambiguous(self, tmp_path):
         path = self.write_scores(tmp_path, ["0:1", "a", "1", "b"])
