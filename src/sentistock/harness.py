@@ -28,7 +28,7 @@ from . import dataset as ds
 from . import evalmetrics as em
 from . import neuralnet as nn
 from .errors import ConfigError, PipelineError
-from .ingest import TARGET_COLUMN, MasterDataset, TweetCorpus, load_stock_csv, load_tweets
+from .ingest import TARGET_COLUMN, MasterDataset, TweetCorpus, load_stock_csv, load_tweets, write_csv
 from .mapping import MemoryKernel, daily_aggregate, join_with_stock, memory_weighted_map
 from .sentiment import VARIANTS, ScorerConfig, ScoreTable, score_corpus
 
@@ -455,20 +455,16 @@ def _loss_and_pred_paths(record: ExperimentRecord, out_dir: Path) -> list[Path]:
 
 def write_loss_csv(history: nn.TrainingHistory, path: str | Path) -> Path:
     """Loss-curve CSV: epoch,train_loss,val_loss."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("epoch,train_loss,val_loss\n")
-        for epoch, (tl, vl) in enumerate(zip(history.train_loss, history.val_loss)):
-            fh.write(f"{epoch},{_fmt(tl)},{_fmt(vl)}\n")
-    return Path(path)
+    rows = enumerate(zip(history.train_loss, history.val_loss))
+    return write_csv(path, ("epoch", "train_loss", "val_loss"),
+                     ((str(epoch), _fmt(tl), _fmt(vl)) for epoch, (tl, vl) in rows), line_end="\n")
 
 
 def write_pred_csv(record: ExperimentRecord, path: str | Path) -> Path:
     """Prediction CSV: date,actual,predicted in data units."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("date,actual,predicted\n")
-        for d, a, p in zip(record.test_dates, record.actual, record.predicted):
-            fh.write(f"{d.isoformat()},{_fmt(a)},{_fmt(p)}\n")
-    return Path(path)
+    rows = zip(record.test_dates, record.actual, record.predicted)
+    return write_csv(path, ("date", "actual", "predicted"),
+                     ((d.isoformat(), _fmt(a), _fmt(p)) for d, a, p in rows), line_end="\n")
 
 
 def write_record_artifacts(record: ExperimentRecord, out_dir: str | Path) -> list[Path]:
@@ -514,11 +510,7 @@ def _summary_row(record: ExperimentRecord) -> list[str]:
 
 def write_summary_csv(records: list[ExperimentRecord], path: str | Path) -> Path:
     """Summary CSV with one row per record; failed cells carry failed:<stage>."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for record in records:
-            fh.write(",".join(_summary_row(record)) + "\n")
-    return Path(path)
+    return write_csv(path, SUMMARY_COLUMNS, map(_summary_row, records), line_end="\n")
 
 
 def emit_report(records: list[ExperimentRecord], out_dir: str | Path) -> list[Path]:

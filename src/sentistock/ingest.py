@@ -156,42 +156,63 @@ def parse_day(text: str) -> date:
     return date.fromisoformat(text)
 
 
+def read_csv(path: str | Path, required: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """Yield a CSV's header, then each data row, as (line number, fields) in file order.
+
+    Reads UTF-8 with or without a byte-order mark and skips blank lines. Raises
+    UnparseableRowError at line 1 for a repeated column name, MissingColumnError
+    for the first of ``required`` the header lacks, and UnparseableRowError for
+    a row whose field count is not the header's.
+    """
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if len(set(header)) != len(header):
+            raise UnparseableRowError(reader.line_num, f"repeated column name in {header}")
+        missing = [name for name in required if name not in header]
+        if missing:
+            raise MissingColumnError(f"no {missing[0]} column in {path}")
+        yield reader.line_num, header
+        for row in filter(None, reader):  # a blank line is an empty row
+            if len(row) != len(header):
+                raise UnparseableRowError(reader.line_num, f"expected {len(header)} fields, got {len(row)}")
+            yield reader.line_num, row
+
+
+def write_csv(path: str | Path, header, rows, line_end: str = "\r\n") -> Path:
+    """Write a header and rows of strings as UTF-8 CSV, quoting a field only where it must be."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator=line_end)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return Path(path)
+
+
 def _read_dated_csv(path: str | Path, names: tuple[str, ...] | None = None,
                     ) -> tuple[list[date], list[str], np.ndarray, list[int]]:
     """A dated CSV's rows sorted by date: (calendar, names, values, line numbers).
 
     ``values`` holds the named columns as a (rows, len(names)) float array;
-    without names, every column but Date in file order. Blank lines are
-    skipped. Raises MissingColumnError naming an absent column,
-    EmptySeriesError without data rows, and UnparseableRowError with the line
-    number for a repeated column name, a row of the wrong field count, a date
-    not YYYY-MM-DD, a value not a finite float or a repeated date.
+    without names, every column but Date in file order. Raises the errors of
+    read_csv, EmptySeriesError without data rows, and UnparseableRowError
+    with the line number for a date not YYYY-MM-DD, a value not a finite
+    float or a repeated date.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if len(set(header)) != len(header):
-            raise UnparseableRowError(reader.line_num, f"repeated column name in {header}")
-        names = [name for name in header if name != "Date"] if names is None else list(names)
-        for name in ("Date", *names):
-            if name not in header:
-                raise MissingColumnError(f"no {name} column in {path}")
-        day_field = header.index("Date")
-        fields = [header.index(name) for name in names]
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise UnparseableRowError(reader.line_num, f"expected {len(header)} fields, got {len(row)}")
-            try:
-                day = parse_day(row[day_field].strip())
-                values = [float(row[i]) for i in fields]
-            except ValueError as exc:
-                raise UnparseableRowError(reader.line_num, str(exc)) from exc
-            if not all(map(math.isfinite, values)):
-                raise UnparseableRowError(reader.line_num, f"non-finite value in {dict(zip(names, values))}")
-            rows.append((day, reader.line_num, values))
+    csv_rows = read_csv(path, ("Date", *(names or ())))
+    _, header = next(csv_rows)
+    names = [name for name in header if name != "Date"] if names is None else list(names)
+    day_field = header.index("Date")
+    fields = [header.index(name) for name in names]
+    rows = []
+    for line_no, row in csv_rows:
+        try:
+            day = parse_day(row[day_field].strip())
+            values = [float(row[i]) for i in fields]
+        except ValueError as exc:
+            raise UnparseableRowError(line_no, str(exc)) from exc
+        if not all(map(math.isfinite, values)):
+            raise UnparseableRowError(line_no, f"non-finite value in {dict(zip(names, values))}")
+        rows.append((day, line_no, values))
     if not rows:
         raise EmptySeriesError(f"no data rows in {path}")
     rows.sort(key=lambda r: r[0])  # stable, so a repeated date is reported at its later line
@@ -230,12 +251,9 @@ def load_master_csv(path: str | Path) -> MasterDataset:
 def write_stock_csv(series: MasterDataset, path: str | Path) -> None:
     """Write a MasterDataset as a dated CSV with the Date column first;
     load_stock_csv and load_master_csv read back its exact values."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["Date", *series.columns])
-        columns = list(series.columns.values())
-        for i, d in enumerate(series.calendar):
-            writer.writerow([d.isoformat()] + [repr(float(column[i])) for column in columns])
+    columns = [np.asarray(column, dtype=float).tolist() for column in series.columns.values()]
+    write_csv(path, ["Date", *series.columns],
+              ([d.isoformat(), *map(repr, values)] for d, *values in zip(series.calendar, *columns)))
 
 
 def parse_tweet_date(text: str) -> date:

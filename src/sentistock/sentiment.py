@@ -8,7 +8,6 @@ with header ``tweet_id,variant,p_pos,p_neg,p_neu``.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -17,7 +16,6 @@ import numpy as np
 
 from .errors import (
     AmbiguousTweetIdError,
-    MissingColumnError,
     MissingScoreError,
     MissingVariantTextError,
     ProbabilityRowInvalidError,
@@ -25,7 +23,7 @@ from .errors import (
     UnknownTweetIdError,
     UnparseableRowError,
 )
-from .ingest import TweetCorpus
+from .ingest import TweetCorpus, read_csv, write_csv
 
 # Canonical scoring variants, in the order used for result-table features 1-4.
 VARIANTS = ("cleaned_prosus", "cleaned_yiyanghkust", "pos_prosus", "pos_yiyanghkust")
@@ -198,9 +196,9 @@ def load_precomputed_scores(path: str | Path, corpus: TweetCorpus) -> ScoreTable
     names two tweets raises AmbiguousTweetIdError, one naming none
     UnknownTweetIdError. Rows of non-negative probabilities summing within
     1e-3 of 1 are renormalized; others raise ProbabilityRowInvalidError. A variant that
-    misses a tweet maps to ScorerUnavailableError. A header missing one of SCORE_COLUMNS raises
-    MissingColumnError naming the column and the file; a short row, an unknown variant, a
-    non-numeric probability or a second row for one (tweet, variant) UnparseableRowError.
+    misses a tweet maps to ScorerUnavailableError. Besides the errors of ingest.read_csv (a missing
+    or repeated column, a row of the wrong field count), an unknown variant, a non-numeric
+    probability or a second row for one (tweet, variant) raises UnparseableRowError.
     """
     rows: dict[str, int] = {}
     ambiguous: set[str] = set()
@@ -210,39 +208,33 @@ def load_precomputed_scores(path: str | Path, corpus: TweetCorpus) -> ScoreTable
                 ambiguous.add(key)
     arrays = {variant: np.full((len(corpus), 3), np.nan) for variant in VARIANTS}
     seen: dict[tuple[int, str], int] = {}  # (tweet row, variant) -> its line
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for col in SCORE_COLUMNS:
-            if col not in (reader.fieldnames or []):
-                raise MissingColumnError(f"no {col} column in {path}")
-        for row in reader:
-            line_no = reader.line_num
-            if None in row.values():
-                raise UnparseableRowError(line_no, f"fewer fields than the header's {len(reader.fieldnames)}")
-            tweet_id = row["tweet_id"]
-            variant = row["variant"]
-            if tweet_id in ambiguous:
-                raise AmbiguousTweetIdError(f"line {line_no}: tweet id {tweet_id!r} names more than "
-                                            "one tweet; use the merged id '<file index>:<id>'")
-            if tweet_id not in rows:
-                raise UnknownTweetIdError(f"line {line_no}: tweet id {tweet_id!r} not in corpus")
-            if variant not in VARIANTS:
-                raise UnparseableRowError(line_no, f"unknown variant {variant!r}")
-            try:
-                p = [float(row[k]) for k in SCORE_COLUMNS[2:]]
-            except ValueError as exc:
-                raise UnparseableRowError(line_no, str(exc)) from exc
-            total = sum(p)
-            if min(p) < 0 or not abs(total - 1.0) <= 1e-3:
-                raise ProbabilityRowInvalidError(
-                    f"line {line_no}: tweet {tweet_id!r}, variant {variant!r}: "
-                    f"probabilities {p} are not a distribution"
-                )
-            first_line = seen.setdefault((rows[tweet_id], variant), line_no)
-            if first_line != line_no:
-                raise UnparseableRowError(line_no, f"tweet {corpus.ids[rows[tweet_id]]!r}, variant "
-                                          f"{variant!r} was already scored at line {first_line}")
-            arrays[variant][rows[tweet_id]] = [v / total for v in p]
+    csv_rows = read_csv(path, SCORE_COLUMNS)
+    _, header = next(csv_rows)
+    fields = [header.index(col) for col in SCORE_COLUMNS]
+    for line_no, row in csv_rows:
+        tweet_id, variant, *numbers = (row[i] for i in fields)
+        if tweet_id in ambiguous:
+            raise AmbiguousTweetIdError(f"line {line_no}: tweet id {tweet_id!r} names more than "
+                                        "one tweet; use the merged id '<file index>:<id>'")
+        if tweet_id not in rows:
+            raise UnknownTweetIdError(f"line {line_no}: tweet id {tweet_id!r} not in corpus")
+        if variant not in VARIANTS:
+            raise UnparseableRowError(line_no, f"unknown variant {variant!r}")
+        try:
+            p = [float(v) for v in numbers]
+        except ValueError as exc:
+            raise UnparseableRowError(line_no, str(exc)) from exc
+        total = sum(p)
+        if min(p) < 0 or not abs(total - 1.0) <= 1e-3:
+            raise ProbabilityRowInvalidError(
+                f"line {line_no}: tweet {tweet_id!r}, variant {variant!r}: "
+                f"probabilities {p} are not a distribution"
+            )
+        first_line = seen.setdefault((rows[tweet_id], variant), line_no)
+        if first_line != line_no:
+            raise UnparseableRowError(line_no, f"tweet {corpus.ids[rows[tweet_id]]!r}, variant "
+                                      f"{variant!r} was already scored at line {first_line}")
+        arrays[variant][rows[tweet_id]] = [v / total for v in p]
     table = ScoreTable(tweet_ids=corpus.ids)
     for variant, probabilities in arrays.items():
         missing = np.flatnonzero(np.isnan(probabilities[:, 0]))
@@ -255,9 +247,6 @@ def write_scores_csv(table: ScoreTable, path: str | Path) -> None:
     """Write a score table in the precomputed-score CSV format; a variant
     that failed to score raises its error before the file is opened."""
     arrays = {variant: table.probabilities(variant).tolist() for variant in table.variants}
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCORE_COLUMNS)
-        for row, tweet_id in enumerate(table.tweet_ids):
-            for variant, scores in arrays.items():
-                writer.writerow((tweet_id, variant, *map(repr, scores[row])))
+    write_csv(path, SCORE_COLUMNS, ((tweet_id, variant, *map(repr, scores[row]))
+                                    for row, tweet_id in enumerate(table.tweet_ids)
+                                    for variant, scores in arrays.items()))

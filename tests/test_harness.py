@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import logging
@@ -478,6 +479,60 @@ class TestEmitReport:
         loss_lines = (tmp_path / "report" / "AAA_cleaned_prosus_w3_loss.csv").read_text().splitlines()
         assert loss_lines[0] == "epoch,train_loss,val_loss"
         assert len(loss_lines) - 1 == record.history.n_epochs
+
+
+def handmade_records(scrip="AAA"):
+    """An ok record, with a two-epoch history and values that need repr's
+    shortest round-trip digits, and a record failed at train."""
+    from datetime import date
+
+    from sentistock.evalmetrics import EvalReport
+
+    history = neuralnet.TrainingHistory(train_loss=[0.1 + 0.2, 1e-05], val_loss=[np.float64(2.5), 1e16])
+    ok = harness.ExperimentRecord(
+        scrip=scrip, variant="cleaned_prosus", lookback=3, seed=0, fingerprint="f",
+        report=EvalReport(mae=0.1, rmse=1 / 3, r2=-0.25, val_score=0.75, time_offset=2, acc=0.5, n_samples=2),
+        history=history, test_dates=[date(2020, 1, 2), date(2020, 1, 3)],
+        actual=np.array([10.0, 1e-07]), predicted=np.array([9.75, 123456789.0]))
+    failed = harness.ExperimentRecord(scrip=scrip, variant="pos_prosus", lookback=5, seed=1,
+                                      fingerprint="g", error="boom", failed_stage="train")
+    return ok, failed
+
+
+class TestResultCsvBytes:
+    """The result CSVs keep their format: comma-joined fields, each float's repr,
+    LF line ends, and six empty metrics then failed:<stage> for a failed cell."""
+
+    def test_loss_csv(self, tmp_path):
+        ok, _ = handmade_records()
+        path = harness.write_loss_csv(ok.history, tmp_path / "loss.csv")
+        assert path.read_bytes() == b"epoch,train_loss,val_loss\n0,0.30000000000000004,2.5\n1,1e-05,1e+16\n"
+
+    def test_pred_csv(self, tmp_path):
+        ok, _ = handmade_records()
+        path = harness.write_pred_csv(ok, tmp_path / "pred.csv")
+        assert path.read_bytes() == (b"date,actual,predicted\n"
+                                     b"2020-01-02,10.0,9.75\n2020-01-03,1e-07,123456789.0\n")
+
+    def test_summary_csv(self, tmp_path):
+        path = harness.write_summary_csv(list(handmade_records()), tmp_path / "summary.csv")
+        assert path.read_bytes() == (
+            b"scrip,variant,lookback,val_score,r2,rmse,mae,T,acc,units\n"
+            b"AAA,cleaned_prosus,3,0.75,-0.25,0.3333333333333333,0.1,2,0.5,data\n"
+            b"AAA,pos_prosus,5,,,,,,,failed:train\n"
+        )
+
+    def test_summary_scrip_with_comma(self, tmp_path):
+        """A scrip such as BRK,B is one quoted field, so no column shifts."""
+        path = harness.write_summary_csv(list(handmade_records("BRK,B")), tmp_path / "summary.csv")
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows == [
+            {"scrip": "BRK,B", "variant": "cleaned_prosus", "lookback": "3", "val_score": "0.75", "r2": "-0.25",
+             "rmse": "0.3333333333333333", "mae": "0.1", "T": "2", "acc": "0.5", "units": "data"},
+            {"scrip": "BRK,B", "variant": "pos_prosus", "lookback": "5", "val_score": "", "r2": "", "rmse": "",
+             "mae": "", "T": "", "acc": "", "units": "failed:train"},
+        ]
 
 
 class TestConfigFile:

@@ -19,6 +19,7 @@ from sentistock.ingest import (
     TweetCorpus,
     clean_tweet,
     clean_tweets,
+    load_master_csv,
     load_stock_csv,
     load_tweets,
     parse_tweet_date,
@@ -236,6 +237,18 @@ class TestLoadStockCsv:
         with pytest.raises(UnparseableRowError, match="Close") as exc:
             load_stock_csv(path)
         assert exc.value.line_number == 1
+
+    @pytest.mark.parametrize("load", [load_stock_csv, load_master_csv])
+    def test_byte_order_mark_ignored(self, tmp_path, load):
+        """A UTF-8 BOM, as spreadsheet programs write "CSV UTF-8", is not part of the Date name."""
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_stock_csv(three_row_series(), plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected, loaded = load(plain), load(marked)
+        assert loaded.calendar == expected.calendar
+        assert list(loaded.columns) == list(expected.columns)
+        for name, values in expected.columns.items():
+            np.testing.assert_array_equal(loaded.columns[name], values)
 
     @pytest.mark.parametrize("column, value, ok", [
         ("Close", "nan", False),

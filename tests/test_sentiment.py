@@ -303,6 +303,7 @@ class TestPrecomputedScores:
         ("1", "cleaned_prosus", 0.5, 0.5),
         ("1", "cleaned_prosus", "abc", 0.5, 0.5),
         ("1", "bogus", 1, 0, 0),
+        ("1", "cleaned_prosus", 1, 0, 0, 9),
     ])
     def test_malformed_row_names_line(self, tmp_path, row):
         corpus = make_corpus([("1", "2023-01-02", "x")])
@@ -310,6 +311,31 @@ class TestPrecomputedScores:
         with pytest.raises(UnparseableRowError) as exc:
             load_precomputed_scores(path, corpus)
         assert exc.value.line_number == 3
+
+    @pytest.mark.parametrize("row, count", [(("1", "cleaned_prosus", 1, 0), 4),
+                                            (("1", "cleaned_prosus", 1, 0, 0, 9), 6)])
+    def test_field_count_named(self, tmp_path, row, count):
+        corpus = make_corpus([("1", "2023-01-02", "x")])
+        path = self.write_scores(tmp_path, [row])
+        with pytest.raises(UnparseableRowError, match=f"line 2: expected 5 fields, got {count}"):
+            load_precomputed_scores(path, corpus)
+
+    def test_repeated_column_rejected(self, tmp_path):
+        """A header naming p_pos twice is an error, not a read of its later column."""
+        corpus = make_corpus([("1", "2023-01-02", "x")])
+        path = tmp_path / "scores.csv"
+        path.write_text("tweet_id,variant,p_pos,p_neg,p_neu,p_pos\n1,cleaned_prosus,0.2,0.1,0.2,0.7\n")
+        with pytest.raises(UnparseableRowError, match="p_pos") as exc:
+            load_precomputed_scores(path, corpus)
+        assert exc.value.line_number == 1
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        corpus = make_corpus([("1", "2023-01-02", "x"), ("2", "2023-01-03", "y")])
+        plain = self.write_scores(tmp_path, [("1", "cleaned_prosus", 0.25, 0.3125, 0.4375),
+                                             ("2", "cleaned_prosus", 0.1, 0.2, 0.7)])
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert entries(load_precomputed_scores(marked, corpus)) == entries(load_precomputed_scores(plain, corpus))
 
     def test_repeated_row_rejected(self, tmp_path):
         """A second row for one (tweet, variant) is an error at its own line,
@@ -344,6 +370,24 @@ class TestPrecomputedScores:
         config = ScorerConfig(kind="precomputed", source=path)
         with pytest.raises(ScorerUnavailableError):
             score_corpus(config, corpus, ["cleaned_prosus"]).probabilities("cleaned_prosus")
+
+    def test_written_bytes(self, tmp_path):
+        """The score CSV format: CRLF line ends, each probability's float repr, and a
+        field quoted only when it holds a comma."""
+        table = sentiment.ScoreTable(["1", "a,b"], {
+            "cleaned_prosus": np.array([[0.25, 0.3125, 0.4375], [0.1, 0.2, 0.7]]),
+            "pos_prosus": np.array([[1.0, 0.0, 0.0], [1 / 3, 1 / 3, 1 / 3]]),
+        })
+        path = tmp_path / "out.csv"
+        write_scores_csv(table, path)
+        third = "0.3333333333333333"
+        assert path.read_bytes() == (
+            b"tweet_id,variant,p_pos,p_neg,p_neu\r\n"
+            b"1,cleaned_prosus,0.25,0.3125,0.4375\r\n"
+            b"1,pos_prosus,1.0,0.0,0.0\r\n"
+            b'"a,b",cleaned_prosus,0.1,0.2,0.7\r\n'
+            + f'"a,b",pos_prosus,{third},{third},{third}\r\n'.encode()
+        )
 
     def test_round_trip_via_writer(self, tmp_path):
         corpus = make_corpus([("1", "2023-01-02", "growth"), ("2", "2023-01-03", "crash")])
