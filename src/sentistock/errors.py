@@ -12,7 +12,7 @@ class MissingColumnError(SentiStockError):
 
 
 class UnparseableRowError(SentiStockError):
-    """A CSV row could not be parsed; carries the 1-based line number."""
+    """An input line could not be parsed; carries its 1-based line number."""
 
     def __init__(self, line_number, message):
         super().__init__(f"line {line_number}: {message}")
@@ -23,12 +23,8 @@ class EmptySeriesError(SentiStockError):
     """A stock or master CSV file contained no data rows."""
 
 
-class UnparseableRecordError(SentiStockError):
-    """A tweet record could not be parsed; carries the 1-based line number."""
-
-    def __init__(self, line_number, message):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
+class UnparseableRecordError(UnparseableRowError):
+    """A tweet record could not be parsed."""
 
 
 class EmptyCorpusError(SentiStockError):
@@ -50,15 +46,15 @@ class MissingVariantTextError(SentiStockError):
         self.variant = variant
 
 
-class UnknownTweetIdError(SentiStockError):
+class UnknownTweetIdError(UnparseableRowError):
     """A score row references a tweet id absent from the corpus."""
 
 
-class AmbiguousTweetIdError(SentiStockError):
+class AmbiguousTweetIdError(UnparseableRowError):
     """A score row's tweet id names more than one tweet of a merged corpus."""
 
 
-class ProbabilityRowInvalidError(SentiStockError):
+class ProbabilityRowInvalidError(UnparseableRowError):
     """A score row holds a negative probability or does not sum to 1 within 1e-3."""
 
 

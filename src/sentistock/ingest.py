@@ -14,8 +14,10 @@ import csv
 import json
 import math
 import re
+from contextlib import closing
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -156,16 +158,42 @@ def parse_day(text: str) -> date:
     return date.fromisoformat(text)
 
 
+def _read_lines(path: str | Path, encoding: str = "utf-8", newline: str | None = None,
+                error: type[UnparseableRowError] = UnparseableRowError) -> Iterator[str]:
+    """Yield a UTF-8 file's lines as ``open`` splits them, a lone CR ending one too.
+
+    At a byte that does not decode, yields the lines before its own not yet
+    yielded, then raises ``error`` naming that line and the byte's position
+    in it. Only then is the file read a second time.
+    """
+    done = 0
+    try:
+        with open(path, encoding=encoding, newline=newline) as fh:
+            for done, line in enumerate(fh, start=1):
+                yield line
+        return
+    except UnicodeDecodeError:  # its position counts from a block of the file, not from a line
+        pass
+    # An undecodable byte reads as a lone surrogate, so only its line fails to decode again.
+    with open(path, encoding=encoding, errors="surrogateescape", newline=newline) as fh:
+        for line_no, line in enumerate(islice(fh, done, None), start=done + 1):
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(line_no, str(exc)) from exc
+            yield line
+
+
 def read_csv(path: str | Path, required: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
     """Yield a CSV's header, then each data row, as (line number, fields) in file order.
 
     Reads UTF-8 with or without a byte-order mark and skips blank lines. Raises
     UnparseableRowError at line 1 for a repeated column name, MissingColumnError
     for the first of ``required`` the header lacks, and UnparseableRowError for
-    a row whose field count is not the header's.
+    a row whose field count is not the header's or a byte that is not UTF-8.
     """
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+    with closing(_read_lines(path, "utf-8-sig", newline="")) as lines:
+        reader = csv.reader(lines)
         header = next(reader, [])
         if len(set(header)) != len(header):
             raise UnparseableRowError(reader.line_num, f"repeated column name in {header}")
@@ -282,14 +310,14 @@ def load_tweets(path: str | Path) -> TweetCorpus:
     ``text``; ``id`` and ``pos_text`` are optional, and null counts as absent.
     An id is a string or an integer, kept as its decimal string; missing ids
     are assigned sequentially in file order. Lines are checked in file order,
-    so the first bad one is reported. Raises UnparseableRecordError or
-    EmptyCorpusError.
+    so the first bad one, a byte that is not UTF-8 included, is reported.
+    Raises UnparseableRecordError or EmptyCorpusError.
     """
-    rows = []
+    ids, ordinals, raws, pos_texts = [], [], [], []
     seen_ids = set()
     day_ordinals: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    with closing(_read_lines(path, error=UnparseableRecordError)) as lines:
+        for line_no, line in enumerate(lines, start=1):
             text = line.strip(" \t\n\r")  # JSON's whitespace, which json.loads skips
             try:
                 try:
@@ -316,14 +344,16 @@ def load_tweets(path: str | Path) -> TweetCorpus:
             if type(tweet_id) not in _ID_TYPES:
                 raise UnparseableRecordError(
                     line_no, f"id is a {type(tweet_id).__name__}, not a string or an integer")
-            tweet_id = str(len(rows) if tweet_id is None else tweet_id)
+            tweet_id = str(len(ids) if tweet_id is None else tweet_id)
             if tweet_id in seen_ids:
                 raise UnparseableRecordError(line_no, f"duplicate id {tweet_id!r}")
             seen_ids.add(tweet_id)
-            rows.append((tweet_id, day_ordinals[day], raw, pos_text))
-    if not rows:
+            ids.append(tweet_id)
+            ordinals.append(day_ordinals[day])
+            raws.append(raw)
+            pos_texts.append(pos_text)
+    if not ids:
         raise EmptyCorpusError(f"no tweet records in {path}")
-    ids, ordinals, raws, pos_texts = zip(*rows)
     # Cleaned as one batch once every record has parsed.
     return TweetCorpus.by_date(ids, ordinals, raws, clean_tweets(raws), pos_texts)
 

@@ -114,6 +114,8 @@ class TrainConfig:
             raise ValueError("validation_split must lie in [0, 0.5]")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, not {self.learning_rate!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
 

@@ -149,15 +149,6 @@ def score_texts(config: ScorerConfig, texts: list[str]) -> np.ndarray:
     return np.stack([p_pos, p_neg, 1.0 - p_pos - p_neg], axis=1)
 
 
-def _score_text_form(config: ScorerConfig, corpus: TweetCorpus, form: str) -> np.ndarray | str:
-    """Lexicon probabilities of one text form of every tweet, or the id of
-    the first tweet that lacks that form."""
-    texts = getattr(corpus, form)
-    if None in texts:
-        return corpus.ids[texts.index(None)]
-    return score_texts(config, texts)
-
-
 def score_corpus(
     config: ScorerConfig, corpus: TweetCorpus, variants: list[str] | tuple[str, ...] = VARIANTS
 ) -> ScoreTable:
@@ -172,7 +163,7 @@ def score_corpus(
     """
     table = ScoreTable(tweet_ids=corpus.ids)
     loaded = load_precomputed_scores(config.source, corpus) if config.kind == "precomputed" else None
-    by_form: dict[str, np.ndarray | str] = {}
+    by_form: dict[str, np.ndarray | None] = {}  # None for a form some tweet lacks
     for variant in variants:
         if variant not in TEXT_FORMS:
             table.scores[variant] = ValueError(f"unknown variant {variant!r}")
@@ -180,11 +171,11 @@ def score_corpus(
             table.scores[variant] = loaded.scores[variant]
         else:
             form = TEXT_FORMS[variant]
+            texts = getattr(corpus, form)
             if form not in by_form:
-                by_form[form] = _score_text_form(config, corpus, form)
-            scored = by_form[form]
-            table.scores[variant] = (MissingVariantTextError(scored, variant)
-                                     if isinstance(scored, str) else scored)
+                by_form[form] = None if None in texts else score_texts(config, texts)
+            table.scores[variant] = (MissingVariantTextError(corpus.ids[texts.index(None)], variant)
+                                     if by_form[form] is None else by_form[form])
     return table
 
 
@@ -214,10 +205,10 @@ def load_precomputed_scores(path: str | Path, corpus: TweetCorpus) -> ScoreTable
     for line_no, row in csv_rows:
         tweet_id, variant, *numbers = (row[i] for i in fields)
         if tweet_id in ambiguous:
-            raise AmbiguousTweetIdError(f"line {line_no}: tweet id {tweet_id!r} names more than "
-                                        "one tweet; use the merged id '<file index>:<id>'")
+            raise AmbiguousTweetIdError(line_no, f"tweet id {tweet_id!r} names more than one "
+                                        "tweet; use the merged id '<file index>:<id>'")
         if tweet_id not in rows:
-            raise UnknownTweetIdError(f"line {line_no}: tweet id {tweet_id!r} not in corpus")
+            raise UnknownTweetIdError(line_no, f"tweet id {tweet_id!r} not in corpus")
         if variant not in VARIANTS:
             raise UnparseableRowError(line_no, f"unknown variant {variant!r}")
         try:
@@ -226,10 +217,8 @@ def load_precomputed_scores(path: str | Path, corpus: TweetCorpus) -> ScoreTable
             raise UnparseableRowError(line_no, str(exc)) from exc
         total = sum(p)
         if min(p) < 0 or not abs(total - 1.0) <= 1e-3:
-            raise ProbabilityRowInvalidError(
-                f"line {line_no}: tweet {tweet_id!r}, variant {variant!r}: "
-                f"probabilities {p} are not a distribution"
-            )
+            raise ProbabilityRowInvalidError(line_no, f"tweet {tweet_id!r}, variant {variant!r}: "
+                                             f"probabilities {p} are not a distribution")
         first_line = seen.setdefault((rows[tweet_id], variant), line_no)
         if first_line != line_no:
             raise UnparseableRowError(line_no, f"tweet {corpus.ids[rows[tweet_id]]!r}, variant "

@@ -309,6 +309,25 @@ def test_stage_flag_bad_value_exit_code(workspace, capsys):
     assert "fit_scope" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "neginf"])
+def test_non_finite_learning_rate_exit_code(workspace, capsys, value):
+    """json reads NaN and Infinity, and the flag reads nan: a learning rate
+    that is not finite stops grid and train before any output exists."""
+    tmp_path, stock_path, _ = workspace
+    out = tmp_path / "out"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"config_version": 1, "stock_file": str(stock_path), "with_sentiment": False,
+                                  "lookbacks": [3], "output_dir": str(out), "learning_rate": value}))
+    assert main(["grid", "--config", str(config)]) == 2
+    assert "learning_rate must be finite" in capsys.readouterr().err
+    assert not out.exists()
+    model = tmp_path / "model.npz"
+    assert main(["train", "--master", str(stock_path), "--lookback", "3", "--epochs", "1",
+                 f"--learning-rate={value}", "--model-out", str(model)]) == 2
+    assert "learning_rate must be finite" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_malformed_csv_exit_code(workspace, capsys):
     """A score CSV without a variant column and an empty master CSV stop
     their commands with exit 2 before any output is written."""

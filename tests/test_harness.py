@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import weakref
 
 import numpy as np
@@ -570,6 +571,9 @@ class TestConfigFile:
         pytest.param({"batch_size": 0}, id="batch_size"),
         pytest.param({"epochs": 0}, id="epochs"),
         pytest.param({"learning_rate": -1}, id="learning_rate"),
+        pytest.param({"learning_rate": math.nan}, id="learning_rate-nan"),
+        pytest.param({"learning_rate": math.inf}, id="learning_rate-inf"),
+        pytest.param({"learning_rate": -math.inf}, id="learning_rate-neginf"),
         pytest.param({"validation_split": 1.0}, id="validation_split"),
         pytest.param({"patience": -1}, id="patience"),
         pytest.param({"hidden_units": 0}, id="hidden_units"),

@@ -463,6 +463,54 @@ class TestTimestampedDates:
         assert exc.value.line_number == 2
 
 
+class TestUndecodableByte:
+    """A byte that is not UTF-8 is reported at its own line, lines counted as
+    the loader counts them, unless an earlier line is bad. Text is decoded in
+    8 KiB blocks, so the byte goes in the first block and in a later one,
+    where the earlier bad line shares its block."""
+
+    CASES = [(3, None, 3), (3, 2, 2), (3, 5, 3), (401, None, 401), (401, 399, 399), (401, 450, 401)]
+
+    @staticmethod
+    def write(path, lines, bad, bad_line, error_at, newline):
+        lines[bad - 1] = lines[bad - 1].replace(b"12", b"1\xff2", 1)
+        if error_at:
+            lines[error_at - 1] = bad_line
+        path.write_bytes(newline.join(lines) + newline)
+        assert (len(newline.join(lines[:bad])) > 8192) == (bad > 100)
+        return path
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("bad, error_at, reported", CASES)
+    def test_tweet_file(self, tmp_path, newline, bad, error_at, reported):
+        lines = [b'{"date": "2020-01-12", "text": "growth today"}'] * 600
+        path = self.write(tmp_path / "t.jsonl", lines, bad, b'{"date": "2020-13-02", "text": "x"}',
+                          error_at, newline)
+        with pytest.raises(UnparseableRecordError) as exc:
+            load_tweets(path)
+        assert exc.value.line_number == reported
+        if reported == bad:
+            assert str(exc.value) == (f"line {bad}: 'utf-8' codec can't decode byte 0xff in position 19: "
+                                      "invalid start byte")
+        else:
+            assert str(exc.value) == f"line {reported}: month must be in 1..12"
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("bad, error_at, reported", CASES)
+    def test_stock_file(self, tmp_path, newline, bad, error_at, reported):
+        days = [date.fromordinal(date(2020, 1, 1).toordinal() + i).isoformat().encode() for i in range(599)]
+        lines = [b"Date,Open,High,Low,Close,Volume"] + [day + b",10.5,12.5,9.5,11.5,1000" for day in days]
+        path = self.write(tmp_path / "s.csv", lines, bad, b"2019-01-01,10.5,x,9.5,11.5,1000", error_at, newline)
+        with pytest.raises(UnparseableRowError) as exc:
+            load_stock_csv(path)
+        assert exc.value.line_number == reported
+        if reported == bad:
+            assert str(exc.value) == (f"line {bad}: 'utf-8' codec can't decode byte 0xff in position 17: "
+                                      "invalid start byte")
+        else:
+            assert str(exc.value) == f"line {reported}: could not convert string to float: 'x'"
+
+
 class TestLoaderMatchesPerLineOracle:
     DATES = ["2020-01-02", "2020-01-03", "2020-01-04", "2019-12-31", "2020-01-02T23:30:00-05:00",
              "2020-01-03 00:10", "2020-01-02T10:00:00Z", "2020-01-05T01:00:00+05:30"]

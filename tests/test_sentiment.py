@@ -238,6 +238,22 @@ class TestScoreCorpus:
         with pytest.raises(ValueError):
             table.probabilities("bogus")
 
+    def test_missing_pos_text_fails_pos_variants_only(self):
+        """The first tweet that lacks pos_text is named by each pos variant's
+        own error; the cleaned variants still score every tweet."""
+        from datetime import date
+
+        tweets = [Tweet(id=str(i), date=date(2023, 1, 2 + i), raw_text="growth", cleaned_text="growth",
+                        pos_tagged_text=None if i in (1, 2) else "growth") for i in range(4)]
+        table = score_corpus(LEXICON, corpus_of(tweets), list(VARIANTS))
+        for variant in ("cleaned_prosus", "cleaned_yiyanghkust"):
+            assert table.probabilities(variant).tolist() == [[1.0, 0.0, 0.0]] * 4
+        for variant in ("pos_prosus", "pos_yiyanghkust"):
+            with pytest.raises(MissingVariantTextError) as exc:
+                table.probabilities(variant)
+            assert (exc.value.tweet_id, exc.value.variant) == ("1", variant)
+            assert str(exc.value) == f"tweet '1' has no text for variant {variant!r}"
+
     def test_stored_scores_satisfy_invariants(self):
         corpus = make_corpus([("1", "2023-01-02", "growth crash growth"),
                               ("2", "2023-01-03", "crash crash flat")])
@@ -429,3 +445,18 @@ class TestMergedCorpusScores:
         path = self.write_scores(tmp_path, ["0:1", "a", "1", "b"])
         with pytest.raises(AmbiguousTweetIdError, match="line 4: tweet id '1'"):
             load_precomputed_scores(path, self.merged())
+
+    @pytest.mark.parametrize("row, error", [
+        ("9,cleaned_prosus,1,0,0", UnknownTweetIdError),
+        ("1,cleaned_prosus,1,0,0", AmbiguousTweetIdError),
+        ("a,cleaned_prosus,0.6,0.4,0.2", ProbabilityRowInvalidError),
+    ], ids=["unknown", "ambiguous", "not-a-distribution"])
+    def test_row_error_carries_its_line_number(self, tmp_path, row, error):
+        """Each error of a score row is an UnparseableRowError whose line
+        number, blank lines counted, is the one its message starts with."""
+        path = tmp_path / "scores.csv"
+        path.write_text(f"tweet_id,variant,p_pos,p_neg,p_neu\n0:1,pos_prosus,1,0,0\n\n{row}\n")
+        with pytest.raises(error) as exc:
+            load_precomputed_scores(path, self.merged())
+        assert isinstance(exc.value, UnparseableRowError)
+        assert exc.value.line_number == 4 and str(exc.value).startswith("line 4: ")
