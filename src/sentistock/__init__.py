@@ -6,6 +6,13 @@ scaled features, and evaluates forecasts with error, fit, directional and
 time-offset indicators.
 """
 
+import os
+
+# One BLAS thread, set before numpy loads, so that result bytes do not depend
+# on the CPU count; a count already set is kept (README, "Determinism").
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 from . import errors
 from .dataset import (
     ColumnScaler,

@@ -12,11 +12,14 @@ class MissingColumnError(SentiStockError):
 
 
 class UnparseableRowError(SentiStockError):
-    """An input line could not be parsed; carries its 1-based line number."""
+    """An input line could not be parsed; carries its 1-based line number and
+    the reason, and names the line's file when given its path."""
 
-    def __init__(self, line_number, message):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, line_number, reason, path=None):
+        where = f"line {line_number}" if path is None else f"{path}: line {line_number}"
+        super().__init__(f"{where}: {reason}")
         self.line_number = line_number
+        self.reason = reason
 
 
 class EmptySeriesError(SentiStockError):

@@ -37,6 +37,9 @@ logger = logging.getLogger(__name__)
 CONFIG_VERSION = 1
 SUMMARY_COLUMNS = ("scrip", "variant", "lookback", "val_score", "r2", "rmse", "mae", "T", "acc", "units")
 DEFAULT_LOOKBACKS = (5, 10, 20, 30, 60, 90)
+# The fields of a record, and of its history, that its JSON file holds, in file order.
+_RECORD_KEYS = ("scrip", "variant", "lookback", "seed", "fingerprint", "error", "failed_stage")
+_HISTORY_KEYS = ("n_epochs", "best_epoch", "stopped_early")
 # Per field annotation, the exact types a value (a list's items) may have and
 # the error's name for them: an int is a number, and a bool is neither.
 _FIELD_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
@@ -125,7 +128,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or a byte that is not UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object, not a {type(raw).__name__}")
@@ -240,19 +243,6 @@ def _stage(name: str):
         raise PipelineError(name, exc) from exc
 
 
-def merge_corpora(corpora: list[TweetCorpus]) -> TweetCorpus:
-    """Concatenate corpora; with several sources, ids get a source prefix."""
-    if len(corpora) == 1:
-        return corpora[0]
-    def joined(column: str) -> list:
-        return [value for corpus in corpora for value in getattr(corpus, column)]
-
-    ids = [f"{index}:{tweet_id}" for index, corpus in enumerate(corpora) for tweet_id in corpus.ids]
-    return TweetCorpus.by_date(ids, np.concatenate([corpus.ordinals for corpus in corpora]),
-                               joined("raw_texts"), joined("cleaned_texts"), joined("pos_texts"),
-                               sources=len(corpora))
-
-
 def load_stock(cfg: ExperimentConfig) -> MasterDataset:
     """Stage load_stock: read the configured stock file."""
     with _stage("load_stock"):
@@ -289,7 +279,7 @@ def build_masters(cfg: ExperimentConfig, stock: MasterDataset,
         raise ConfigError("with_sentiment=true requires at least one tweet file")
     try:
         with _stage("load_tweets"):
-            corpus = merge_corpora([tweet_loader(f) for f in cfg.tweet_files])
+            corpus = tweet_loader(*cfg.tweet_files)
         with _stage("score"):  # a variant that could not be scored fails alone in build_master
             table = score_corpus(cfg.scorer, corpus, cfg.variants)
     except PipelineError as exc:
@@ -323,11 +313,8 @@ def train_model(windows: ds.WindowedSet, cfg: ExperimentConfig,
                 seed: int) -> tuple[nn.BiLstmModel, nn.TrainingHistory]:
     """Stages create_model and train on the training windows."""
     with _stage("create_model"):
-        model = nn.init_model(nn.ModelConfig(
-            hidden_units=cfg.hidden_units,
-            input_shape=windows.X.shape[1:],
-            seed=seed,
-        ))
+        model = nn.init_model(nn.ModelConfig(hidden_units=cfg.hidden_units,
+                                             input_shape=windows.X.shape[1:], seed=seed))
     with _stage("train"):
         history = nn.train(model, windows, cfg.training)
     return model, history
@@ -347,23 +334,14 @@ def evaluate_model(model: nn.BiLstmModel, cell: CellData, windows: ds.WindowedSe
         pred_data = ds.inverse_transform(cell.scalers, TARGET_COLUMN, pred_scaled)
         actual_data = ds.inverse_transform(cell.scalers, TARGET_COLUMN, actual_scaled)
     with _stage("evaluate"):
-        if cfg.metric_units == "scaled":
-            pred_eval, actual_eval = pred_scaled, actual_scaled
-        else:
-            pred_eval, actual_eval = pred_data, actual_data
+        scaled = cfg.metric_units == "scaled"
+        pred_eval, actual_eval = (pred_scaled, actual_scaled) if scaled else (pred_data, actual_data)
         mae, rmse, r2 = em.compute_metrics(pred_eval, actual_eval)
         max_lag = min(cfg.max_lag, len(pred_eval) - 2)
         offset, acc = em.best_time_offset(pred_eval, actual_eval, max_lag)
-        report = em.EvalReport(
-            mae=mae,
-            rmse=rmse,
-            r2=r2,
-            val_score=None if history is None else em.validation_score(history),
-            time_offset=offset,
-            acc=acc,
-            n_samples=len(pred_eval),
-            units=cfg.metric_units,
-        )
+        val_score = None if history is None else em.validation_score(history)
+        report = em.EvalReport(mae=mae, rmse=rmse, r2=r2, val_score=val_score, time_offset=offset,
+                               acc=acc, n_samples=len(pred_eval), units=cfg.metric_units)
     return Evaluation(report=report, test_dates=cell.test.calendar[windows.lookback:],
                       actual=actual_data, predicted=pred_data)
 
@@ -476,22 +454,10 @@ def write_record_artifacts(record: ExperimentRecord, out_dir: str | Path) -> lis
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     record_path = out_dir / f"{_record_stem(record)}_record.json"
-    blob = {
-        "scrip": record.scrip,
-        "variant": record.variant,
-        "lookback": record.lookback,
-        "seed": record.seed,
-        "fingerprint": record.fingerprint,
-        "error": record.error,
-        "failed_stage": record.failed_stage,
-    }
+    blob = {name: getattr(record, name) for name in _RECORD_KEYS}
     if record.ok:
         blob["report"] = asdict(record.report)
-        blob["history"] = {
-            "n_epochs": record.history.n_epochs,
-            "best_epoch": record.history.best_epoch,
-            "stopped_early": record.history.stopped_early,
-        }
+        blob["history"] = {name: getattr(record.history, name) for name in _HISTORY_KEYS}
         blob["artifacts"] = [p.name for p in _loss_and_pred_paths(record, out_dir)]
     with open(record_path, "w", encoding="utf-8") as fh:
         json.dump(blob, fh, indent=2)

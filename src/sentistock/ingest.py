@@ -94,8 +94,8 @@ class TweetCorpus:
     """Tweets as columns, sorted by date ascending with unique ids.
 
     ``ordinals`` holds each tweet's ``date.toordinal()``; iterating yields
-    Tweet rows. ``sources`` counts the tweet files merged into the corpus;
-    with more than one, each id is ``<file index>:<id in its file>``.
+    Tweet rows. ``sources`` counts the tweet files load_tweets read into the
+    corpus; with more than one, each id is ``<file index>:<id in its file>``.
     """
 
     ids: list[str]
@@ -121,6 +121,16 @@ class TweetCorpus:
     def __iter__(self) -> Iterator[Tweet]:
         days = map(date.fromordinal, self.ordinals.tolist())
         return map(Tweet, self.ids, days, self.raw_texts, self.cleaned_texts, self.pos_texts)
+
+    def id_rows(self) -> tuple[dict[str, int], set[str]]:
+        """The row of each name of a tweet, and the names of several tweets. A tweet
+        is named by its id and, with several sources, by its id in its own file."""
+        rows, ambiguous = {}, set()
+        for row, tweet_id in enumerate(self.ids):
+            for name in (tweet_id, tweet_id.partition(":")[2]) if self.sources > 1 else (tweet_id,):
+                if rows.setdefault(name, row) != row:
+                    ambiguous.add(name)
+        return rows, ambiguous
 
 
 def clean_tweets(raws: list[str]) -> list[str]:
@@ -303,17 +313,10 @@ def parse_tweet_date(text: str) -> date:
     return local.astimezone(timezone.utc).date()
 
 
-def load_tweets(path: str | Path) -> TweetCorpus:
-    """Read line-delimited JSON tweets into a date-sorted corpus.
-
-    Each line needs ``date`` (ISO day or timestamp, see parse_tweet_date) and
-    ``text``; ``id`` and ``pos_text`` are optional, and null counts as absent.
-    An id is a string or an integer, kept as its decimal string; missing ids
-    are assigned sequentially in file order. Lines are checked in file order,
-    so the first bad one, a byte that is not UTF-8 included, is reported.
-    Raises UnparseableRecordError or EmptyCorpusError.
-    """
-    ids, ordinals, raws, pos_texts = [], [], [], []
+def _read_tweet_file(path: str | Path, ordinals: list[int], raws: list[str],
+                     pos_texts: list[str | None]) -> list[str]:
+    """One tweet file's ids in file order; appends its day ordinals, raw texts and pos texts."""
+    ids = []
     seen_ids = set()
     day_ordinals: dict[str, int] = {}
     with closing(_read_lines(path, error=UnparseableRecordError)) as lines:
@@ -354,8 +357,32 @@ def load_tweets(path: str | Path) -> TweetCorpus:
             pos_texts.append(pos_text)
     if not ids:
         raise EmptyCorpusError(f"no tweet records in {path}")
+    return ids
+
+
+def load_tweets(path: str | Path, *more_paths: str | Path) -> TweetCorpus:
+    """Read line-delimited JSON tweets from one or more files into one date-sorted corpus.
+
+    Each line needs ``date`` (ISO day or timestamp, see parse_tweet_date) and
+    ``text``; ``id`` and ``pos_text`` are optional, and null counts as absent.
+    An id is a string or an integer, kept as its decimal string and unique in
+    its file, where missing ids are numbered from 0. With several files, ids
+    become ``<file index>:<id>`` and an error names its file. Lines are checked
+    in file order, so the first bad one, a byte that is not UTF-8 included, is
+    reported. Raises UnparseableRecordError or EmptyCorpusError.
+    """
+    paths = (path, *more_paths)
+    ids, ordinals, raws, pos_texts = [], [], [], []
+    for index, tweet_file in enumerate(paths):
+        try:
+            file_ids = _read_tweet_file(tweet_file, ordinals, raws, pos_texts)
+        except UnparseableRecordError as exc:
+            if not more_paths:
+                raise
+            raise UnparseableRecordError(exc.line_number, exc.reason, tweet_file) from exc
+        ids += [f"{index}:{tweet_id}" for tweet_id in file_ids] if more_paths else file_ids
     # Cleaned as one batch once every record has parsed.
-    return TweetCorpus.by_date(ids, ordinals, raws, clean_tweets(raws), pos_texts)
+    return TweetCorpus.by_date(ids, ordinals, raws, clean_tweets(raws), pos_texts, len(paths))
 
 
 def write_tweets(corpus: TweetCorpus, path: str | Path) -> None:

@@ -16,7 +16,9 @@ concatenated (2H features per step) and fed to layer 2. The head consumes
 each direction's final processed state of layer 2: the forward state at the
 last step and the backward state at the first step. Gradients come from full
 backpropagation through time; updates use Adam. Everything is float64 numpy
-and fully deterministic for a fixed seed.
+and fully deterministic for a fixed seed and BLAS thread count. Importing
+the package sets one BLAS thread, unless the environment already names a
+count or numpy was imported first (README, "Determinism").
 
 Both directions of a layer run as one stacked recurrence, after Appleyard et
 al., "Optimizing Performance of Recurrent Neural Networks on GPUs"

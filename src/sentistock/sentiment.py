@@ -182,8 +182,7 @@ def score_corpus(
 def load_precomputed_scores(path: str | Path, corpus: TweetCorpus) -> ScoreTable:
     """Load externally computed scores, validating probability rows.
 
-    A row's ``tweet_id`` is a corpus id or, in a corpus merged from several
-    files (ids ``<file index>:<id>``), a tweet's id in its own file; one that
+    A row's ``tweet_id`` names a tweet as TweetCorpus.id_rows does: one that
     names two tweets raises AmbiguousTweetIdError, one naming none
     UnknownTweetIdError. Rows of non-negative probabilities summing within
     1e-3 of 1 are renormalized; others raise ProbabilityRowInvalidError. A variant that
@@ -191,12 +190,7 @@ def load_precomputed_scores(path: str | Path, corpus: TweetCorpus) -> ScoreTable
     or repeated column, a row of the wrong field count), an unknown variant, a non-numeric
     probability or a second row for one (tweet, variant) raises UnparseableRowError.
     """
-    rows: dict[str, int] = {}
-    ambiguous: set[str] = set()
-    for row, tweet_id in enumerate(corpus.ids):
-        for key in (tweet_id, tweet_id.partition(":")[2]) if corpus.sources > 1 else (tweet_id,):
-            if rows.setdefault(key, row) != row:
-                ambiguous.add(key)
+    rows, ambiguous = corpus.id_rows()
     arrays = {variant: np.full((len(corpus), 3), np.nan) for variant in VARIANTS}
     seen: dict[tuple[int, str], int] = {}  # (tweet row, variant) -> its line
     csv_rows = read_csv(path, SCORE_COLUMNS)

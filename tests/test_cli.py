@@ -403,3 +403,37 @@ def test_non_utf8_locale_reads_and_writes_utf8(tmp_path):
 def test_missing_input_exit_code(tmp_path):
     assert main(["clean", "--tweets", str(tmp_path / "none.jsonl"),
                  "--out", str(tmp_path / "o.jsonl")]) == 2
+
+
+def test_grid_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """Run as ``python -m sentistock``, which sets one BLAS thread before numpy
+    loads: a grid writes the same bytes with OPENBLAS_NUM_THREADS unset (every
+    CPU, without the pin) and set to 1.
+
+    A BLAS that splits a reduction over threads rounds it differently. Without
+    the pin, two threads give other gradients at (w, B, H, F) = (20, 23, 50, 8)
+    and so other loss, prediction and summary files. The 198 training windows
+    end in a ragged batch of 14. On a one-CPU runner BLAS runs one thread
+    either way, so there this test checks nothing.
+    """
+    stock = synth.random_walk_stock(300, seed=3, symbol="DET")
+    write_stock_csv(stock, tmp_path / "DET.csv")
+    write_tweets(synth.random_tweets(stock.calendar, per_day=2, seed=5), tmp_path / "t.jsonl")
+    config = {"config_version": 1, "stock_file": "DET.csv", "tweet_files": ["t.jsonl"],
+              "variants": ["cleaned_prosus"], "lookbacks": [20], "hidden_units": 50,
+              "batch_size": 23, "epochs": 1}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    n_windows = int(0.8 * 300) - 20
+    assert (n_windows - int(np.ceil(0.1 * n_windows))) % 23 == 14
+    src = str(Path(sentistock.__file__).parents[1])
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for name, threads in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        subprocess.run([sys.executable, "-m", "sentistock", "grid", "--config", "config.json",
+                        "--out-dir", name], env={**base, **threads}, cwd=tmp_path, check=True,
+                       capture_output=True)
+        outputs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+    assert len(outputs[0]) == 4  # summary, loss, prediction and record files
+    assert outputs[0] == outputs[1]

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import logging
 import math
+import re
 import weakref
 
 import numpy as np
@@ -240,9 +241,9 @@ class TestRunGrid:
         second.write_bytes(tweets_path.read_bytes())
         calls = []
 
-        def counting_loader(path):
-            calls.append(path)
-            return load_tweets(path)
+        def counting_loader(*paths):
+            calls.append(paths)
+            return load_tweets(*paths)
 
         cfg = fast_config(
             stock_file=str(stock_path), tweet_files=[str(tweets_path), str(second)],
@@ -250,7 +251,7 @@ class TestRunGrid:
         )
         records = run_grid(cfg, tweet_loader=counting_loader)
         assert len(records) == 6 and all(r.ok for r in records)
-        assert calls == [str(tweets_path), str(second)]
+        assert calls == [(str(tweets_path), str(second))]
 
     def test_each_text_form_scored_once_per_grid(self, synthetic_inputs, monkeypatch):
         stock_path, tweets_path = synthetic_inputs
@@ -550,6 +551,15 @@ class TestConfigFile:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"bogus": 1}))
         with pytest.raises(ConfigError):
+            load_config(path)
+
+    @pytest.mark.parametrize("content", [b'{"config_version": 1, "scrip": "A\xff"}', b'{"config_version": 1,'],
+                             ids=["undecodable-byte", "bad-json"])
+    def test_unreadable_file_names_itself(self, tmp_path, content):
+        """A byte that is not UTF-8 is a ConfigError naming the file, as bad JSON is."""
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match=f"cannot read config {re.escape(str(path))}: "):
             load_config(path)
 
     def test_bad_version_rejected(self, tmp_path):

@@ -13,7 +13,6 @@ from sentistock.errors import (
     UnparseableRowError,
 )
 from sentistock import synth
-from sentistock.harness import merge_corpora
 from sentistock.ingest import (
     Tweet,
     TweetCorpus,
@@ -84,12 +83,23 @@ def reference_merge(files):
     return tweets
 
 
-def loader_outcome(loader, path):
-    """What a loader does with a file: its rows, or its error's type, line and text."""
+def loader_outcome(loader, *paths):
+    """What a loader does with its files: its rows, or its error's type, line and text."""
     try:
-        return list(loader(path))
+        return list(loader(*paths))
     except (UnparseableRecordError, EmptyCorpusError) as exc:
         return type(exc), getattr(exc, "line_number", None), str(exc)
+
+
+def reference_merge_outcome(files):
+    """What loading several files gives: reference_merge's rows, or the error
+    of the first file that fails, its path before its line."""
+    for path in files:
+        outcome = loader_outcome(reference_load_tweets, path)
+        if not isinstance(outcome, list):
+            error, line_number, message = outcome
+            return error, line_number, message if line_number is None else f"{path}: {message}"
+    return reference_merge(files)
 
 
 class TestCleanTweet:
@@ -555,9 +565,75 @@ class TestLoaderMatchesPerLineOracle:
         for case in range(40):
             files = [self.write(tmp_path / f"t{k}.jsonl", self.random_lines(rng, int(rng.integers(1, 40))))
                      for k in range(int(rng.integers(2, 4)))]
-            merged = merge_corpora([load_tweets(path) for path in files])
+            merged = load_tweets(*files)
             assert merged.sources == len(files)
             assert list(merged) == reference_merge(files), f"case {case}"
+            assert merged.ordinals.dtype == np.int64
+
+    def test_random_corruption_in_merged_files(self, tmp_path):
+        """The first file with a bad line or no record fails the load, named
+        before the line it fails at; an error of a later file is not reached."""
+        rng = np.random.default_rng(24)
+        corruptions = ['{"date": "2020-01-02", "text": "a"', '{"date": "2020-13-02", "text": "a"}',
+                       '{"id": "x0", "date": "2020-01-02", "text": "a"}', '[1, 2]']
+        for case in range(60):
+            files = []
+            for k in range(int(rng.integers(2, 4))):
+                lines = self.random_lines(rng, int(rng.integers(0, 20)))
+                if rng.random() < 0.3:
+                    lines.insert(int(rng.integers(0, len(lines) + 1)), str(rng.choice(corruptions)))
+                files.append(self.write(tmp_path / f"t{k}.jsonl", lines))
+            assert loader_outcome(load_tweets, *files) == reference_merge_outcome(files), f"case {case}"
+
+    def test_files_without_ids(self, tmp_path):
+        """Each file numbers its missing ids from 0, so they repeat across files
+        and differ only by their file index."""
+        files = [self.write(tmp_path / "a.jsonl", ['{"date": "2020-01-03", "text": "a0"}',
+                                                   '{"date": "2020-01-02", "text": "a1"}']),
+                 self.write(tmp_path / "b.jsonl", ['{"date": "2020-01-04", "text": "b0"}',
+                                                   '{"date": "2020-01-01", "text": "b1"}'])]
+        corpus = load_tweets(*files)
+        assert corpus.ids == ["1:1", "0:1", "0:0", "1:0"]
+        assert list(corpus) == reference_merge(files)
+        rows, ambiguous = corpus.id_rows()
+        assert ambiguous == {"0", "1"}
+        assert {name: rows[name] for name in corpus.ids} == {"1:1": 0, "0:1": 1, "0:0": 2, "1:0": 3}
+
+    def test_same_day_tweets_keep_file_order(self, tmp_path):
+        day = "2020-01-02"
+        files = [self.write(tmp_path / f"t{k}.jsonl", [f'{{"id": "{k}{i}", "date": "{day}", "text": "t"}}'
+                                                     for i in range(3)]) for k in range(2)]
+        corpus = load_tweets(*files)
+        assert corpus.ids == ["0:00", "0:01", "0:02", "1:10", "1:11", "1:12"]
+        assert list(corpus) == reference_merge(files)
+
+    def test_id_repeated_across_files_is_kept(self, tmp_path):
+        """Ids are checked for repeats within each file only."""
+        files = [self.write(tmp_path / f"t{k}.jsonl", [self.GOOD]) for k in range(2)]
+        assert load_tweets(*files).ids == ["0:g", "1:g"]
+
+    def test_empty_second_file(self, tmp_path):
+        files = [self.write(tmp_path / "t0.jsonl", [self.GOOD]), self.write(tmp_path / "t1.jsonl", ["", " "])]
+        with pytest.raises(EmptyCorpusError, match=f"^no tweet records in {re.escape(str(files[1]))}$"):
+            load_tweets(*files)
+
+    @pytest.mark.parametrize("second, reason", [
+        (b'{"date": "2020-01-06", "text": ', "Expecting value: line 1 column 32 (char 31)"),
+        (b'{"date": "2020-01-06", "text": "fl\xffat"}',
+         "'utf-8' codec can't decode byte 0xff in position 34: invalid start byte"),
+    ], ids=["bad-json", "undecodable-byte"])
+    def test_bad_line_in_second_file_names_the_file(self, tmp_path, second, reason):
+        first = self.write(tmp_path / "t0.jsonl", [self.GOOD])
+        path = tmp_path / "t1.jsonl"
+        path.write_bytes(self.GOOD.encode() + b"\n" + second + b"\n")
+        with pytest.raises(UnparseableRecordError) as exc:
+            load_tweets(first, path)
+        assert isinstance(exc.value, UnparseableRowError)
+        assert exc.value.line_number == 2
+        assert str(exc.value) == f"{path}: line 2: {reason}"
+        with pytest.raises(UnparseableRecordError) as alone:  # one file: the message names no file
+            load_tweets(path)
+        assert str(alone.value) == f"line 2: {reason}"
 
     def test_random_corruption_reported_alike(self, tmp_path):
         rng = np.random.default_rng(23)

@@ -12,8 +12,7 @@ from sentistock.errors import (
     UnparseableRowError,
 )
 from sentistock import sentiment
-from sentistock.harness import merge_corpora
-from sentistock.ingest import Tweet
+from sentistock.ingest import Tweet, load_tweets, write_tweets
 from sentistock.sentiment import (
     LABELS,
     SCORE_COLUMNS,
@@ -415,10 +414,12 @@ class TestPrecomputedScores:
 
 
 class TestMergedCorpusScores:
-    def merged(self):
-        first = make_corpus([("1", "2023-01-02", "x"), ("a", "2023-01-03", "y")])
-        second = make_corpus([("1", "2023-01-02", "z"), ("b", "2023-01-04", "w")])
-        return merge_corpora([first, second])
+    def merged(self, tmp_path):
+        """The corpus of two tweet files that both hold an id '1'."""
+        files = [tmp_path / "first.jsonl", tmp_path / "second.jsonl"]
+        write_tweets(make_corpus([("1", "2023-01-02", "x"), ("a", "2023-01-03", "y")]), files[0])
+        write_tweets(make_corpus([("1", "2023-01-02", "z"), ("b", "2023-01-04", "w")]), files[1])
+        return load_tweets(*files)
 
     def write_scores(self, tmp_path, ids):
         path = tmp_path / "scores.csv"
@@ -427,7 +428,7 @@ class TestMergedCorpusScores:
         return path
 
     def test_rows_match_by_own_or_merged_id(self, tmp_path):
-        corpus = self.merged()
+        corpus = self.merged(tmp_path)
         path = self.write_scores(tmp_path, ["0:1", "a", "1:1", "b"])
         config = ScorerConfig(kind="precomputed", source=path)
         table = score_corpus(config, corpus, ["cleaned_prosus"])
@@ -439,12 +440,12 @@ class TestMergedCorpusScores:
         path = self.write_scores(tmp_path, ["0:a", "b", "a"])
         with pytest.raises(UnparseableRowError, match="line 4: tweet '0:a', variant 'cleaned_prosus' "
                                                       "was already scored at line 2"):
-            load_precomputed_scores(path, self.merged())
+            load_precomputed_scores(path, self.merged(tmp_path))
 
     def test_id_of_two_files_is_ambiguous(self, tmp_path):
         path = self.write_scores(tmp_path, ["0:1", "a", "1", "b"])
         with pytest.raises(AmbiguousTweetIdError, match="line 4: tweet id '1'"):
-            load_precomputed_scores(path, self.merged())
+            load_precomputed_scores(path, self.merged(tmp_path))
 
     @pytest.mark.parametrize("row, error", [
         ("9,cleaned_prosus,1,0,0", UnknownTweetIdError),
@@ -457,6 +458,6 @@ class TestMergedCorpusScores:
         path = tmp_path / "scores.csv"
         path.write_text(f"tweet_id,variant,p_pos,p_neg,p_neu\n0:1,pos_prosus,1,0,0\n\n{row}\n")
         with pytest.raises(error) as exc:
-            load_precomputed_scores(path, self.merged())
+            load_precomputed_scores(path, self.merged(tmp_path))
         assert isinstance(exc.value, UnparseableRowError)
         assert exc.value.line_number == 4 and str(exc.value).startswith("line 4: ")
