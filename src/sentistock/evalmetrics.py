@@ -26,7 +26,7 @@ class EvalReport:
     mae: float
     rmse: float
     r2: float
-    val_score: float | None  # None when no training history was given
+    val_score: float | None  # None without a training history or a finite best-epoch validation R^2
     time_offset: int
     acc: float
     n_samples: int
@@ -118,8 +118,10 @@ def best_time_offset(pred, actual, max_lag: int = 14) -> tuple[int, float]:
     return best_lag, directional_accuracy(aligned_pred, aligned_actual)
 
 
-def validation_score(history) -> float:
-    """Validation R^2 at the best epoch of a training history."""
+def validation_score(history) -> float | None:
+    """Validation R^2 at the best epoch of a training history; None when it is
+    not finite (no validation windows, fewer than two, or a constant target)."""
     if len(history.val_r2) == 0:
         raise EmptyHistoryError("history has no epochs")
-    return float(history.val_r2[history.best_epoch])
+    score = float(history.val_r2[history.best_epoch])
+    return score if np.isfinite(score) else None

@@ -40,6 +40,10 @@ DEFAULT_LOOKBACKS = (5, 10, 20, 30, 60, 90)
 # The fields of a record, and of its history, that its JSON file holds, in file order.
 _RECORD_KEYS = ("scrip", "variant", "lookback", "seed", "fingerprint", "error", "failed_stage")
 _HISTORY_KEYS = ("n_epochs", "best_epoch", "stopped_early")
+# Config fields a cell's fingerprint leaves out: the paths, whose data the
+# master stands for, and the grid's lists and base seed, which the cell's own
+# variant, lookback and seed stand for.
+_UNFINGERPRINTED = ("output_dir", "stock_file", "tweet_files", "scores_file", "variants", "lookbacks", "seed")
 # Per field annotation, the exact types a value (a list's items) may have and
 # the error's name for them: an int is a number, and a bool is neither.
 _FIELD_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
@@ -184,39 +188,15 @@ class CellData:
     test: MasterDataset
 
 
-def _hash_file(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def input_hashes(cfg: ExperimentConfig) -> dict:
-    """SHA-256 of each input file a run reads: tweet files only when the
-    sentiment path reads them, and the score file only when its scorer does."""
-    hashes = {}
-    if cfg.stock_file:
-        hashes["stock"] = _hash_file(cfg.stock_file)
-    if cfg.with_sentiment:
-        hashes["tweets"] = [_hash_file(f) for f in cfg.tweet_files]
-        if cfg.scorer_kind == "precomputed":
-            hashes["scores"] = _hash_file(cfg.scores_file)
-    return hashes
-
-
 def fingerprint(cfg: ExperimentConfig, variant: str, lookback: int, seed: int,
-                hashes: dict | None = None) -> str:
-    """Stable identity for (config but its output_dir, data hashes, cell).
-
-    ``hashes`` defaults to input_hashes(cfg); a grid hashes once for all cells.
-    """
-    payload = asdict(cfg)
-    del payload["output_dir"]
-    payload.update({"cell_variant": variant, "cell_lookback": lookback, "cell_seed": seed})
-    payload["data_hashes"] = input_hashes(cfg) if hashes is None else hashes
-    blob = json.dumps(payload, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()
+                master: MasterDataset | None) -> str:
+    """Stable identity of one cell: the config's values but its paths and grid
+    lists, the master the cell trains on (None when its master failed) and
+    the cell, so it does not depend on where the input files live."""
+    payload = {k: v for k, v in asdict(cfg).items() if k not in _UNFINGERPRINTED}
+    payload.update({"cell_variant": variant, "cell_lookback": lookback, "cell_seed": seed,
+                    "master": None if master is None else master_data_hash(master)})
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def master_data_hash(master: MasterDataset) -> str:
@@ -347,15 +327,9 @@ def evaluate_model(model: nn.BiLstmModel, cell: CellData, windows: ds.WindowedSe
 
 
 def run_master(master: MasterDataset, cfg: ExperimentConfig, variant: str, lookback: int,
-               seed: int, scrip: str, hashes: dict | None = None) -> ExperimentRecord:
-    """Scale, window, train, predict and evaluate a ready master dataset.
-
-    ``hashes`` as in fingerprint; without a stock file it also hashes the master.
-    """
-    hashes = input_hashes(cfg) if hashes is None else hashes
-    if not cfg.stock_file:
-        hashes = {**hashes, "inline_data": master_data_hash(master)}
-    fp = fingerprint(cfg, variant, lookback, seed, hashes)
+               seed: int, scrip: str) -> ExperimentRecord:
+    """Scale, window, train, predict and evaluate a ready master dataset."""
+    fp = fingerprint(cfg, variant, lookback, seed, master)
     cell = prepare_cell(master, cfg)
     train_windows = window(cell.train, lookback)
     test_windows = window(cell.test, lookback)
@@ -370,9 +344,11 @@ def run_grid(cfg: ExperimentConfig, tweet_loader=load_tweets) -> list[Experiment
 
     First, each once: read the stock, skip with a warning each lookback of
     at least half the test-set length (a ConfigError if none is left), build
-    every master (build_masters) and hash the input files. Then run the cells
-    variant-major with seed cfg.seed + cell index, a failed master failing
-    its cells. Writes summary and per-record artifacts when output_dir is set.
+    every master (build_masters). Then run the cells variant-major with seed
+    cfg.seed + cell index, a failed master failing its cells. Every record,
+    failed or not, is fingerprinted by its cell and its master (None for a
+    failed master). Writes summary and per-record artifacts when output_dir
+    is set.
     """
     stock = load_stock(cfg)
     n = stock.n_rows
@@ -386,11 +362,6 @@ def run_grid(cfg: ExperimentConfig, tweet_loader=load_tweets) -> list[Experiment
     if not usable:
         raise ConfigError(f"no lookback in {cfg.lookbacks} is below half the test set's {n_test} rows")
     masters = build_masters(cfg, stock, tweet_loader)
-    try:
-        hashes = input_hashes(cfg)
-    except OSError:
-        hashes = None  # an unreadable input fails every cell before training
-
     records = []
     for cell_index, (variant, lookback) in enumerate(product(masters, usable)):
         seed = cfg.seed + cell_index
@@ -398,24 +369,19 @@ def run_grid(cfg: ExperimentConfig, tweet_loader=load_tweets) -> list[Experiment
         try:
             if isinstance(master, PipelineError):
                 raise master
-            record = run_master(master, cfg, variant, lookback, seed, scrip=stock.symbol, hashes=hashes)
+            record = run_master(master, cfg, variant, lookback, seed, scrip=stock.symbol)
         except PipelineError as exc:
             logger.warning("cell (%s, %d) failed at %s: %s", variant, lookback, exc.stage, exc.cause)
-            record = _failure_record(cfg, stock.symbol, variant, lookback, seed, exc, hashes)
+            fp = fingerprint(cfg, variant, lookback, seed,
+                             None if isinstance(master, PipelineError) else master)
+            record = ExperimentRecord(scrip=stock.symbol, variant=variant, lookback=lookback, seed=seed,
+                                      fingerprint=fp, error=str(exc.cause), failed_stage=exc.stage)
         records.append(record)
     if cfg.output_dir is not None:
         emit_report(records, cfg.output_dir)
         for record in records:
             write_record_artifacts(record, cfg.output_dir)
     return records
-
-
-def _failure_record(cfg, scrip, variant, lookback, seed, exc: PipelineError, hashes):
-    fp = "" if hashes is None else fingerprint(cfg, variant, lookback, seed, hashes)
-    return ExperimentRecord(
-        scrip=scrip, variant=variant, lookback=lookback, seed=seed, fingerprint=fp,
-        error=str(exc.cause), failed_stage=exc.stage,
-    )
 
 
 def _fmt(value: float) -> str:

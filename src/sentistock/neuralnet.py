@@ -585,10 +585,15 @@ def save_model(model: BiLstmModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> BiLstmModel:
     """Load a model saved by save_model, checking its parameters against ``init_model``'s for
-    its config: ValueError names the file and any missing, unexpected, non-float or non-finite
-    parameter; InvalidShapeError a parameter of another shape, with both shapes."""
+    its config: ValueError names the file and a missing or non-object ``__meta__``, a missing
+    meta key, or any missing, unexpected, non-float or non-finite parameter; InvalidShapeError
+    a parameter of another shape, with both shapes."""
     with np.load(path, allow_pickle=False) as data:
+        if "__meta__" not in data.files:
+            raise ValueError(f"model file {path} has no __meta__")
         meta = json.loads(str(data["__meta__"]))
+        if not isinstance(meta, dict):
+            raise ValueError(f"model file {path}: __meta__ is not a JSON object")
         if meta.get("format_version") != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format {meta.get('format_version')}")
         if meta.get("activation") != "tanh":
@@ -596,6 +601,9 @@ def load_model(path: str | Path) -> BiLstmModel:
         if meta.get("output_head") != "linear":
             raise ValueError(f"unsupported output head {meta.get('output_head')!r}")
         params = {k: data[k].copy() for k in data.files if k != "__meta__"}
+    lacking = [key for key in ("hidden_units", "input_shape", "seed") if key not in meta]
+    if lacking:
+        raise ValueError(f"model file {path}: __meta__ lacks {', '.join(lacking)}")
     config = ModelConfig(
         hidden_units=meta["hidden_units"],
         input_shape=tuple(meta["input_shape"]),

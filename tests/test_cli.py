@@ -93,6 +93,8 @@ def test_train_and_evaluate_subcommands(workspace):
     ({"extra": np.zeros(3)}, "has unexpected extra"),
     ({"l1_fwd_Wh": np.zeros((5, 16))}, "l1_fwd_Wh has shape (5, 16), expected (4, 16)"),
     ({"head_b": np.array([np.nan])}, "head_b holds non-finite"),
+    ({"__meta__": None}, "has no __meta__"),
+    ({"__meta__": np.array("[1]")}, "__meta__ is not a JSON object"),
 ])
 def test_evaluate_rejects_bad_model_file(tmp_path, capsys, change, message):
     """A bad model file stops evaluate at load time, before it reads the master CSV."""

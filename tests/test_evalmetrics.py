@@ -164,3 +164,8 @@ class TestValidationScore:
     def test_empty_history(self):
         with pytest.raises(EmptyHistoryError):
             validation_score(TrainingHistory())
+
+    def test_non_finite_best_epoch_gives_none(self):
+        # no validation windows: every epoch's val_r2 is NaN
+        assert validation_score(self.history([float("nan")] * 2, 1)) is None
+        assert validation_score(self.history([0.5, float("-inf")], 1)) is None

@@ -20,7 +20,7 @@ from sentistock.harness import (
     run_grid,
     run_master,
 )
-from sentistock.ingest import load_tweets, write_stock_csv, write_tweets
+from sentistock.ingest import load_stock_csv, load_tweets, write_stock_csv, write_tweets
 from sentistock.mapping import MasterDataset
 from sentistock.sentiment import VARIANTS
 
@@ -81,8 +81,6 @@ class TestRunPipeline:
         stock_path, tweets_path = synthetic_inputs
         cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)],
                           variants=["cleaned_prosus"])
-        from sentistock.ingest import load_stock_csv
-
         [master] = harness.build_masters(cfg, load_stock_csv(stock_path)).values()
         assert len(master.columns) == 8
         [record] = run_grid(cfg)
@@ -102,6 +100,42 @@ class TestRunPipeline:
         with pytest.raises(PipelineError) as exc:
             run_grid(cfg)
         assert exc.value.stage == "load_stock"
+
+    def test_result_files_do_not_depend_on_input_location(self, synthetic_inputs, tmp_path):
+        """Copies of the inputs in a deeper directory, written to another output
+        directory, give byte-identical result files, records included."""
+        stock_path, tweets_path = synthetic_inputs
+        deep = tmp_path / "copies" / "deeper"
+        deep.mkdir(parents=True)
+        for path in (stock_path, tweets_path):
+            (deep / path.name).write_bytes(path.read_bytes())
+
+        def grid(stock, tweets, out):
+            run_grid(fast_config(stock_file=str(stock), tweet_files=[str(tweets)],
+                                 variants=["cleaned_prosus", "pos_prosus"], lookbacks=[2, 3], output_dir=str(out)))
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        first = grid(stock_path, tweets_path, tmp_path / "out")
+        second = grid(deep / stock_path.name, deep / tweets_path.name, tmp_path / "elsewhere" / "out2")
+        assert len(first) == 13 and sum(name.endswith("_record.json") for name in first) == 4
+        assert first.keys() == second.keys()
+        for name in first:
+            assert first[name] == second[name], name
+
+    def test_record_is_strict_json_without_validation(self, synthetic_inputs, tmp_path):
+        """No validation windows: val_score is null in the record, not NaN, and empty in the summary."""
+        stock_path, tweets_path = synthetic_inputs
+        out = tmp_path / "out"
+        run_grid(fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)],
+                             variants=["cleaned_prosus"], validation_split=0, output_dir=str(out)))
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        record = json.loads((out / "SYN_cleaned_prosus_w3_record.json").read_text(), parse_constant=reject)
+        assert record["error"] is None and record["report"]["val_score"] is None
+        [row] = csv.DictReader((out / "summary_SYN.csv").read_text().splitlines())
+        assert row["val_score"] == "" and row["r2"] != ""
 
     def test_artifacts_written(self, synthetic_inputs, tmp_path):
         stock_path, tweets_path = synthetic_inputs
@@ -293,12 +327,7 @@ class TestRunGrid:
         cell_files = sorted(p.name for p in cleaned_out.iterdir() if not p.name.startswith("summary_"))
         assert len(cell_files) == 4 * 3
         for name in cell_files:
-            got, want = (all_out / name).read_bytes(), (cleaned_out / name).read_bytes()
-            if name.endswith("_record.json"):
-                # the fingerprint hashes the configured variant list, which differs
-                got, want = json.loads(got), json.loads(want)
-                del got["fingerprint"], want["fingerprint"]
-            assert got == want, name
+            assert (all_out / name).read_bytes() == (cleaned_out / name).read_bytes(), name
 
     def test_two_tweet_files_with_precomputed_scores(self, synthetic_inputs, tmp_path):
         stock_path, tweets_path = synthetic_inputs
@@ -385,47 +414,48 @@ class TestRunGrid:
 
 
 class TestFingerprint:
-    def test_stable_and_sensitive(self, synthetic_inputs):
-        stock_path, tweets_path = synthetic_inputs
-        cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)])
-        a = fingerprint(cfg, "cleaned_prosus", 3, 0)
-        b = fingerprint(cfg, "cleaned_prosus", 3, 0)
-        assert a == b
-        assert fingerprint(cfg, "cleaned_prosus", 3, 1) != a
-        assert fingerprint(cfg, "cleaned_prosus", 4, 0) != a
-        cfg2 = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)], epochs=4)
-        assert fingerprint(cfg2, "cleaned_prosus", 3, 0) != a
+    def test_stable_and_sensitive(self):
+        cfg = fast_config()
+        master = synth.sentiment_driven_master(n_days=60, seed=0)
+        a = fingerprint(cfg, "cleaned_prosus", 3, 0, master)
+        assert fingerprint(cfg, "cleaned_prosus", 3, 0, master) == a
+        assert fingerprint(cfg, "cleaned_prosus", 3, 1, master) != a
+        assert fingerprint(cfg, "cleaned_prosus", 4, 0, master) != a
+        assert fingerprint(cfg, "pos_prosus", 3, 0, master) != a
+        assert fingerprint(cfg, "cleaned_prosus", 3, 0, None) != a
+        assert fingerprint(fast_config(epochs=4), "cleaned_prosus", 3, 0, master) != a
+        # paths, the grid's lists and its base seed are not the cell's identity
+        grid_level = fast_config(stock_file="elsewhere/SYN.csv", tweet_files=["t.jsonl"], scores_file="s.csv",
+                                 output_dir="out", variants=["pos_prosus"], lookbacks=[7, 9], seed=5)
+        assert fingerprint(grid_level, "cleaned_prosus", 3, 0, master) == a
 
     def test_data_change_changes_fingerprint(self, synthetic_inputs):
-        stock_path, tweets_path = synthetic_inputs
-        cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)])
-        a = fingerprint(cfg, "cleaned_prosus", 3, 0)
+        stock_path, _ = synthetic_inputs
+        cfg = fast_config(stock_file=str(stock_path), with_sentiment=False)
+        a = fingerprint(cfg, "none", 3, 0, load_stock_csv(stock_path))
         with open(stock_path, "a") as fh:
             fh.write("2021-12-31,1,2,0.5,1.5,10\n")
-        assert fingerprint(cfg, "cleaned_prosus", 3, 0) != a
+        assert fingerprint(cfg, "none", 3, 0, load_stock_csv(stock_path)) != a
 
-    def test_input_files_hashed_once_per_grid(self, synthetic_inputs, monkeypatch):
+    def test_grid_fingerprints_each_cell_by_its_master(self, synthetic_inputs, tmp_path):
+        """Ok and failed cells alike: a cell whose master failed has master None."""
         stock_path, tweets_path = synthetic_inputs
-        hashed = []
-        real = harness._hash_file
-
-        def recording(path):
-            hashed.append(str(path))
-            return real(path)
-
-        monkeypatch.setattr(harness, "_hash_file", recording)
-        cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)],
+        nopos = tmp_path / "nopos.jsonl"
+        nopos.write_text("".join(json.dumps({k: v for k, v in json.loads(line).items() if k != "pos_text"}) + "\n"
+                                 for line in tweets_path.read_text().splitlines()))
+        cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(nopos)],
                           variants=["cleaned_prosus", "pos_prosus"], lookbacks=[2, 3])
+        masters = harness.build_masters(cfg, load_stock_csv(stock_path))
         records = run_grid(cfg)
-        assert sorted(hashed) == sorted([str(stock_path), str(tweets_path)])
-        monkeypatch.undo()
-        assert len(records) == 4
+        assert [r.ok for r in records] == [True, True, False, False]
         for r in records:
-            assert r.fingerprint == fingerprint(cfg, r.variant, r.lookback, r.seed)
+            master = masters[r.variant] if r.ok else None
+            assert r.fingerprint == fingerprint(cfg, r.variant, r.lookback, r.seed, master)
+        assert len({r.fingerprint for r in records}) == 4
 
     def test_lexicon_grid_ignores_scores_file(self, tmp_path):
         """The lexicon scorer reads no score file, so a grid whose config names
-        a missing one neither hashes nor opens it."""
+        a missing one never opens it."""
         stock = synth.random_walk_stock(n_days=200, seed=1, symbol="SYN")
         stock_path, tweets_path = tmp_path / "SYN.csv", tmp_path / "tweets.jsonl"
         write_stock_csv(stock, stock_path)
@@ -435,7 +465,6 @@ class TestFingerprint:
                           scores_file=str(tmp_path / "missing.csv"))
         records = run_grid(cfg)
         assert records and all(r.ok for r in records)
-        assert "scores" not in harness.input_hashes(cfg)
 
     def test_inline_master_fingerprint_follows_data(self):
         cfg = fast_config()  # no stock file: the master is the only data

@@ -676,6 +676,21 @@ class TestPersistence:
         X, _ = random_batch(cfg, 4, seed=9)
         np.testing.assert_array_equal(predict(reloaded, X), predict(model, X))
 
+    def test_file_without_meta_rejected(self, tmp_path):
+        path = tmp_path / "other.npz"
+        np.savez(path, weights=np.zeros(3))
+        with pytest.raises(ValueError, match=re.escape(f"model file {path} has no __meta__") + "$"):
+            load_model(path)
+
+    def test_meta_without_hidden_units_rejected(self, tmp_path):
+        model = init_model(ModelConfig(hidden_units=2, input_shape=(3, 1), seed=0))
+        path = tmp_path / "model.npz"
+        meta = {"format_version": 1, "input_shape": [3, 1], "activation": "tanh", "output_head": "linear",
+                "seed": 0}
+        np.savez(path, __meta__=np.array(json.dumps(meta)), **model.params)
+        with pytest.raises(ValueError, match=re.escape(f"model file {path}: __meta__ lacks hidden_units") + "$"):
+            load_model(path)
+
     @staticmethod
     def saved_with_params(path, **changes):
         """Save a model, then rewrite its parameters with ``changes`` (None drops one)."""
