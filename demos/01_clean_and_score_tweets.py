@@ -28,7 +28,8 @@ for raw in samples:
 #   u = (c+ - c-) / max(1, c+ + c-),  s = (c+ + c-) / n
 #   p_pos = s * max(u, 0), p_neg = s * max(-u, 0), p_neu = the rest
 # Each text's label is its argmax class, ties broken neutral > positive > negative.
-config = ScorerConfig(kind="lexicon")
+# A ScorerConfig that names no score file (source) scores with the lexicon.
+config = ScorerConfig()
 print("\n-- lexicon scoring --")
 texts = ["growth growth crash", "crash", "nothing eventful today"]
 probabilities = score_texts(config, texts)

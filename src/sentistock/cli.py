@@ -3,7 +3,9 @@
 Subcommands compose via the documented CSV formats: clean -> score -> map ->
 train -> evaluate, with grid running the whole sweep from a JSON config.
 map, train and evaluate run the harness's own stages, so they write the same
-files as the matching grid cell.
+files as the matching grid cell. score and map read a score file named with
+--scores, as grid reads its config's scores_file; without one the lexicon
+scores the tweets.
 Exit codes: 0 success, 1 some grid cells failed, 2 config or input error.
 """
 
@@ -57,8 +59,7 @@ def _add_score(sub):
     p = sub.add_parser("score", help="score tweets into a score CSV")
     p.add_argument("--tweets", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--scorer", default="lexicon", choices=["lexicon", "precomputed"])
-    p.add_argument("--scores-file", default=None, help="source CSV for precomputed scores")
+    _add_config_flags(p, "scores_file", help="precomputed score CSV (default: lexicon scorer)")
     _add_config_flags(p, "variants", default=list(VARIANTS), help="comma-separated variant names")
 
 
@@ -115,7 +116,7 @@ def _cmd_clean(args) -> int:
 
 def _cmd_score(args) -> int:
     corpus = load_tweets(args.tweets)
-    config = ScorerConfig(kind=args.scorer, source=args.scores_file)
+    config = ScorerConfig(source=args.scores_file)
     table = score_corpus(config, corpus, args.variants)
     write_scores_csv(table, args.out)
     print(f"scored {len(corpus)} tweets x {len(args.variants)} variants -> {args.out}")
@@ -124,7 +125,6 @@ def _cmd_score(args) -> int:
 
 def _cmd_map(args) -> int:
     cfg = harness.ExperimentConfig(tweet_files=[args.tweets], variants=[args.variant],
-                                   scorer_kind="precomputed" if args.scores_file else "lexicon",
                                    **_config_flags(args))
     master = harness.build_masters(cfg, harness.load_stock(cfg))[args.variant]
     if isinstance(master, PipelineError):

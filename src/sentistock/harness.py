@@ -58,7 +58,6 @@ class ExperimentConfig:
 
     stock_file: str | None = None
     tweet_files: list[str] = field(default_factory=list)
-    scorer_kind: str = "lexicon"
     scores_file: str | None = None
     variants: list[str] = field(default_factory=lambda: list(VARIANTS))
     memory_days: int = 30
@@ -121,7 +120,7 @@ class ExperimentConfig:
                 patience=self.patience,
                 learning_rate=self.learning_rate,
             )
-            self.scorer = ScorerConfig(kind=self.scorer_kind, source=self.scores_file)
+            self.scorer = ScorerConfig(source=self.scores_file)
             self.kernel = MemoryKernel(self.memory_days, self.kernel_mode)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -194,6 +193,8 @@ def fingerprint(cfg: ExperimentConfig, variant: str, lookback: int, seed: int,
     lists, the master the cell trains on (None when its master failed) and
     the cell, so it does not depend on where the input files live."""
     payload = {k: v for k, v in asdict(cfg).items() if k not in _UNFINGERPRINTED}
+    # which scorer runs; the score file's path, like every path, stays out
+    payload["scorer_kind"] = "lexicon" if cfg.scores_file is None else "precomputed"
     payload.update({"cell_variant": variant, "cell_lookback": lookback, "cell_seed": seed,
                     "master": None if master is None else master_data_hash(master)})
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
@@ -344,7 +345,8 @@ def run_grid(cfg: ExperimentConfig, tweet_loader=load_tweets) -> list[Experiment
 
     First, each once: read the stock, skip with a warning each lookback of
     at least half the test-set length (a ConfigError if none is left), build
-    every master (build_masters). Then run the cells variant-major with seed
+    every master (build_masters), create output_dir if set (a ConfigError if
+    that fails). Then run the cells variant-major with seed
     cfg.seed + cell index, a failed master failing its cells. Every record,
     failed or not, is fingerprinted by its cell and its master (None for a
     failed master). Writes summary and per-record artifacts when output_dir
@@ -362,6 +364,11 @@ def run_grid(cfg: ExperimentConfig, tweet_loader=load_tweets) -> list[Experiment
     if not usable:
         raise ConfigError(f"no lookback in {cfg.lookbacks} is below half the test set's {n_test} rows")
     masters = build_masters(cfg, stock, tweet_loader)
+    if cfg.output_dir is not None:
+        try:
+            Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {cfg.output_dir}: {exc}") from exc
     records = []
     for cell_index, (variant, lookback) in enumerate(product(masters, usable)):
         seed = cfg.seed + cell_index

@@ -92,6 +92,14 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        """ValueError for a wrong type or a negative seed, InvalidShapeError for a dimension below 1."""
+        for name, value in (("hidden_units", self.hidden_units), ("seed", self.seed)):
+            if type(value) is not int:  # a bool is not an integer here
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+        if type(self.input_shape) is not tuple or [type(d) for d in self.input_shape] != [int, int]:
+            raise ValueError(f"input_shape must be a pair of integers, not {self.input_shape!r}")
+        if self.seed < 0:  # numpy's generators reject a negative seed
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
         if self.hidden_units < 1:
             raise InvalidShapeError(f"hidden_units must be >= 1, got {self.hidden_units}")
         w, n_features = self.input_shape
@@ -585,30 +593,35 @@ def save_model(model: BiLstmModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> BiLstmModel:
     """Load a model saved by save_model, checking its parameters against ``init_model``'s for
-    its config: ValueError names the file and a missing or non-object ``__meta__``, a missing
-    meta key, or any missing, unexpected, non-float or non-finite parameter; InvalidShapeError
-    a parameter of another shape, with both shapes."""
+    its config: ValueError names the file and a missing or bad ``__meta__`` (not a JSON
+    object, another format, a missing key, or a value ModelConfig rejects), or any missing,
+    unexpected, non-float or non-finite parameter; InvalidShapeError a parameter of another
+    shape, with both shapes."""
     with np.load(path, allow_pickle=False) as data:
         if "__meta__" not in data.files:
             raise ValueError(f"model file {path} has no __meta__")
-        meta = json.loads(str(data["__meta__"]))
+        meta_text = str(data["__meta__"])
+        params = {k: data[k].copy() for k in data.files if k != "__meta__"}
+    try:
+        meta = json.loads(meta_text)
         if not isinstance(meta, dict):
-            raise ValueError(f"model file {path}: __meta__ is not a JSON object")
+            raise ValueError("__meta__ is not a JSON object")
         if meta.get("format_version") != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format {meta.get('format_version')}")
         if meta.get("activation") != "tanh":
             raise ValueError(f"unsupported activation {meta.get('activation')!r}")
         if meta.get("output_head") != "linear":
             raise ValueError(f"unsupported output head {meta.get('output_head')!r}")
-        params = {k: data[k].copy() for k in data.files if k != "__meta__"}
-    lacking = [key for key in ("hidden_units", "input_shape", "seed") if key not in meta]
-    if lacking:
-        raise ValueError(f"model file {path}: __meta__ lacks {', '.join(lacking)}")
-    config = ModelConfig(
-        hidden_units=meta["hidden_units"],
-        input_shape=tuple(meta["input_shape"]),
-        seed=meta["seed"],
-    )
+        lacking = [key for key in ("hidden_units", "input_shape", "seed") if key not in meta]
+        if lacking:
+            raise ValueError(f"__meta__ lacks {', '.join(lacking)}")
+        shape = meta["input_shape"]
+        config = ModelConfig(hidden_units=meta["hidden_units"], seed=meta["seed"],
+                             input_shape=tuple(shape) if type(shape) is list else shape)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"model file {path}: __meta__ is not JSON: {exc}") from exc
+    except (ValueError, InvalidShapeError) as exc:  # ModelConfig's too
+        raise ValueError(f"model file {path}: {exc}") from exc
     expected = init_model(config).params
     wrong_keys = [f"{what} {', '.join(sorted(keys))}" for what, keys in (
         ("lacks", expected.keys() - params.keys()), ("has unexpected", params.keys() - expected.keys())) if keys]

@@ -1,9 +1,9 @@
 """Per-tweet sentiment scoring.
 
-Two scorer kinds are supported: a deterministic lexicon scorer (useful for
-tests and offline experiments) and a pass-through loader for scores computed
-externally by transformer models. Externally computed scores arrive as CSV
-with header ``tweet_id,variant,p_pos,p_neg,p_neu``.
+Scores come from one of two sources: a precomputed score CSV, with header
+``tweet_id,variant,p_pos,p_neg,p_neu``, through which scores computed
+externally by transformer models enter, when one is named; otherwise a
+deterministic lexicon scorer (useful for tests and offline experiments).
 """
 
 from __future__ import annotations
@@ -93,20 +93,13 @@ class ScoreTable:
 class ScorerConfig:
     """Selects and parameterizes a scorer.
 
-    ``kind`` is ``"lexicon"`` or ``"precomputed"``; the latter requires
-    ``source`` to point at a score CSV.
+    ``source`` names a precomputed score CSV; without one the lexicon of
+    ``positive_words`` and ``negative_words`` scores the texts.
     """
 
-    kind: str = "lexicon"
     source: str | Path | None = None
     positive_words: frozenset[str] = DEFAULT_POSITIVE_WORDS
     negative_words: frozenset[str] = DEFAULT_NEGATIVE_WORDS
-
-    def __post_init__(self):
-        if self.kind not in ("lexicon", "precomputed"):
-            raise ValueError(f"unknown scorer kind {self.kind!r}")
-        if self.kind == "precomputed" and self.source is None:
-            raise ValueError("precomputed scorer needs a source file")
 
 
 def score_texts(config: ScorerConfig, texts: list[str]) -> np.ndarray:
@@ -117,7 +110,7 @@ def score_texts(config: ScorerConfig, texts: list[str]) -> np.ndarray:
     p_neg = s*max(-u, 0), p_neu = 1 - p_pos - p_neg. No hits (or empty text)
     scores neutral. Deterministic for fixed config and texts.
     """
-    if config.kind != "lexicon":
+    if config.source is not None:
         raise ScorerUnavailableError(
             "text scoring needs the lexicon scorer; precomputed scores are "
             "looked up by tweet id via load_precomputed_scores"
@@ -155,14 +148,14 @@ def score_corpus(
     """Score every tweet for every requested variant.
 
     The lexicon scorer scores each text form once per tweet; variants that
-    read the same form share its array. A precomputed config reads its file
-    once, and errors in the file raise here. A variant that cannot be scored
+    read the same form share its array. A config naming a score file reads
+    it once instead, and errors in the file raise here. A variant that cannot be scored
     keeps its error in the table: ValueError if unknown,
     MissingVariantTextError if a tweet lacks its text form,
     ScorerUnavailableError if the precomputed scores miss a tweet.
     """
     table = ScoreTable(tweet_ids=corpus.ids)
-    loaded = load_precomputed_scores(config.source, corpus) if config.kind == "precomputed" else None
+    loaded = None if config.source is None else load_precomputed_scores(config.source, corpus)
     by_form: dict[str, np.ndarray | None] = {}  # None for a form some tweet lacks
     for variant in variants:
         if variant not in TEXT_FORMS:

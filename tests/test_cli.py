@@ -52,6 +52,19 @@ def test_score_subcommand(workspace):
     assert len(lines) > 1
 
 
+def test_score_reads_named_scores_file(workspace):
+    """score --scores passes a score file's rows through in place of the lexicon's."""
+    tmp_path, _, tweets_path = workspace
+    scores = tmp_path / "scores.csv"
+    rows = [f"{tweet_id},{variant},0.5,0.25,0.25" for tweet_id in sentistock.load_tweets(tweets_path).ids
+            for variant in ("cleaned_prosus", "pos_prosus")]
+    scores.write_text("\n".join(["tweet_id,variant,p_pos,p_neg,p_neu", *rows]) + "\n")
+    out = tmp_path / "out.csv"
+    assert main(["score", "--tweets", str(tweets_path), "--scores", str(scores), "--out", str(out),
+                 "--variants", "cleaned_prosus,pos_prosus"]) == 0
+    assert out.read_text().splitlines() == scores.read_text().splitlines()
+
+
 def test_map_subcommand(workspace):
     tmp_path, stock_path, tweets_path = workspace
     out = tmp_path / "master.csv"
@@ -88,6 +101,14 @@ def test_train_and_evaluate_subcommands(workspace):
     float(actual), float(predicted)  # plain decimal numbers, no repr wrappers
 
 
+def _meta(**changes):
+    """The __meta__ save_model writes for the model below, with ``changes``
+    (None drops a key)."""
+    meta = {"format_version": 1, "hidden_units": 4, "input_shape": [3, 9], "activation": "tanh",
+            "output_head": "linear", "seed": 0, **changes}
+    return np.array(json.dumps({k: v for k, v in meta.items() if v is not None}))
+
+
 @pytest.mark.parametrize("change,message", [
     ({"l2_bwd_b": None}, "lacks l2_bwd_b"),
     ({"extra": np.zeros(3)}, "has unexpected extra"),
@@ -95,6 +116,14 @@ def test_train_and_evaluate_subcommands(workspace):
     ({"head_b": np.array([np.nan])}, "head_b holds non-finite"),
     ({"__meta__": None}, "has no __meta__"),
     ({"__meta__": np.array("[1]")}, "__meta__ is not a JSON object"),
+    ({"__meta__": np.array("{1}")}, "__meta__ is not JSON"),
+    ({"__meta__": _meta(format_version=None)}, "unsupported model format None"),
+    ({"__meta__": _meta(hidden_units="4")}, "hidden_units must be an integer, not '4'"),
+    ({"__meta__": _meta(hidden_units=4.0)}, "hidden_units must be an integer, not 4.0"),
+    ({"__meta__": _meta(hidden_units=True)}, "hidden_units must be an integer, not True"),
+    ({"__meta__": _meta(seed="x")}, "seed must be an integer, not 'x'"),
+    ({"__meta__": _meta(seed=-1)}, "seed must be >= 0, not -1"),
+    ({"__meta__": _meta(input_shape=[5])}, "input_shape must be a pair of integers, not (5,)"),
 ])
 def test_evaluate_rejects_bad_model_file(tmp_path, capsys, change, message):
     """A bad model file stops evaluate at load time, before it reads the master CSV."""
@@ -261,6 +290,22 @@ def test_grid_without_tweet_files_exit_code(workspace, capsys):
     assert not out.exists()
 
 
+def test_grid_output_dir_that_is_a_file_exit_code(workspace, capsys):
+    """An output directory that cannot be made stops the grid before any cell trains."""
+    tmp_path, stock_path, tweets_path = workspace
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "config_version": 1, "stock_file": str(stock_path), "tweet_files": [str(tweets_path)],
+        "variants": ["cleaned_prosus"], "lookbacks": [3], "hidden_units": 4, "epochs": 1,
+    }))
+    out = tmp_path / "outfile"
+    out.write_text("")
+    assert main(["grid", "--config", str(config), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot create output directory {out}" in err and "grid finished" not in err
+    assert out.read_text() == ""
+
+
 def test_grid_failure_exit_code(workspace, tmp_path):
     _, stock_path, _ = workspace
     bad_tweets = tmp_path / "nopos.jsonl"
@@ -337,8 +382,7 @@ def test_malformed_csv_exit_code(workspace, capsys):
     scores = tmp_path / "scores.csv"
     scores.write_text("tweet_id,p_pos,p_neg,p_neu\n0,1,0,0\n")
     out = tmp_path / "out.csv"
-    assert main(["score", "--tweets", str(tweets_path), "--scorer", "precomputed",
-                 "--scores-file", str(scores), "--out", str(out)]) == 2
+    assert main(["score", "--tweets", str(tweets_path), "--scores", str(scores), "--out", str(out)]) == 2
     assert f"no variant column in {scores}" in capsys.readouterr().err
     assert not out.exists()
     master = tmp_path / "master.csv"

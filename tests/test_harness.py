@@ -344,10 +344,64 @@ class TestRunGrid:
                 for tweet in load_tweets(path):  # keyed by the ids in their own files
                     fh.write(f"{tweet.id},cleaned_prosus,0.6,0.3,0.1\n")
         cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path), str(second)],
-                          scorer_kind="precomputed", scores_file=str(scores),
-                          variants=["cleaned_prosus"], lookbacks=[2, 3])
+                          scores_file=str(scores), variants=["cleaned_prosus"], lookbacks=[2, 3])
         records = run_grid(cfg)
         assert len(records) == 2 and all(r.ok for r in records), [r.error for r in records]
+
+    def test_scores_file_picks_the_scorer(self, synthetic_inputs, tmp_path):
+        """A grid whose config names a score file builds each variant's master
+        from those scores; without one, from the lexicon's."""
+        stock_path, tweets_path = synthetic_inputs
+        stock, corpus = load_stock_csv(stock_path), load_tweets(tweets_path)
+        rng = np.random.default_rng(3)
+        scores = tmp_path / "scores.csv"
+        sentiment.write_scores_csv(sentiment.ScoreTable(corpus.ids, {
+            variant: rng.dirichlet(np.ones(3), len(corpus)) for variant in VARIANTS}), scores)
+        with_file = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)],
+                                scores_file=str(scores))
+        without_file = dataclasses.replace(with_file, scores_file=None)
+        hashes = {}
+        for cfg, table in ((with_file, sentiment.load_precomputed_scores(scores, corpus)),
+                           (without_file, sentiment.score_corpus(sentiment.ScorerConfig(), corpus))):
+            masters = harness.build_masters(cfg, stock)
+            for variant in VARIANTS:
+                expected = harness.build_master(cfg, variant, stock, corpus, table)
+                hashes[cfg.scores_file, variant] = harness.master_data_hash(masters[variant])
+                assert hashes[cfg.scores_file, variant] == harness.master_data_hash(expected), variant
+        assert all(hashes[str(scores), v] != hashes[None, v] for v in VARIANTS)
+
+    def test_missing_scores_file_fails_every_cell(self, synthetic_inputs, tmp_path):
+        """A named score file is read, so a grid whose config names a missing
+        one fails every cell at stage score, with an error naming the file."""
+        stock_path, tweets_path = synthetic_inputs
+        missing = tmp_path / "missing.csv"
+        cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)],
+                          variants=["cleaned_prosus", "pos_prosus"], lookbacks=[2, 3],
+                          scores_file=str(missing))
+        records = run_grid(cfg)
+        assert len(records) == 4
+        assert all(r.failed_stage == "score" and str(missing) in r.error for r in records)
+
+    def test_output_dir_made_before_any_cell_trains(self, synthetic_inputs, tmp_path, monkeypatch):
+        """An output directory that cannot be made is a ConfigError naming it,
+        raised before the first cell trains."""
+        stock_path, tweets_path = synthetic_inputs
+        out = tmp_path / "outfile"
+        out.write_text("")
+        cells = []
+        real_run_master = harness.run_master
+
+        def recording_run_master(master, cfg, variant, lookback, *args, **kwargs):
+            cells.append((variant, lookback))
+            return real_run_master(master, cfg, variant, lookback, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_master", recording_run_master)
+        cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)],
+                          variants=["cleaned_prosus"], lookbacks=[2, 3], output_dir=str(out))
+        with pytest.raises(ConfigError, match=f"cannot create output directory {re.escape(str(out))}: "):
+            run_grid(cfg)
+        assert cells == []
+        assert out.read_text() == ""
 
     def test_tweet_load_failure_fails_every_cell(self, synthetic_inputs, tmp_path):
         stock_path, _ = synthetic_inputs
@@ -425,9 +479,13 @@ class TestFingerprint:
         assert fingerprint(cfg, "cleaned_prosus", 3, 0, None) != a
         assert fingerprint(fast_config(epochs=4), "cleaned_prosus", 3, 0, master) != a
         # paths, the grid's lists and its base seed are not the cell's identity
-        grid_level = fast_config(stock_file="elsewhere/SYN.csv", tweet_files=["t.jsonl"], scores_file="s.csv",
+        grid_level = fast_config(stock_file="elsewhere/SYN.csv", tweet_files=["t.jsonl"],
                                  output_dir="out", variants=["pos_prosus"], lookbacks=[7, 9], seed=5)
         assert fingerprint(grid_level, "cleaned_prosus", 3, 0, master) == a
+        # naming a score file picks the scorer, which is; the file's path is not
+        scored = fingerprint(fast_config(scores_file="s.csv"), "cleaned_prosus", 3, 0, master)
+        assert scored != a
+        assert fingerprint(fast_config(scores_file="elsewhere/s.csv"), "cleaned_prosus", 3, 0, master) == scored
 
     def test_data_change_changes_fingerprint(self, synthetic_inputs):
         stock_path, _ = synthetic_inputs
@@ -453,18 +511,13 @@ class TestFingerprint:
             assert r.fingerprint == fingerprint(cfg, r.variant, r.lookback, r.seed, master)
         assert len({r.fingerprint for r in records}) == 4
 
-    def test_lexicon_grid_ignores_scores_file(self, tmp_path):
-        """The lexicon scorer reads no score file, so a grid whose config names
-        a missing one never opens it."""
-        stock = synth.random_walk_stock(n_days=200, seed=1, symbol="SYN")
-        stock_path, tweets_path = tmp_path / "SYN.csv", tmp_path / "tweets.jsonl"
-        write_stock_csv(stock, stock_path)
-        write_tweets(synth.random_tweets(stock.calendar, per_day=1.0, seed=2), tweets_path)
-        cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)],
-                          variants=["cleaned_prosus"], lookbacks=[5],
-                          scores_file=str(tmp_path / "missing.csv"))
-        records = run_grid(cfg)
-        assert records and all(r.ok for r in records)
+    def test_pinned_values(self):
+        """A lexicon config and one naming a score file keep the identities
+        that their existing records hold."""
+        assert fingerprint(fast_config(), "cleaned_prosus", 3, 0, None) == (
+            "f317db1309d2b975fe83f989b167bb0e670fb00f7aa305d3997892281d6db04a")
+        assert fingerprint(fast_config(scores_file="s.csv"), "cleaned_prosus", 3, 0, None) == (
+            "01caa68b3a4188a94da0b64d4bbdba5d5dc3165211837135d92835a9956635de")
 
     def test_inline_master_fingerprint_follows_data(self):
         cfg = fast_config()  # no stock file: the master is the only data
@@ -582,6 +635,13 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_scorer_kind_key_rejected(self, tmp_path):
+        """The score file alone picks the scorer; no key names it."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"config_version": 1, "scorer_kind": "precomputed", "scores_file": "s.csv"}))
+        with pytest.raises(ConfigError, match=re.escape("unknown config keys: ['scorer_kind']")):
+            load_config(path)
+
     @pytest.mark.parametrize("content", [b'{"config_version": 1, "scrip": "A\xff"}', b'{"config_version": 1,'],
                              ids=["undecodable-byte", "bad-json"])
     def test_unreadable_file_names_itself(self, tmp_path, content):
@@ -621,7 +681,6 @@ class TestConfigFile:
         pytest.param({"seed": -1}, id="seed-negative"),
         pytest.param({"memory_days": 0}, id="memory_days"),
         pytest.param({"kernel_mode": "x"}, id="kernel_mode"),
-        pytest.param({"scorer_kind": "x"}, id="scorer_kind"),
         pytest.param({"epochs": 2.5}, id="epochs-float"),
         pytest.param({"memory_days": 2.5}, id="memory_days-float"),
         pytest.param({"seed": 1.0}, id="seed-float"),
@@ -643,7 +702,6 @@ class TestConfigFile:
         pytest.param({"fit_scope": ["train_only"]}, id="fit_scope-list"),
         pytest.param({"kernel_mode": 3}, id="kernel_mode-int"),
         pytest.param({"metric_units": None}, id="metric_units-none"),
-        pytest.param({"scorer_kind": None}, id="scorer_kind-none"),
     ])
     def test_invalid_values_rejected(self, bad):
         for with_sentiment in (True, False):

@@ -116,6 +116,19 @@ class TestInitModel:
         with pytest.raises(InvalidShapeError):
             ModelConfig(hidden_units=2, input_shape=(0, 3))
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"hidden_units": 4.0}, "hidden_units must be an integer, not 4.0"),
+        ({"hidden_units": True}, "hidden_units must be an integer, not True"),
+        ({"seed": "0"}, "seed must be an integer, not '0'"),
+        ({"seed": -1}, "seed must be >= 0, not -1"),
+        ({"input_shape": (5,)}, "input_shape must be a pair of integers, not (5,)"),
+        ({"input_shape": [5, 3]}, "input_shape must be a pair of integers, not [5, 3]"),
+        ({"input_shape": (5, np.int64(3))}, "input_shape must be a pair of integers"),
+    ])
+    def test_value_types_checked(self, changes, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ModelConfig(**{"hidden_units": 2, "input_shape": (5, 3), **changes})
+
 
 class TestForward:
     def test_zero_parameters_emit_bias(self):
@@ -675,6 +688,25 @@ class TestPersistence:
         assert reloaded.config == cfg
         X, _ = random_batch(cfg, 4, seed=9)
         np.testing.assert_array_equal(predict(reloaded, X), predict(model, X))
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"format_version": None}, "unsupported model format None"),
+        ({"hidden_units": "4"}, "hidden_units must be an integer, not '4'"),
+        ({"hidden_units": 4.0}, "hidden_units must be an integer, not 4.0"),
+        ({"hidden_units": True}, "hidden_units must be an integer, not True"),
+        ({"hidden_units": 0}, "hidden_units must be >= 1, got 0"),
+        ({"seed": "x"}, "seed must be an integer, not 'x'"),
+        ({"seed": -1}, "seed must be >= 0, not -1"),
+        ({"input_shape": [5]}, "input_shape must be a pair of integers, not (5,)"),
+        ({"input_shape": 5}, "input_shape must be a pair of integers, not 5"),
+        ({"input_shape": "ab"}, "input_shape must be a pair of integers, not 'ab'"),
+    ])
+    def test_bad_meta_value_names_the_file(self, tmp_path, changes, message):
+        model = init_model(ModelConfig(hidden_units=2, input_shape=(3, 1), seed=0))
+        path = tmp_path / "model.npz"
+        self.saved_with_meta(model, path, **changes)
+        with pytest.raises(ValueError, match=re.escape(f"model file {path}: {message}") + "$"):
+            load_model(path)
 
     def test_file_without_meta_rejected(self, tmp_path):
         path = tmp_path / "other.npz"

@@ -76,7 +76,6 @@ def entries(table):
 
 
 LEXICON = ScorerConfig(
-    kind="lexicon",
     positive_words=frozenset({"growth"}),
     negative_words=frozenset({"crash"}),
 )
@@ -152,19 +151,19 @@ class TestScoreTweet:
             assert after >= before - 1e-15
 
     def test_precomputed_kind_unavailable_per_text(self):
-        config = ScorerConfig(kind="precomputed", source="whatever.csv")
+        config = ScorerConfig(source="whatever.csv")
         with pytest.raises(ScorerUnavailableError):
             score_texts(config, ["growth"])
 
 
 class TestLexiconScores:
-    OVERLAP = ScorerConfig(kind="lexicon", positive_words=frozenset({"up", "high", "wild"}),
+    OVERLAP = ScorerConfig(positive_words=frozenset({"up", "high", "wild"}),
                            negative_words=frozenset({"down", "low", "wild"}))
 
     def test_bit_identical_to_per_text_formula(self):
         rng = np.random.default_rng(21)
         words = ["up", "high", "down", "low", "wild", "flat", "x", "", " ", "\t", "\u3000"]
-        for config in (LEXICON, self.OVERLAP, ScorerConfig(kind="lexicon")):
+        for config in (LEXICON, self.OVERLAP, ScorerConfig()):
             for _ in range(300):
                 texts = [" ".join(rng.choice(words, size=rng.integers(0, 12)))
                          for _ in range(rng.integers(0, 9))]
@@ -196,7 +195,7 @@ class TestScoreTextsInBlocks:
         rng = np.random.default_rng(4)
         words = ["growth", "crash", "gain", "loss", "flat", "day", "record", "low", "\u3000", "\t"]
         texts = [" ".join(rng.choice(words, size=rng.integers(0, 9))) for _ in range(2600)]
-        config = ScorerConfig(kind="lexicon")
+        config = ScorerConfig()
         blocked = score_texts(config, texts)
         assert len(texts) > 2 * sentiment._TOKEN_BLOCK
         assert blocked.tobytes() == reference_scores(config, texts).tobytes()
@@ -373,7 +372,7 @@ class TestPrecomputedScores:
         corpus = make_corpus([("1", "2023-01-02", "x")])
         rows = [("1", v, 0.25, 0.3125, 0.4375) for v in VARIANTS]
         path = self.write_scores(tmp_path, rows)
-        config = ScorerConfig(kind="precomputed", source=path)
+        config = ScorerConfig(source=path)
         table = score_corpus(config, corpus, list(VARIANTS))
         assert len(entries(table)) == 4
         for variant in VARIANTS:
@@ -382,7 +381,7 @@ class TestPrecomputedScores:
     def test_incomplete_precomputed_table(self, tmp_path):
         corpus = make_corpus([("1", "2023-01-02", "x"), ("2", "2023-01-03", "y")])
         path = self.write_scores(tmp_path, [("1", "cleaned_prosus", 1, 0, 0)])
-        config = ScorerConfig(kind="precomputed", source=path)
+        config = ScorerConfig(source=path)
         with pytest.raises(ScorerUnavailableError):
             score_corpus(config, corpus, ["cleaned_prosus"]).probabilities("cleaned_prosus")
 
@@ -430,7 +429,7 @@ class TestMergedCorpusScores:
     def test_rows_match_by_own_or_merged_id(self, tmp_path):
         corpus = self.merged(tmp_path)
         path = self.write_scores(tmp_path, ["0:1", "a", "1:1", "b"])
-        config = ScorerConfig(kind="precomputed", source=path)
+        config = ScorerConfig(source=path)
         table = score_corpus(config, corpus, ["cleaned_prosus"])
         by_id = dict(zip(table.tweet_ids, table.probabilities("cleaned_prosus")[:, 0].tolist()))
         assert by_id == pytest.approx({"0:1": 0.0, "0:a": 0.1, "1:1": 0.2, "1:b": 0.3})
