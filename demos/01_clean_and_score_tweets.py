@@ -9,7 +9,7 @@ from datetime import date
 
 import numpy as np
 
-from sentistock import clean_tweet, labels, score_corpus, score_texts
+from sentistock import clean_tweets, labels, score_corpus, score_texts
 from sentistock.sentiment import LABELS, VARIANTS, ScorerConfig
 from sentistock.synth import random_tweets, trading_calendar
 
@@ -21,7 +21,7 @@ samples = [
 ]
 print("-- cleaning --")
 for raw in samples:
-    print(f"{raw!r:60} -> {clean_tweet(raw)!r}")
+    print(f"{raw!r:60} -> {clean_tweets([raw])[0]!r}")
 
 # The lexicon scorer counts positive/negative word hits among the tokens.
 # With c+ positive hits, c- negative hits and n tokens:

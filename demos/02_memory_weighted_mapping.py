@@ -36,7 +36,7 @@ for mode in ("recency", "literal"):
 mapped = memory_weighted_map(daily, MemoryKernel(30, "recency"))
 master = join_with_stock(mapped, stock)
 print(f"\nmaster dataset: {master.n_rows} rows x {len(master.columns)} columns")
-print("columns:", ", ".join(master.column_names))
+print("columns:", ", ".join(master.columns))
 
 try:
     import matplotlib

@@ -42,7 +42,6 @@ from .ingest import (
     MasterDataset,
     Tweet,
     TweetCorpus,
-    clean_tweet,
     clean_tweets,
     load_master_csv,
     load_stock_csv,

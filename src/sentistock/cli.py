@@ -5,7 +5,8 @@ train -> evaluate, with grid running the whole sweep from a JSON config.
 map, train and evaluate run the harness's own stages, so they write the same
 files as the matching grid cell. score and map read a score file named with
 --scores, as grid reads its config's scores_file; without one the lexicon
-scores the tweets.
+scores the tweets. Every subcommand creates its output files' directories
+before any work, as grid does its --out-dir.
 Exit codes: 0 success, 1 some grid cells failed, 2 config or input error.
 """
 
@@ -195,6 +196,10 @@ def main(argv: list[str] | None = None) -> int:
         "grid": _cmd_grid,
     }
     try:
+        for name in ("out", "model_out", "history_out", "pred_out"):
+            path = getattr(args, name, None)
+            if path:
+                Path(path).parent.mkdir(parents=True, exist_ok=True)
         return handlers[args.command](args)
     except (SentiStockError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

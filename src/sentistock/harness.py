@@ -40,10 +40,10 @@ DEFAULT_LOOKBACKS = (5, 10, 20, 30, 60, 90)
 # The fields of a record, and of its history, that its JSON file holds, in file order.
 _RECORD_KEYS = ("scrip", "variant", "lookback", "seed", "fingerprint", "error", "failed_stage")
 _HISTORY_KEYS = ("n_epochs", "best_epoch", "stopped_early")
-# Config fields a cell's fingerprint leaves out: the paths, whose data the
-# master stands for, and the grid's lists and base seed, which the cell's own
-# variant, lookback and seed stand for.
-_UNFINGERPRINTED = ("output_dir", "stock_file", "tweet_files", "scores_file", "variants", "lookbacks", "seed")
+# The config fields that prepare_cell, train_model and evaluate_model read:
+# with the master and the cell, all that a cell's fingerprint hashes.
+_CELL_FIELDS = ("split_ratio", "fit_scope", "hidden_units", "epochs", "batch_size",
+                "validation_split", "patience", "learning_rate", "metric_units", "max_lag")
 # Per field annotation, the exact types a value (a list's items) may have and
 # the error's name for them: an int is a number, and a bool is neither.
 _FIELD_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
@@ -82,7 +82,7 @@ class ExperimentConfig:
         """Check every value once, and build the stage configs a run uses.
 
         ``training``, ``scorer`` and ``kernel`` are plain attributes, not
-        fields, so asdict (and with it the fingerprint) sees only the values.
+        fields: asdict and dataclasses.replace see only the values.
         """
         for f in fields(self):  # a list field needs a list, any other field a non-list
             types, kind = _FIELD_TYPES[f.type]
@@ -189,12 +189,10 @@ class CellData:
 
 def fingerprint(cfg: ExperimentConfig, variant: str, lookback: int, seed: int,
                 master: MasterDataset | None) -> str:
-    """Stable identity of one cell: the config's values but its paths and grid
-    lists, the master the cell trains on (None when its master failed) and
-    the cell, so it does not depend on where the input files live."""
-    payload = {k: v for k, v in asdict(cfg).items() if k not in _UNFINGERPRINTED}
-    # which scorer runs; the score file's path, like every path, stays out
-    payload["scorer_kind"] = "lexicon" if cfg.scores_file is None else "precomputed"
+    """Stable identity of one cell: the config fields that scaling, splitting,
+    training and evaluation read, the bytes of the master (None when it
+    failed) and the cell; not the files, scorer or settings that built it."""
+    payload = {k: getattr(cfg, k) for k in _CELL_FIELDS}
     payload.update({"cell_variant": variant, "cell_lookback": lookback, "cell_seed": seed,
                     "master": None if master is None else master_data_hash(master)})
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()

@@ -70,10 +70,6 @@ class MasterDataset:
     def n_rows(self) -> int:
         return len(self.calendar)
 
-    @property
-    def column_names(self) -> list[str]:
-        return list(self.columns)
-
     def feature_matrix(self) -> np.ndarray:
         """Columns stacked in order as a (n_rows, n_columns) float array."""
         return np.column_stack([self.columns[name] for name in self.columns])
@@ -150,11 +146,6 @@ def clean_tweets(raws: list[str]) -> list[str]:
     # drops '#' (keeping the hashtag word) along with all other symbols
     text = _NON_ALNUM_RE.sub("", text)
     return [" ".join(part.split()) for part in text.split("\n")]
-
-
-def clean_tweet(raw: str) -> str:
-    """One tweet's text cleaned as by clean_tweets."""
-    return clean_tweets([raw])[0]
 
 
 def parse_day(text: str) -> date:

@@ -105,7 +105,7 @@ def test_4_windowing_exactness():
 
         for n in range(2, 51):
             master = make_master(np.arange(n, dtype=float) + 1.0)
-            close_index = master.column_names.index("Close")
+            close_index = list(master.columns).index("Close")
             for w in range(1, n):
                 windows = make_windows(master, w)
                 assert len(windows) == n - w

@@ -12,7 +12,7 @@ import pytest
 import sentistock
 from sentistock import harness, neuralnet as nn, synth
 from sentistock.cli import build_parser, main
-from sentistock.ingest import clean_tweet, write_stock_csv, write_tweets
+from sentistock.ingest import clean_tweets, write_stock_csv, write_tweets
 
 
 @pytest.fixture
@@ -37,7 +37,7 @@ def test_clean_subcommand(workspace):
     out = tmp_path / "cleaned.jsonl"
     assert main(["clean", "--tweets", str(tweets), "--out", str(out)]) == 0
     records = sorted(map(json.loads, tweets.read_text().splitlines()), key=lambda r: r["date"])
-    want = "".join(json.dumps({**r, "text": clean_tweet(r["text"])}) + "\n" for r in records)
+    want = "".join(json.dumps({**r, "text": clean_tweets([r["text"]])[0]}) + "\n" for r in records)
     assert out.read_text() == want
 
 
@@ -107,6 +107,28 @@ def _meta(**changes):
     meta = {"format_version": 1, "hidden_units": 4, "input_shape": [3, 9], "activation": "tanh",
             "output_head": "linear", "seed": 0, **changes}
     return np.array(json.dumps({k: v for k, v in meta.items() if v is not None}))
+
+
+def test_train_makes_model_out_directory(workspace):
+    """An output path's missing directories are made, as grid makes its --out-dir."""
+    tmp_path, stock_path, _ = workspace
+    model = tmp_path / "newdir" / "sub" / "model.npz"
+    assert main(["train", "--master", str(stock_path), "--lookback", "3", "--hidden-units", "4",
+                 "--epochs", "1", "--model-out", str(model)]) == 0
+    assert nn.load_model(model).config.input_shape == (3, 5)
+
+
+def test_train_output_parent_that_is_a_file_exit_code(workspace, capsys, monkeypatch):
+    """An output directory that cannot be made stops train before it trains."""
+    tmp_path, stock_path, _ = workspace
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    monkeypatch.setattr(harness, "train_model", lambda *a: pytest.fail("trained"))
+    assert main(["train", "--master", str(stock_path), "--lookback", "3",
+                 "--model-out", str(afile / "model.npz")]) == 2
+    out, err = capsys.readouterr()
+    assert "trained" not in out and str(afile) in err
+    assert afile.read_text() == ""
 
 
 @pytest.mark.parametrize("change,message", [

@@ -126,7 +126,7 @@ class TestMakeWindows:
         master = make_master(np.arange(10, dtype=float) + 1.0)
         windows = make_windows(master, 3)
         assert len(windows) == 7
-        close_index = master.column_names.index("Close")
+        close_index = list(master.columns).index("Close")
         # sample 0 covers rows 0..2 and targets row 3
         np.testing.assert_array_equal(windows.X[0][:, close_index], [1.0, 2.0, 3.0])
         assert windows.y[0] == 4.0
@@ -142,7 +142,7 @@ class TestMakeWindows:
 
     def test_no_leakage_no_gap(self):
         master = make_master(np.arange(20, dtype=float) + 1.0)
-        close_index = master.column_names.index("Close")
+        close_index = list(master.columns).index("Close")
         for w in (1, 4, 7):
             windows = make_windows(master, w)
             for k in range(len(windows)):

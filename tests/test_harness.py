@@ -468,6 +468,24 @@ class TestRunGrid:
 
 
 class TestFingerprint:
+    # A changed value for every config field, in two groups: the fields that
+    # scaling, splitting, training and evaluation read, which the fingerprint
+    # hashes, and those that only load_stock, build_masters or run_grid read,
+    # whose work the master's bytes and the cell's variant, lookback and seed
+    # stand for.
+    CELL_FIELDS = dict(split_ratio=0.7, fit_scope="full", hidden_units=5, epochs=4, batch_size=8,
+                       validation_split=0.2, patience=6, learning_rate=2e-3, metric_units="scaled",
+                       max_lag=7)
+    MASTER_AND_GRID_FIELDS = dict(stock_file="elsewhere/SYN.csv", tweet_files=["t.jsonl"],
+                                  scores_file="s.csv", variants=["pos_prosus"], memory_days=5,
+                                  kernel_mode="literal", lookbacks=[7, 9], with_sentiment=False,
+                                  output_dir="out", scrip="OTHER", seed=5)
+
+    def test_every_config_field_is_in_one_group(self):
+        """A new config field must be placed: hashed, or stood for by the master or the cell."""
+        names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert sorted(names) == sorted([*self.CELL_FIELDS, *self.MASTER_AND_GRID_FIELDS])
+
     def test_stable_and_sensitive(self):
         cfg = fast_config()
         master = synth.sentiment_driven_master(n_days=60, seed=0)
@@ -477,15 +495,13 @@ class TestFingerprint:
         assert fingerprint(cfg, "cleaned_prosus", 4, 0, master) != a
         assert fingerprint(cfg, "pos_prosus", 3, 0, master) != a
         assert fingerprint(cfg, "cleaned_prosus", 3, 0, None) != a
-        assert fingerprint(fast_config(epochs=4), "cleaned_prosus", 3, 0, master) != a
-        # paths, the grid's lists and its base seed are not the cell's identity
-        grid_level = fast_config(stock_file="elsewhere/SYN.csv", tweet_files=["t.jsonl"],
-                                 output_dir="out", variants=["pos_prosus"], lookbacks=[7, 9], seed=5)
-        assert fingerprint(grid_level, "cleaned_prosus", 3, 0, master) == a
-        # naming a score file picks the scorer, which is; the file's path is not
-        scored = fingerprint(fast_config(scores_file="s.csv"), "cleaned_prosus", 3, 0, master)
-        assert scored != a
-        assert fingerprint(fast_config(scores_file="elsewhere/s.csv"), "cleaned_prosus", 3, 0, master) == scored
+        for name, value in self.CELL_FIELDS.items():
+            assert fingerprint(fast_config(**{name: value}), "cleaned_prosus", 3, 0, master) != a, name
+        # paths, the grid's lists and base seed, and what built the master
+        # (a score file, memory_days, kernel_mode, scrip) are not the cell's
+        # identity: an equal master is the same cell however it was made
+        for name, value in self.MASTER_AND_GRID_FIELDS.items():
+            assert fingerprint(fast_config(**{name: value}), "cleaned_prosus", 3, 0, master) == a, name
 
     def test_data_change_changes_fingerprint(self, synthetic_inputs):
         stock_path, _ = synthetic_inputs
@@ -496,8 +512,22 @@ class TestFingerprint:
         assert fingerprint(cfg, "none", 3, 0, load_stock_csv(stock_path)) != a
 
     def test_grid_fingerprints_each_cell_by_its_master(self, synthetic_inputs, tmp_path):
-        """Ok and failed cells alike: a cell whose master failed has master None."""
+        """Ok and failed cells alike: a cell whose master failed has master None.
+        Random scores give each of the four variants its own master."""
         stock_path, tweets_path = synthetic_inputs
+        corpus = load_tweets(tweets_path)
+        rng = np.random.default_rng(3)
+        scores = tmp_path / "scores.csv"
+        sentiment.write_scores_csv(sentiment.ScoreTable(corpus.ids, {
+            variant: rng.dirichlet(np.ones(3), len(corpus)) for variant in VARIANTS}), scores)
+        cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)], scores_file=str(scores))
+        masters = harness.build_masters(cfg, load_stock_csv(stock_path))
+        records = run_grid(cfg)
+        assert [r.variant for r in records] == list(VARIANTS) and all(r.ok for r in records)
+        for r in records:
+            assert r.fingerprint == fingerprint(cfg, r.variant, r.lookback, r.seed, masters[r.variant])
+        assert len({harness.master_data_hash(m) for m in masters.values()}) == len(VARIANTS)
+
         nopos = tmp_path / "nopos.jsonl"
         nopos.write_text("".join(json.dumps({k: v for k, v in json.loads(line).items() if k != "pos_text"}) + "\n"
                                  for line in tweets_path.read_text().splitlines()))
@@ -511,13 +541,31 @@ class TestFingerprint:
             assert r.fingerprint == fingerprint(cfg, r.variant, r.lookback, r.seed, master)
         assert len({r.fingerprint for r in records}) == 4
 
+    def test_score_file_of_lexicon_scores_gives_lexicon_bytes(self, synthetic_inputs, tmp_path):
+        """A grid reading a score file that holds the lexicon's own scores
+        writes the lexicon grid's files byte for byte, records included."""
+        stock_path, tweets_path = synthetic_inputs
+        scores = tmp_path / "scores.csv"
+        sentiment.write_scores_csv(sentiment.score_corpus(sentiment.ScorerConfig(), load_tweets(tweets_path)),
+                                   scores)
+        lexicon = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)], lookbacks=[2, 3],
+                              output_dir=str(tmp_path / "lexicon"))
+        assert all(r.ok for r in run_grid(lexicon))
+        assert all(r.ok for r in run_grid(dataclasses.replace(lexicon, scores_file=str(scores),
+                                                              output_dir=str(tmp_path / "scored"))))
+        lexicon_files = sorted(p.name for p in (tmp_path / "lexicon").iterdir())
+        assert len(lexicon_files) == 1 + 3 * len(VARIANTS) * 2
+        assert sorted(p.name for p in (tmp_path / "scored").iterdir()) == lexicon_files
+        for name in lexicon_files:
+            assert (tmp_path / "scored" / name).read_bytes() == (tmp_path / "lexicon" / name).read_bytes(), name
+
     def test_pinned_values(self):
-        """A lexicon config and one naming a score file keep the identities
-        that their existing records hold."""
-        assert fingerprint(fast_config(), "cleaned_prosus", 3, 0, None) == (
-            "f317db1309d2b975fe83f989b167bb0e670fb00f7aa305d3997892281d6db04a")
-        assert fingerprint(fast_config(scores_file="s.csv"), "cleaned_prosus", 3, 0, None) == (
-            "01caa68b3a4188a94da0b64d4bbdba5d5dc3165211837135d92835a9956635de")
+        """The sha256 of the sorted JSON of the ten hashed fields, the cell and
+        the master; a lexicon config and one naming a score file give one value
+        for a failed master."""
+        pinned = "85d600f722e241ceb76c532ca8e3be25bfe36d1ee162c804a95dcb37dbbd0d5b"
+        assert fingerprint(fast_config(), "cleaned_prosus", 3, 0, None) == pinned
+        assert fingerprint(fast_config(scores_file="s.csv"), "cleaned_prosus", 3, 0, None) == pinned
 
     def test_inline_master_fingerprint_follows_data(self):
         cfg = fast_config()  # no stock file: the master is the only data

@@ -16,7 +16,6 @@ from sentistock import synth
 from sentistock.ingest import (
     Tweet,
     TweetCorpus,
-    clean_tweet,
     clean_tweets,
     load_master_csv,
     load_stock_csv,
@@ -104,34 +103,34 @@ def reference_merge_outcome(files):
 
 class TestCleanTweet:
     def test_url_mention_hashtag(self):
-        assert clean_tweet("Great results! https://t.co/x #Markets @user") == "great results markets"
+        assert clean_tweets(["Great results! https://t.co/x #Markets @user"])[0] == "great results markets"
 
     def test_empty(self):
-        assert clean_tweet("") == ""
+        assert clean_tweets([""])[0] == ""
 
     def test_whitespace_and_symbols(self):
-        assert clean_tweet("GDP   up 7%") == "gdp up 7"
+        assert clean_tweets(["GDP   up 7%"])[0] == "gdp up 7"
 
     def test_newlines_and_tabs(self):
-        assert clean_tweet("up\tand\naway") == "up and away"
+        assert clean_tweets(["up\tand\naway"])[0] == "up and away"
 
     def test_www_url(self):
-        assert clean_tweet("see www.example.com/x now") == "see now"
+        assert clean_tweets(["see www.example.com/x now"])[0] == "see now"
 
     def test_idempotent(self):
         rng = np.random.default_rng(7)
         alphabet = list("abcXYZ019 \t\n!@#$%^&*().,:/?'\"#-_=+~`éΩ")
         for _ in range(200):
             raw = "".join(rng.choice(alphabet, size=rng.integers(0, 60)))
-            once = clean_tweet(raw)
-            assert clean_tweet(once) == once
+            once = clean_tweets([raw])[0]
+            assert clean_tweets([once])[0] == once
 
     def test_output_invariants(self):
         rng = np.random.default_rng(8)
         alphabet = list("abz01 #@!https://t.co/QRS\n\t")
         for _ in range(200):
             raw = "".join(rng.choice(alphabet, size=rng.integers(0, 80)))
-            out = clean_tweet(raw)
+            out = clean_tweets([raw])[0]
             assert out == out.lower()
             assert "http" not in out or "http" in raw.lower().replace("https://", "").replace("http://", "")
             assert "@" not in out and "#" not in out
@@ -162,7 +161,7 @@ class TestCleanTweets:
                     for _ in range(rng.integers(0, 6))]
             expected = [reference_clean_tweet(raw) for raw in raws]
             assert clean_tweets(raws) == expected
-            assert [clean_tweet(raw) for raw in raws] == expected
+            assert [clean_tweets([raw])[0] for raw in raws] == expected
 
 
 class TestLoadStockCsv:

@@ -278,7 +278,7 @@ class TestMasterCsv:
         write_stock_csv(master, path)
         reloaded = load_master_csv(path)
         assert reloaded.calendar == master.calendar
-        assert reloaded.column_names == master.column_names
+        assert list(reloaded.columns) == list(master.columns)
         for name in master.columns:
             np.testing.assert_array_equal(reloaded.columns[name], master.columns[name])
 

@@ -82,7 +82,7 @@ def test_generators_give_short_series(generator, columns, n_days):
     master = generator(n_days)
     assert master.n_rows == n_days
     assert master.calendar == trading_calendar(date(2020, 1, 1), n_days)
-    assert master.column_names == list(columns)
+    assert list(master.columns) == list(columns)
     assert all(values.shape == (n_days,) and values.dtype == np.float64 for values in master.columns.values())
 
 
