@@ -10,12 +10,11 @@ import numpy as np
 
 from sentistock import daily_aggregate, join_with_stock, memory_weighted_map, score_corpus
 from sentistock.mapping import MemoryKernel
-from sentistock.sentiment import ScorerConfig
 from sentistock.synth import random_tweets, random_walk_stock
 
 stock = random_walk_stock(n_days=60, seed=1, symbol="DEMO")
 corpus = random_tweets(stock.calendar, per_day=1.2, seed=2)
-table = score_corpus(ScorerConfig(), corpus, ["cleaned_prosus"])
+table = score_corpus(None, corpus, ["cleaned_prosus"])  # None: the lexicon scores
 
 # Raw daily channels, one array per sentiment column: per-day mean of one-hot
 # class contributions. Tweets on weekends roll forward to the next trading day.

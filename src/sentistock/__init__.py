@@ -71,7 +71,6 @@ from .neuralnet import (
 )
 from .sentiment import (
     VARIANTS,
-    ScorerConfig,
     ScoreTable,
     labels,
     load_precomputed_scores,

@@ -6,7 +6,8 @@ map, train and evaluate run the harness's own stages, so they write the same
 files as the matching grid cell. score and map read a score file named with
 --scores, as grid reads its config's scores_file; without one the lexicon
 scores the tweets. Every subcommand creates its output files' directories
-before any work, as grid does its --out-dir.
+before any work, as grid does its --out-dir, and on exit 2 removes those of
+them that it created and left empty.
 Exit codes: 0 success, 1 some grid cells failed, 2 config or input error.
 """
 
@@ -16,13 +17,14 @@ import argparse
 import dataclasses
 import logging
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 from . import harness
 from . import neuralnet as nn
 from .errors import PipelineError, SentiStockError
 from .ingest import load_master_csv, load_tweets, write_stock_csv, write_tweets
-from .sentiment import VARIANTS, ScorerConfig, score_corpus, write_scores_csv
+from .sentiment import VARIANTS, score_corpus, write_scores_csv
 
 
 # argparse names a bad value's type function in its usage error, hence no underscore.
@@ -117,8 +119,7 @@ def _cmd_clean(args) -> int:
 
 def _cmd_score(args) -> int:
     corpus = load_tweets(args.tweets)
-    config = ScorerConfig(source=args.scores_file)
-    table = score_corpus(config, corpus, args.variants)
+    table = score_corpus(args.scores_file, corpus, args.variants)
     write_scores_csv(table, args.out)
     print(f"scored {len(corpus)} tweets x {len(args.variants)} variants -> {args.out}")
     return 0
@@ -195,14 +196,19 @@ def main(argv: list[str] | None = None) -> int:
         "evaluate": _cmd_evaluate,
         "grid": _cmd_grid,
     }
+    made = []  # the directories this call creates, removed again if it exits 2
     try:
         for name in ("out", "model_out", "history_out", "pred_out"):
             path = getattr(args, name, None)
             if path:
+                made += [d for d in Path(path).parents if not d.exists()]
                 Path(path).parent.mkdir(parents=True, exist_ok=True)
         return handlers[args.command](args)
     except (SentiStockError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        for directory in sorted(made, key=lambda d: len(d.parts), reverse=True):
+            with suppress(OSError):  # only an empty directory goes
+                directory.rmdir()
         return 2
 
 

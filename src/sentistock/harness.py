@@ -30,7 +30,7 @@ from . import neuralnet as nn
 from .errors import ConfigError, PipelineError
 from .ingest import TARGET_COLUMN, MasterDataset, TweetCorpus, load_stock_csv, load_tweets, write_csv
 from .mapping import MemoryKernel, daily_aggregate, join_with_stock, memory_weighted_map
-from .sentiment import VARIANTS, ScorerConfig, ScoreTable, score_corpus
+from .sentiment import VARIANTS, ScoreTable, score_corpus
 
 logger = logging.getLogger(__name__)
 
@@ -81,8 +81,8 @@ class ExperimentConfig:
     def __post_init__(self):
         """Check every value once, and build the stage configs a run uses.
 
-        ``training``, ``scorer`` and ``kernel`` are plain attributes, not
-        fields: asdict and dataclasses.replace see only the values.
+        ``training`` and ``kernel`` are plain attributes, not fields: asdict
+        and dataclasses.replace see only the values.
         """
         for f in fields(self):  # a list field needs a list, any other field a non-list
             types, kind = _FIELD_TYPES[f.type]
@@ -120,7 +120,6 @@ class ExperimentConfig:
                 patience=self.patience,
                 learning_rate=self.learning_rate,
             )
-            self.scorer = ScorerConfig(source=self.scores_file)
             self.kernel = MemoryKernel(self.memory_days, self.kernel_mode)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -260,7 +259,7 @@ def build_masters(cfg: ExperimentConfig, stock: MasterDataset,
         with _stage("load_tweets"):
             corpus = tweet_loader(*cfg.tweet_files)
         with _stage("score"):  # a variant that could not be scored fails alone in build_master
-            table = score_corpus(cfg.scorer, corpus, cfg.variants)
+            table = score_corpus(cfg.scores_file, corpus, cfg.variants)
     except PipelineError as exc:
         return dict.fromkeys(cfg.variants, exc)
     masters = {}

@@ -2,8 +2,8 @@
 
 Scores come from one of two sources: a precomputed score CSV, with header
 ``tweet_id,variant,p_pos,p_neg,p_neu``, through which scores computed
-externally by transformer models enter, when one is named; otherwise a
-deterministic lexicon scorer (useful for tests and offline experiments).
+externally by transformer models enter, when one is named; otherwise the
+package's deterministic lexicon (useful for tests and offline experiments).
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ DEFAULT_NEGATIVE_WORDS = frozenset(
     negative fear risk selloff bankruptcy low
     """.split()
 )
+# Each lexicon word's bit: 1 if positive, 2 if negative (the lists share no word).
+_LEXICON = {**dict.fromkeys(DEFAULT_POSITIVE_WORDS, 1), **dict.fromkeys(DEFAULT_NEGATIVE_WORDS, 2)}
 
 # Class names, in the column order of a (p_pos, p_neg, p_neu) row.
 LABELS = ("positive", "negative", "neutral")
@@ -89,36 +91,15 @@ class ScoreTable:
         return scores
 
 
-@dataclass
-class ScorerConfig:
-    """Selects and parameterizes a scorer.
-
-    ``source`` names a precomputed score CSV; without one the lexicon of
-    ``positive_words`` and ``negative_words`` scores the texts.
-    """
-
-    source: str | Path | None = None
-    positive_words: frozenset[str] = DEFAULT_POSITIVE_WORDS
-    negative_words: frozenset[str] = DEFAULT_NEGATIVE_WORDS
-
-
-def score_texts(config: ScorerConfig, texts: list[str]) -> np.ndarray:
+def score_texts(texts: list[str]) -> np.ndarray:
     """The (len(texts), 3) lexicon probabilities (p_pos, p_neg, p_neu) of the texts.
 
-    With hit counts c+ and c- among whitespace tokens and n tokens total:
+    With hit counts c+ and c- of DEFAULT_POSITIVE_WORDS and DEFAULT_NEGATIVE_WORDS
+    among whitespace tokens and n tokens total:
     u = (c+ - c-) / max(1, c+ + c-), s = (c+ + c-) / n, p_pos = s*max(u, 0),
     p_neg = s*max(-u, 0), p_neu = 1 - p_pos - p_neg. No hits (or empty text)
-    scores neutral. Deterministic for fixed config and texts.
+    scores neutral. Deterministic for fixed texts.
     """
-    if config.source is not None:
-        raise ScorerUnavailableError(
-            "text scoring needs the lexicon scorer; precomputed scores are "
-            "looked up by tweet id via load_precomputed_scores"
-        )
-    # each word's lexicon bits: 1 if positive, 2 if negative, 3 if both
-    lexicon = dict.fromkeys(config.positive_words, 1)
-    for word in config.negative_words:
-        lexicon[word] = lexicon.get(word, 0) | 2
     n_tokens = np.empty(len(texts), dtype=np.int64)
     c_pos, c_neg = counts = np.zeros((2, len(texts)), dtype=np.int64)
     for start in range(0, len(texts), _TOKEN_BLOCK):
@@ -129,7 +110,7 @@ def score_texts(config: ScorerConfig, texts: list[str]) -> np.ndarray:
         block = slice(start, start + len(lengths))
         n_tokens[block] = lengths
         owner = np.repeat(np.arange(len(lengths)), n_tokens[block])
-        kind = np.fromiter(map(lexicon.get, tokens, repeat(0)), dtype=np.int8, count=len(tokens))
+        kind = np.fromiter(map(_LEXICON.get, tokens, repeat(0)), dtype=np.int8, count=len(tokens))
         for hits, bit in zip(counts, (1, 2)):
             hits[block] = np.bincount(owner[(kind & bit) != 0], minlength=len(lengths))
     total = c_pos + c_neg
@@ -142,20 +123,19 @@ def score_texts(config: ScorerConfig, texts: list[str]) -> np.ndarray:
     return np.stack([p_pos, p_neg, 1.0 - p_pos - p_neg], axis=1)
 
 
-def score_corpus(
-    config: ScorerConfig, corpus: TweetCorpus, variants: list[str] | tuple[str, ...] = VARIANTS
-) -> ScoreTable:
+def score_corpus(scores_file: str | Path | None, corpus: TweetCorpus,
+                 variants: list[str] | tuple[str, ...] = VARIANTS) -> ScoreTable:
     """Score every tweet for every requested variant.
 
-    The lexicon scorer scores each text form once per tweet; variants that
-    read the same form share its array. A config naming a score file reads
-    it once instead, and errors in the file raise here. A variant that cannot be scored
-    keeps its error in the table: ValueError if unknown,
+    A named score file is read once, and errors in the file raise here;
+    without one the lexicon scores each text form once per tweet, and
+    variants that read the same form share its array. A variant that cannot
+    be scored keeps its error in the table: ValueError if unknown,
     MissingVariantTextError if a tweet lacks its text form,
     ScorerUnavailableError if the precomputed scores miss a tweet.
     """
     table = ScoreTable(tweet_ids=corpus.ids)
-    loaded = None if config.source is None else load_precomputed_scores(config.source, corpus)
+    loaded = None if scores_file is None else load_precomputed_scores(scores_file, corpus)
     by_form: dict[str, np.ndarray | None] = {}  # None for a form some tweet lacks
     for variant in variants:
         if variant not in TEXT_FORMS:
@@ -166,7 +146,7 @@ def score_corpus(
             form = TEXT_FORMS[variant]
             texts = getattr(corpus, form)
             if form not in by_form:
-                by_form[form] = None if None in texts else score_texts(config, texts)
+                by_form[form] = None if None in texts else score_texts(texts)
             table.scores[variant] = (MissingVariantTextError(corpus.ids[texts.index(None)], variant)
                                      if by_form[form] is None else by_form[form])
     return table

@@ -118,6 +118,39 @@ def test_train_makes_model_out_directory(workspace):
     assert nn.load_model(model).config.input_shape == (3, 5)
 
 
+def test_failed_train_removes_only_the_directories_it_made(workspace, capsys):
+    """On exit 2 the empty directories this call made go, deepest first;
+    one that existed before stays, empty or not."""
+    tmp_path, stock_path, _ = workspace
+    missing = str(tmp_path / "missing.csv")
+    assert main(["train", "--master", missing, "--lookback", "3",
+                 "--model-out", str(tmp_path / "new" / "sub" / "m.npz")]) == 2
+    assert "missing.csv" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+    (tmp_path / "old" / "empty").mkdir(parents=True)
+    assert main(["train", "--master", missing, "--lookback", "3",
+                 "--model-out", str(tmp_path / "old" / "empty" / "m.npz"),
+                 "--history-out", str(tmp_path / "old" / "made" / "deeper" / "h.csv")]) == 2
+    assert sorted(p.name for p in (tmp_path / "old").iterdir()) == ["empty"]
+    assert main(["train", "--master", missing, "--lookback", "3",
+                 "--model-out", str(tmp_path / "m.npz")]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["DEMO.csv", "old", "tweets.jsonl"]
+
+
+def test_failed_train_keeps_a_made_directory_that_holds_a_file(workspace, monkeypatch):
+    tmp_path, stock_path, _ = workspace
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(harness, "write_loss_csv", fail)
+    model = tmp_path / "new" / "m.npz"
+    assert main(["train", "--master", str(stock_path), "--lookback", "3", "--hidden-units", "4",
+                 "--epochs", "1", "--model-out", str(model),
+                 "--history-out", str(tmp_path / "new" / "sub" / "h.csv")]) == 2
+    assert model.exists() and not (tmp_path / "new" / "sub").exists()
+
+
 def test_train_output_parent_that_is_a_file_exit_code(workspace, capsys, monkeypatch):
     """An output directory that cannot be made stops train before it trains."""
     tmp_path, stock_path, _ = workspace

@@ -20,7 +20,7 @@ from sentistock.harness import (
     run_grid,
     run_master,
 )
-from sentistock.ingest import load_stock_csv, load_tweets, write_stock_csv, write_tweets
+from sentistock.ingest import TweetCorpus, load_stock_csv, load_tweets, write_stock_csv, write_tweets
 from sentistock.mapping import MasterDataset
 from sentistock.sentiment import VARIANTS
 
@@ -292,9 +292,9 @@ class TestRunGrid:
         scored = []
         real = sentiment.score_texts
 
-        def recording(config, texts):
+        def recording(texts):
             scored.extend(texts)
-            return real(config, texts)
+            return real(texts)
 
         monkeypatch.setattr(sentiment, "score_texts", recording)
         cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)], lookbacks=[2, 3])
@@ -362,13 +362,59 @@ class TestRunGrid:
         without_file = dataclasses.replace(with_file, scores_file=None)
         hashes = {}
         for cfg, table in ((with_file, sentiment.load_precomputed_scores(scores, corpus)),
-                           (without_file, sentiment.score_corpus(sentiment.ScorerConfig(), corpus))):
+                           (without_file, sentiment.score_corpus(None, corpus))):
             masters = harness.build_masters(cfg, stock)
             for variant in VARIANTS:
                 expected = harness.build_master(cfg, variant, stock, corpus, table)
                 hashes[cfg.scores_file, variant] = harness.master_data_hash(masters[variant])
                 assert hashes[cfg.scores_file, variant] == harness.master_data_hash(expected), variant
         assert all(hashes[str(scores), v] != hashes[None, v] for v in VARIANTS)
+
+    def test_planted_variant_beats_noise_variants(self, tmp_path):
+        """Four variants of one score file: pos_prosus's daily sentiment sets
+        the next close, the other three are Dirichlet noise. Each cell trains
+        on its own variant's master, and by the median over three grid seeds
+        the planted variant's test RMSE beats every noise variant's, as
+        acceptance test 6 asks of sentiment against none."""
+        from datetime import date
+
+        rng = np.random.default_rng(0)
+        n_days, planted = 150, "pos_prosus"
+        calendar = synth.trading_calendar(date(2020, 1, 1), n_days)
+        # With memory_days=1 master row d holds day d-1's tweet, whose p_pos sets close[d+1].
+        p_pos = rng.uniform(0.5, 1.0, n_days - 1)
+        close = np.full(n_days, 100.0)
+        close[2:] += 20.0 * (p_pos[:-1] - 0.75) + rng.normal(0.0, 0.5, n_days - 2)
+        stock = MasterDataset(calendar, {"Open": close * 0.99, "High": close * 1.01, "Low": close * 0.98,
+                                         "Close": close, "Volume": np.full(n_days, 1000.0)}, symbol="PLANT")
+        write_stock_csv(stock, tmp_path / "stock.csv")
+        texts = ["flat"] * (n_days - 1)
+        write_tweets(TweetCorpus([str(i) for i in range(n_days - 1)],
+                                 np.array([d.toordinal() for d in calendar[:-1]]), texts, texts, texts),
+                     tmp_path / "tweets.jsonl")
+        scores = {variant: rng.dirichlet(np.ones(3), n_days - 1) for variant in VARIANTS}
+        scores[planted] = np.stack([p_pos, np.zeros_like(p_pos), 1.0 - p_pos], axis=1)
+        ids = load_tweets(tmp_path / "tweets.jsonl").ids
+        sentiment.write_scores_csv(sentiment.ScoreTable(ids, {
+            variant: rows[[int(i) for i in ids]] for variant, rows in scores.items()}), tmp_path / "scores.csv")
+
+        cfg = fast_config(stock_file=str(tmp_path / "stock.csv"), tweet_files=[str(tmp_path / "tweets.jsonl")],
+                          scores_file=str(tmp_path / "scores.csv"), memory_days=1, hidden_units=8, epochs=30,
+                          patience=30, learning_rate=0.01, lookbacks=[5], metric_units="scaled")
+        masters = harness.build_masters(cfg, load_stock_csv(tmp_path / "stock.csv"))
+        assert len({harness.master_data_hash(m) for m in masters.values()}) == len(VARIANTS)
+        rmse = {variant: [] for variant in VARIANTS}
+        for seed in (0, 4, 8):  # each grid's four cells take seeds seed..seed+3
+            grid = dataclasses.replace(cfg, seed=seed)
+            records = run_grid(grid)
+            assert [r.variant for r in records] == list(VARIANTS) and all(r.ok for r in records)
+            for r in records:
+                assert r.fingerprint == fingerprint(grid, r.variant, r.lookback, r.seed, masters[r.variant])
+                rmse[r.variant].append(r.report.rmse)
+        median = {variant: float(np.median(values)) for variant, values in rmse.items()}
+        for variant in VARIANTS:
+            if variant != planted:
+                assert median[planted] <= 0.8 * median[variant], median
 
     def test_missing_scores_file_fails_every_cell(self, synthetic_inputs, tmp_path):
         """A named score file is read, so a grid whose config names a missing
@@ -546,8 +592,7 @@ class TestFingerprint:
         writes the lexicon grid's files byte for byte, records included."""
         stock_path, tweets_path = synthetic_inputs
         scores = tmp_path / "scores.csv"
-        sentiment.write_scores_csv(sentiment.score_corpus(sentiment.ScorerConfig(), load_tweets(tweets_path)),
-                                   scores)
+        sentiment.write_scores_csv(sentiment.score_corpus(None, load_tweets(tweets_path)), scores)
         lexicon = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)], lookbacks=[2, 3],
                               output_dir=str(tmp_path / "lexicon"))
         assert all(r.ok for r in run_grid(lexicon))

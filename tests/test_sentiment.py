@@ -14,10 +14,11 @@ from sentistock.errors import (
 from sentistock import sentiment
 from sentistock.ingest import Tweet, load_tweets, write_tweets
 from sentistock.sentiment import (
+    DEFAULT_NEGATIVE_WORDS,
+    DEFAULT_POSITIVE_WORDS,
     LABELS,
     SCORE_COLUMNS,
     VARIANTS,
-    ScorerConfig,
     labels,
     load_precomputed_scores,
     score_corpus,
@@ -42,18 +43,18 @@ def label_of(row) -> str:
     return LABELS[int(labels(np.asarray([row], dtype=float))[0])]
 
 
-def score_text(config, text):
+def score_text(text):
     """One text's (p_pos, p_neg, p_neu) row as Python floats."""
-    return tuple(score_texts(config, [text])[0].tolist())
+    return tuple(score_texts([text])[0].tolist())
 
 
-def reference_lexicon_probabilities(config, text):
+def reference_lexicon_probabilities(text):
     """The lexicon formula for one text, in Python floats."""
     tokens = text.split()
     if not tokens:
         return (0.0, 0.0, 1.0)
-    c_pos = sum(map(config.positive_words.__contains__, tokens))
-    c_neg = sum(map(config.negative_words.__contains__, tokens))
+    c_pos = sum(map(DEFAULT_POSITIVE_WORDS.__contains__, tokens))
+    c_neg = sum(map(DEFAULT_NEGATIVE_WORDS.__contains__, tokens))
     hits = c_pos + c_neg
     u = (c_pos - c_neg) / max(1, hits)
     s = hits / len(tokens)
@@ -62,8 +63,8 @@ def reference_lexicon_probabilities(config, text):
     return (p_pos, p_neg, 1.0 - p_pos - p_neg)
 
 
-def reference_scores(config, texts):
-    return np.array([reference_lexicon_probabilities(config, text) for text in texts],
+def reference_scores(texts):
+    return np.array([reference_lexicon_probabilities(text) for text in texts],
                     dtype=float).reshape(-1, 3)
 
 
@@ -73,12 +74,6 @@ def entries(table):
     return {(tweet_id, variant): tuple(row)
             for variant, scores in table.scores.items() if isinstance(scores, np.ndarray)
             for tweet_id, row in zip(table.tweet_ids, scores.tolist())}
-
-
-LEXICON = ScorerConfig(
-    positive_words=frozenset({"growth"}),
-    negative_words=frozenset({"crash"}),
-)
 
 
 class TestSentimentScore:
@@ -115,7 +110,7 @@ class TestScoreTweet:
 
     def test_counts_formula(self):
         # c+=2, c-=1, n=3: u=1/3, s=1 -> p_pos=1/3, p_neg=0, p_neu=2/3
-        p_pos, p_neg, p_neu = score_text(LEXICON, "growth growth crash")
+        p_pos, p_neg, p_neu = score_text("growth growth crash")
         assert p_pos == pytest.approx(1 / 3, abs=1e-12)
         assert p_neg == 0.0
         assert p_neu == pytest.approx(2 / 3, abs=1e-12)
@@ -123,22 +118,22 @@ class TestScoreTweet:
         assert label_of((p_pos, p_neg, p_neu)) == "neutral"  # argmax rule; p_neu dominates here
 
     def test_zero_hits_is_neutral(self):
-        score = score_text(LEXICON, "nothing to see here")
+        score = score_text("nothing to see here")
         assert score == (0.0, 0.0, 1.0)
         assert label_of(score) == "neutral"
 
     def test_single_negative_hit(self):
-        score = score_text(LEXICON, "crash")
+        score = score_text("crash")
         assert score == (0.0, 1.0, 0.0)
         assert label_of(score) == "negative"
 
     def test_empty_text_is_neutral(self):
-        assert label_of(score_text(LEXICON, "")) == "neutral"
+        assert label_of(score_text("")) == "neutral"
 
     def test_deterministic(self):
         for text in ("growth crash growth", "crash crash", "hello"):
-            a = score_text(LEXICON, text)
-            b = score_text(LEXICON, text)
+            a = score_text(text)
+            b = score_text(text)
             assert a == b
 
     def test_appending_positive_word_never_decreases_p_pos(self):
@@ -146,48 +141,37 @@ class TestScoreTweet:
         words = ["growth", "crash", "flat", "open", "close"]
         for _ in range(300):
             text = " ".join(rng.choice(words, size=rng.integers(1, 12)))
-            before = score_text(LEXICON, text)[0]
-            after = score_text(LEXICON, text + " growth")[0]
+            before = score_text(text)[0]
+            after = score_text(text + " growth")[0]
             assert after >= before - 1e-15
-
-    def test_precomputed_kind_unavailable_per_text(self):
-        config = ScorerConfig(source="whatever.csv")
-        with pytest.raises(ScorerUnavailableError):
-            score_texts(config, ["growth"])
 
 
 class TestLexiconScores:
-    OVERLAP = ScorerConfig(positive_words=frozenset({"up", "high", "wild"}),
-                           negative_words=frozenset({"down", "low", "wild"}))
+    def test_word_lists_are_disjoint(self):
+        # each lexicon word has one bit; a word in both lists would count for one only
+        assert DEFAULT_POSITIVE_WORDS and DEFAULT_NEGATIVE_WORDS
+        assert not DEFAULT_POSITIVE_WORDS & DEFAULT_NEGATIVE_WORDS
 
     def test_bit_identical_to_per_text_formula(self):
         rng = np.random.default_rng(21)
         words = ["up", "high", "down", "low", "wild", "flat", "x", "", " ", "\t", "\u3000"]
-        for config in (LEXICON, self.OVERLAP, ScorerConfig()):
-            for _ in range(300):
-                texts = [" ".join(rng.choice(words, size=rng.integers(0, 12)))
-                         for _ in range(rng.integers(0, 9))]
-                assert score_texts(config, texts).tobytes() == reference_scores(config, texts).tobytes()
+        for _ in range(300):
+            texts = [" ".join(rng.choice(words, size=rng.integers(0, 12)))
+                     for _ in range(rng.integers(0, 9))]
+            assert score_texts(texts).tobytes() == reference_scores(texts).tobytes()
 
     def test_empty_texts_and_signed_zeros(self):
-        texts = ["", "   ", "flat", "up down", "wild", "down", "up", ""]
-        got = score_texts(self.OVERLAP, texts)
-        assert got.shape == (8, 3)
-        assert got.tobytes() == reference_scores(self.OVERLAP, texts).tobytes()
+        texts = ["", "   ", "flat", "up down", "wild", "down", "up", "", "high low", "low high flat"]
+        got = score_texts(texts)
+        assert got.shape == (10, 3)
+        assert got.tobytes() == reference_scores(texts).tobytes()
+        assert got[8:].tolist() == [[0.0, 0.0, 1.0]] * 2  # u = 0 with hits
         assert not np.signbit(got).any()
-        assert score_texts(self.OVERLAP, []).shape == (0, 3)
-
-    def test_word_in_both_lists_counts_for_both(self):
-        # "wild" is one positive and one negative hit: u = 0, so the text scores neutral
-        assert score_text(self.OVERLAP, "wild") == (0.0, 0.0, 1.0)
-        # c+ = 2 (up, wild), c- = 1 (wild), n = 3: u = 1/3, s = 1
-        assert score_text(self.OVERLAP, "up wild flat") == (1 / 3, 0.0, 1.0 - 1 / 3)
-        assert score_text(self.OVERLAP, "wild down down") == reference_lexicon_probabilities(
-            self.OVERLAP, "wild down down")
+        assert score_texts([]).shape == (0, 3)
 
     def test_score_tweet_uses_the_same_formula(self):
         for text in ("growth growth crash", "", "crash", "flat"):
-            assert score_text(LEXICON, text) == reference_lexicon_probabilities(LEXICON, text)
+            assert score_text(text) == reference_lexicon_probabilities(text)
 
 
 class TestScoreTextsInBlocks:
@@ -195,20 +179,19 @@ class TestScoreTextsInBlocks:
         rng = np.random.default_rng(4)
         words = ["growth", "crash", "gain", "loss", "flat", "day", "record", "low", "\u3000", "\t"]
         texts = [" ".join(rng.choice(words, size=rng.integers(0, 9))) for _ in range(2600)]
-        config = ScorerConfig()
-        blocked = score_texts(config, texts)
+        blocked = score_texts(texts)
         assert len(texts) > 2 * sentiment._TOKEN_BLOCK
-        assert blocked.tobytes() == reference_scores(config, texts).tobytes()
+        assert blocked.tobytes() == reference_scores(texts).tobytes()
         for block in (len(texts), 1, 7):
             monkeypatch.setattr(sentiment, "_TOKEN_BLOCK", block)
-            assert score_texts(config, texts).tobytes() == blocked.tobytes(), block
+            assert score_texts(texts).tobytes() == blocked.tobytes(), block
 
 
 class TestScoreCorpus:
     def test_cardinality(self):
         corpus = make_corpus([("1", "2023-01-02", "growth"), ("2", "2023-01-03", "crash"),
                               ("3", "2023-01-04", "flat day")])
-        table = score_corpus(LEXICON, corpus, ["cleaned_prosus", "cleaned_yiyanghkust"])
+        table = score_corpus(None, corpus, ["cleaned_prosus", "cleaned_yiyanghkust"])
         assert len(entries(table)) == 6
 
     def test_missing_pos_text(self):
@@ -218,14 +201,14 @@ class TestScoreCorpus:
                       pos_tagged_text=None)
         corpus = corpus_of([tweet])
         with pytest.raises(MissingVariantTextError):
-            score_corpus(LEXICON, corpus, ["pos_prosus"]).probabilities("pos_prosus")
+            score_corpus(None, corpus, ["pos_prosus"]).probabilities("pos_prosus")
 
     def test_text_form_scored_once_and_failures_kept_per_variant(self):
         from datetime import date
 
         tweets = [Tweet(id="1", date=date(2023, 1, 2), raw_text="growth", cleaned_text="growth",
                         pos_tagged_text=None)]
-        table = score_corpus(LEXICON, corpus_of(tweets), list(VARIANTS) + ["bogus"])
+        table = score_corpus(None, corpus_of(tweets), list(VARIANTS) + ["bogus"])
         assert table.variants == list(VARIANTS) + ["bogus"]
         assert table.probabilities("cleaned_prosus") is table.probabilities("cleaned_yiyanghkust")
         assert table.probabilities("cleaned_prosus").tolist() == [[1.0, 0.0, 0.0]]
@@ -243,7 +226,7 @@ class TestScoreCorpus:
 
         tweets = [Tweet(id=str(i), date=date(2023, 1, 2 + i), raw_text="growth", cleaned_text="growth",
                         pos_tagged_text=None if i in (1, 2) else "growth") for i in range(4)]
-        table = score_corpus(LEXICON, corpus_of(tweets), list(VARIANTS))
+        table = score_corpus(None, corpus_of(tweets), list(VARIANTS))
         for variant in ("cleaned_prosus", "cleaned_yiyanghkust"):
             assert table.probabilities(variant).tolist() == [[1.0, 0.0, 0.0]] * 4
         for variant in ("pos_prosus", "pos_yiyanghkust"):
@@ -255,7 +238,7 @@ class TestScoreCorpus:
     def test_stored_scores_satisfy_invariants(self):
         corpus = make_corpus([("1", "2023-01-02", "growth crash growth"),
                               ("2", "2023-01-03", "crash crash flat")])
-        table = score_corpus(LEXICON, corpus, list(VARIANTS))
+        table = score_corpus(None, corpus, list(VARIANTS))
         for score in entries(table).values():
             assert abs(sum(score) - 1.0) <= 1e-6
             probs = dict(zip(LABELS, score))
@@ -372,8 +355,7 @@ class TestPrecomputedScores:
         corpus = make_corpus([("1", "2023-01-02", "x")])
         rows = [("1", v, 0.25, 0.3125, 0.4375) for v in VARIANTS]
         path = self.write_scores(tmp_path, rows)
-        config = ScorerConfig(source=path)
-        table = score_corpus(config, corpus, list(VARIANTS))
+        table = score_corpus(path, corpus, list(VARIANTS))
         assert len(entries(table)) == 4
         for variant in VARIANTS:
             assert entries(table)["1", variant] == (0.25, 0.3125, 0.4375)
@@ -381,9 +363,8 @@ class TestPrecomputedScores:
     def test_incomplete_precomputed_table(self, tmp_path):
         corpus = make_corpus([("1", "2023-01-02", "x"), ("2", "2023-01-03", "y")])
         path = self.write_scores(tmp_path, [("1", "cleaned_prosus", 1, 0, 0)])
-        config = ScorerConfig(source=path)
         with pytest.raises(ScorerUnavailableError):
-            score_corpus(config, corpus, ["cleaned_prosus"]).probabilities("cleaned_prosus")
+            score_corpus(path, corpus, ["cleaned_prosus"]).probabilities("cleaned_prosus")
 
     def test_written_bytes(self, tmp_path):
         """The score CSV format: CRLF line ends, each probability's float repr, and a
@@ -405,7 +386,7 @@ class TestPrecomputedScores:
 
     def test_round_trip_via_writer(self, tmp_path):
         corpus = make_corpus([("1", "2023-01-02", "growth"), ("2", "2023-01-03", "crash")])
-        table = score_corpus(LEXICON, corpus, ["cleaned_prosus"])
+        table = score_corpus(None, corpus, ["cleaned_prosus"])
         path = tmp_path / "out.csv"
         write_scores_csv(table, path)
         reloaded = load_precomputed_scores(path, corpus)
@@ -429,8 +410,7 @@ class TestMergedCorpusScores:
     def test_rows_match_by_own_or_merged_id(self, tmp_path):
         corpus = self.merged(tmp_path)
         path = self.write_scores(tmp_path, ["0:1", "a", "1:1", "b"])
-        config = ScorerConfig(source=path)
-        table = score_corpus(config, corpus, ["cleaned_prosus"])
+        table = score_corpus(path, corpus, ["cleaned_prosus"])
         by_id = dict(zip(table.tweet_ids, table.probabilities("cleaned_prosus")[:, 0].tolist()))
         assert by_id == pytest.approx({"0:1": 0.0, "0:a": 0.1, "1:1": 0.2, "1:b": 0.3})
 
