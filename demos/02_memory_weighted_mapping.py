@@ -18,7 +18,7 @@ table = score_corpus(None, corpus, ["cleaned_prosus"])  # None: the lexicon scor
 
 # Raw daily channels, one array per sentiment column: per-day mean of one-hot
 # class contributions. Tweets on weekends roll forward to the next trading day.
-daily = daily_aggregate(table, "cleaned_prosus", corpus, stock.calendar)
+daily = daily_aggregate(table.probabilities("cleaned_prosus"), corpus.ordinals, stock.calendar)
 print(f"{len(corpus)} tweets over {stock.n_rows} trading days")
 print(f"days with any sentiment: {int(np.sum(sum(daily.values()) > 0))}")
 

@@ -39,7 +39,7 @@ for epoch in range(0, history.n_epochs, max(1, history.n_epochs // 8)):
     print(f"  epoch {epoch:3d}  train {history.train_loss[epoch]:.5f}  "
           f"val {history.val_loss[epoch]:.5f}")
 
-pred_scaled = predict(model, test_windows)
+pred_scaled = predict(model, test_windows.X)
 rmse_scaled = float(np.sqrt(np.mean((pred_scaled - test_windows.y) ** 2)))
 print(f"\nscaled test RMSE: {rmse_scaled:.4f}")
 

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import harness
 from . import neuralnet as nn
 from .errors import PipelineError, SentiStockError
-from .ingest import load_master_csv, load_tweets, write_stock_csv, write_tweets
+from .ingest import clean_tweets, load_master_csv, load_tweets, write_stock_csv, write_tweets
 from .sentiment import VARIANTS, score_corpus, write_scores_csv
 
 
@@ -112,16 +112,16 @@ def _config_flags(args) -> dict:
 
 def _cmd_clean(args) -> int:
     corpus = load_tweets(args.tweets)
-    write_tweets(dataclasses.replace(corpus, raw_texts=corpus.cleaned_texts), args.out)
+    write_tweets(dataclasses.replace(corpus, raw_texts=clean_tweets(corpus.raw_texts)), args.out)
     print(f"cleaned {len(corpus)} tweets -> {args.out}")
     return 0
 
 
 def _cmd_score(args) -> int:
+    cfg = harness.ExperimentConfig(**_config_flags(args))
     corpus = load_tweets(args.tweets)
-    table = score_corpus(args.scores_file, corpus, args.variants)
-    write_scores_csv(table, args.out)
-    print(f"scored {len(corpus)} tweets x {len(args.variants)} variants -> {args.out}")
+    write_scores_csv(score_corpus(cfg.scores_file, corpus, cfg.variants), args.out)
+    print(f"scored {len(corpus)} tweets x {len(cfg.variants)} variants -> {args.out}")
     return 0
 
 

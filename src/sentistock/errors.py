@@ -64,7 +64,7 @@ class ProbabilityRowInvalidError(UnparseableRowError):
 # --- mapping ---
 
 class MissingScoreError(SentiStockError):
-    """The score table has no entry for a (tweet, variant) pair."""
+    """The score table has no entry for a variant."""
 
 
 # --- dataset ---

@@ -234,9 +234,9 @@ def build_master(cfg: ExperimentConfig, variant: str, stock: MasterDataset,
     """Produce the master dataset for one variant from a loaded corpus and
     its score table (stage-tagged)."""
     with _stage("score"):
-        table.probabilities(variant)  # a variant that could not be scored fails here
+        probabilities = table.probabilities(variant)  # a variant that could not be scored fails here
     with _stage("aggregate"):
-        daily = daily_aggregate(table, variant, corpus, stock.calendar)
+        daily = daily_aggregate(probabilities, corpus.ordinals, stock.calendar)
     with _stage("map"):
         mapped = memory_weighted_map(daily, cfg.kernel)
     with _stage("join"):
@@ -306,7 +306,7 @@ def evaluate_model(model: nn.BiLstmModel, cell: CellData, windows: ds.WindowedSe
     without one.
     """
     with _stage("predict"):
-        pred_scaled = np.asarray(nn.predict(model, windows, chunk_size=cfg.batch_size))
+        pred_scaled = np.asarray(nn.predict(model, windows.X, chunk_size=cfg.batch_size))
         actual_scaled = windows.y
     with _stage("inverse_scale"):
         pred_data = ds.inverse_transform(cell.scalers, TARGET_COLUMN, pred_scaled)

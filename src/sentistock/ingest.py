@@ -81,7 +81,6 @@ class Tweet(NamedTuple):
     id: str
     date: date
     raw_text: str
-    cleaned_text: str
     pos_tagged_text: str | None = None
 
 
@@ -97,26 +96,24 @@ class TweetCorpus:
     ids: list[str]
     ordinals: np.ndarray
     raw_texts: list[str]
-    cleaned_texts: list[str]
     pos_texts: list[str | None]
     sources: int = 1
 
     @classmethod
-    def by_date(cls, ids, ordinals, raw_texts, cleaned_texts, pos_texts, sources: int = 1) -> TweetCorpus:
+    def by_date(cls, ids, ordinals, raw_texts, pos_texts, sources: int = 1) -> TweetCorpus:
         """The corpus of these columns in date order; tweets of one day keep theirs."""
         ordinals = np.asarray(ordinals, dtype=np.int64)
         order = np.argsort(ordinals, kind="stable")
         take = order.tolist()
-        ids, raw_texts, cleaned_texts, pos_texts = ([column[i] for i in take] for column in (
-            ids, raw_texts, cleaned_texts, pos_texts))
-        return cls(ids, ordinals[order], raw_texts, cleaned_texts, pos_texts, sources)
+        ids, raw_texts, pos_texts = ([column[i] for i in take] for column in (ids, raw_texts, pos_texts))
+        return cls(ids, ordinals[order], raw_texts, pos_texts, sources)
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def __iter__(self) -> Iterator[Tweet]:
         days = map(date.fromordinal, self.ordinals.tolist())
-        return map(Tweet, self.ids, days, self.raw_texts, self.cleaned_texts, self.pos_texts)
+        return map(Tweet, self.ids, days, self.raw_texts, self.pos_texts)
 
     def id_rows(self) -> tuple[dict[str, int], set[str]]:
         """The row of each name of a tweet, and the names of several tweets. A tweet
@@ -372,8 +369,7 @@ def load_tweets(path: str | Path, *more_paths: str | Path) -> TweetCorpus:
                 raise
             raise UnparseableRecordError(exc.line_number, exc.reason, tweet_file) from exc
         ids += [f"{index}:{tweet_id}" for tweet_id in file_ids] if more_paths else file_ids
-    # Cleaned as one batch once every record has parsed.
-    return TweetCorpus.by_date(ids, ordinals, raws, clean_tweets(raws), pos_texts, len(paths))
+    return TweetCorpus.by_date(ids, ordinals, raws, pos_texts, len(paths))
 
 
 def write_tweets(corpus: TweetCorpus, path: str | Path) -> None:

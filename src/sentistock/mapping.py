@@ -13,9 +13,8 @@ from datetime import date
 
 import numpy as np
 
-from .errors import MissingScoreError
-from .ingest import MasterDataset, TweetCorpus
-from .sentiment import ScoreTable, labels
+from .ingest import MasterDataset
+from .sentiment import labels
 
 SENTIMENT_COLUMNS = ("sent_pos", "sent_neg", "sent_neu")
 
@@ -56,24 +55,18 @@ def class_contributions(probabilities: np.ndarray) -> np.ndarray:
     return contributions
 
 
-def daily_aggregate(
-    table: ScoreTable,
-    variant: str,
-    corpus: TweetCorpus,
-    calendar: list[date],
-) -> dict[str, np.ndarray]:
+def daily_aggregate(probabilities: np.ndarray, ordinals: np.ndarray,
+                    calendar: list[date]) -> dict[str, np.ndarray]:
     """Average tweet contributions per trading day, one array per SENTIMENT_COLUMNS name.
 
-    Each tweet contributes its one-hot class contribution to the trading day
-    it falls on; tweets on non-trading days roll forward to the next trading
-    day, and tweets after the last trading day are dropped. Days without
-    tweets stay 0. Each day's contributions are summed in corpus order.
+    Row i of ``probabilities`` scores the tweet of day ``ordinals[i]`` and adds
+    its one-hot class contribution to that trading day; tweets on non-trading
+    days roll forward to the next trading day, and tweets after the last
+    trading day are dropped. Days without tweets stay 0. Each day's
+    contributions are summed in row order.
     """
-    probabilities = table.probabilities(variant)
-    if table.tweet_ids != corpus.ids:
-        raise MissingScoreError(f"the score table's tweets are not the corpus's, variant {variant!r}")
     n = len(calendar)
-    day = np.searchsorted(np.fromiter(map(date.toordinal, calendar), np.int64, n), corpus.ordinals)
+    day = np.searchsorted(np.fromiter(map(date.toordinal, calendar), np.int64, n), ordinals)
     kept = day < n
     day = day[kept]
     contributions = class_contributions(probabilities[kept])

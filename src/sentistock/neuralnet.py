@@ -407,14 +407,13 @@ def forward(model: BiLstmModel, X) -> np.ndarray:
     return pred
 
 
-def predict(model: BiLstmModel, windows, chunk_size: int = 64) -> np.ndarray:
-    """Forward pass over a WindowedSet or raw batch array, in chunks of ``chunk_size`` windows.
+def predict(model: BiLstmModel, X: np.ndarray, chunk_size: int = 64) -> np.ndarray:
+    """Forward pass over a (B, w, F) batch of windows, in chunks of ``chunk_size`` windows.
 
     The arena keeps its largest chunk's size, so chunks of the training batch (as validation and
     ``harness.evaluate_model`` use) keep it within a training step's. With numpy's OpenBLAS, chunk
     sizes that are multiples of 8 gave every window its one-pass bytes; 7 or 50 can move the last bit."""
-    X = windows.X if hasattr(windows, "X") else windows
-    X = _check_batch(model, np.asarray(X, dtype=float))
+    X = _check_batch(model, X)
     if X.shape[0] == 0:
         return np.zeros(0)
     parts = [forward(model, X[k : k + chunk_size]) for k in range(0, X.shape[0], chunk_size)]

@@ -23,7 +23,7 @@ from .errors import (
     UnknownTweetIdError,
     UnparseableRowError,
 )
-from .ingest import TweetCorpus, read_csv, write_csv
+from .ingest import TweetCorpus, clean_tweets, read_csv, write_csv
 
 # Canonical scoring variants, in the order used for result-table features 1-4.
 VARIANTS = ("cleaned_prosus", "cleaned_yiyanghkust", "pos_prosus", "pos_yiyanghkust")
@@ -31,8 +31,8 @@ VARIANTS = ("cleaned_prosus", "cleaned_yiyanghkust", "pos_prosus", "pos_yiyanghk
 # The precomputed-score CSV header, one row per (tweet, variant).
 SCORE_COLUMNS = ("tweet_id", "variant", "p_pos", "p_neg", "p_neu")
 
-# The TweetCorpus column each variant scores; variants reading the same one share scores.
-TEXT_FORMS = dict(zip(VARIANTS, ("cleaned_texts",) * 2 + ("pos_texts",) * 2))
+# The text form each variant scores, cleaned raw or POS-tagged; variants of one form share scores.
+TEXT_FORMS = dict(zip(VARIANTS, ("cleaned",) * 2 + ("pos",) * 2))
 # Texts tokenised at once, which bounds the tokens held in memory.
 _TOKEN_BLOCK = 1024
 
@@ -128,10 +128,10 @@ def score_corpus(scores_file: str | Path | None, corpus: TweetCorpus,
     """Score every tweet for every requested variant.
 
     A named score file is read once, and errors in the file raise here;
-    without one the lexicon scores each text form once per tweet, and
-    variants that read the same form share its array. A variant that cannot
-    be scored keeps its error in the table: ValueError if unknown,
-    MissingVariantTextError if a tweet lacks its text form,
+    without one the lexicon scores each text form (the raw texts cleaned by
+    clean_tweets, or the POS texts) once per call, shared by its variants. A
+    variant that cannot be scored keeps its error in the table: ValueError if
+    unknown, MissingVariantTextError if a tweet lacks its POS text,
     ScorerUnavailableError if the precomputed scores miss a tweet.
     """
     table = ScoreTable(tweet_ids=corpus.ids)
@@ -144,11 +144,11 @@ def score_corpus(scores_file: str | Path | None, corpus: TweetCorpus,
             table.scores[variant] = loaded.scores[variant]
         else:
             form = TEXT_FORMS[variant]
-            texts = getattr(corpus, form)
             if form not in by_form:
+                texts = clean_tweets(corpus.raw_texts) if form == "cleaned" else corpus.pos_texts
                 by_form[form] = None if None in texts else score_texts(texts)
-            table.scores[variant] = (MissingVariantTextError(corpus.ids[texts.index(None)], variant)
-                                     if by_form[form] is None else by_form[form])
+            table.scores[variant] = by_form[form] if by_form[form] is not None else (
+                MissingVariantTextError(corpus.ids[corpus.pos_texts.index(None)], variant))
     return table
 
 

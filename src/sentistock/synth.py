@@ -11,7 +11,7 @@ from datetime import date
 
 import numpy as np
 
-from .ingest import MasterDataset, TweetCorpus, clean_tweets
+from .ingest import MasterDataset, TweetCorpus
 from .mapping import SENTIMENT_COLUMNS
 
 _WEEKDAY_FRIDAY = 4
@@ -113,6 +113,5 @@ def random_tweets(calendar: list[date], per_day: float = 1.5, seed: int = 0) -> 
     phrases, offsets = np.concatenate(draws).reshape(-1, 2).T
     days = np.array([day.toordinal() for day in calendar], dtype=np.int64)
     raws = [_SAMPLE_PHRASES[i] for i in phrases.tolist()]
-    cleaned = clean_tweets(list(_SAMPLE_PHRASES))  # clean_tweets cleans each text on its own
     return TweetCorpus.by_date([str(i) for i in range(len(raws))], np.repeat(days, counts) - offsets,
-                               raws, [cleaned[i] for i in phrases.tolist()], raws)
+                               raws, raws)

@@ -38,14 +38,15 @@ def tweets_jsonl(tmp_path):
 
 def corpus_of(tweets):
     """A TweetCorpus whose columns hold these Tweet rows, in the given order."""
-    ids, days, raws, cleaned, pos = (list(column) for column in zip(*tweets)) if tweets else ([],) * 5
-    return TweetCorpus(ids, np.array([d.toordinal() for d in days], dtype=np.int64), raws, cleaned, pos)
+    ids, days, raws, pos = (list(column) for column in zip(*tweets)) if tweets else ([],) * 4
+    return TweetCorpus(ids, np.array([d.toordinal() for d in days], dtype=np.int64), raws, pos)
 
 
 def make_corpus(entries):
-    """entries: list of (id, iso_date, cleaned_text); raw == cleaned for simplicity."""
+    """entries: list of (id, iso_date, text), the text both raw and POS-tagged;
+    a clean text (lowercase words) is its own cleaned text."""
     tweets = [
-        Tweet(id=i, date=date.fromisoformat(d), raw_text=t, cleaned_text=t, pos_tagged_text=t)
+        Tweet(id=i, date=date.fromisoformat(d), raw_text=t, pos_tagged_text=t)
         for i, d, t in entries
     ]
     tweets.sort(key=lambda t: t.date)

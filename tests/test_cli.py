@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sentistock
-from sentistock import harness, neuralnet as nn, synth
+from sentistock import cli, harness, neuralnet as nn, synth
 from sentistock.cli import build_parser, main
 from sentistock.ingest import clean_tweets, write_stock_csv, write_tweets
 
@@ -63,6 +63,24 @@ def test_score_reads_named_scores_file(workspace):
     assert main(["score", "--tweets", str(tweets_path), "--scores", str(scores), "--out", str(out),
                  "--variants", "cleaned_prosus,pos_prosus"]) == 0
     assert out.read_text().splitlines() == scores.read_text().splitlines()
+
+
+@pytest.mark.parametrize("variants, message", [
+    ("", "variants must name at least one variant"),
+    ("bogus", "unknown variants ['bogus']"),
+    ("cleaned_prosus,cleaned_prosus", "variants repeat a name"),
+], ids=["empty", "unknown", "repeated"])
+def test_score_bad_variants_exit_code(workspace, capsys, monkeypatch, variants, message):
+    """score checks --variants as the config does: a bad list exits 2 before
+    any tweet is read, and leaves neither output nor the directory made for it."""
+    tmp_path, _, tweets_path = workspace
+    monkeypatch.setattr(cli, "load_tweets", lambda *paths: pytest.fail("tweets were read"))
+    out = tmp_path / "new" / "scores.csv"
+    assert main(["score", "--tweets", str(tweets_path), "--out", str(out), "--variants", variants]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not (tmp_path / "new").exists()
 
 
 def test_map_subcommand(workspace):

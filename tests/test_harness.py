@@ -20,7 +20,14 @@ from sentistock.harness import (
     run_grid,
     run_master,
 )
-from sentistock.ingest import TweetCorpus, load_stock_csv, load_tweets, write_stock_csv, write_tweets
+from sentistock.ingest import (
+    TweetCorpus,
+    clean_tweets,
+    load_stock_csv,
+    load_tweets,
+    write_stock_csv,
+    write_tweets,
+)
 from sentistock.mapping import MasterDataset
 from sentistock.sentiment import VARIANTS
 
@@ -301,8 +308,36 @@ class TestRunGrid:
         records = run_grid(cfg)
         assert len(records) == 8 and all(r.ok for r in records)
         corpus = load_tweets(tweets_path)
-        assert sorted(scored) == sorted([t.cleaned_text for t in corpus]
-                                        + [t.pos_tagged_text for t in corpus])
+        assert sorted(scored) == sorted(clean_tweets(corpus.raw_texts) + corpus.pos_texts)
+
+    @pytest.mark.parametrize("variants, from_file, cleanings", [
+        pytest.param(list(VARIANTS), False, 1, id="lexicon"),
+        pytest.param(list(VARIANTS), True, 0, id="score-file"),
+        pytest.param(["pos_prosus", "pos_yiyanghkust"], False, 0, id="pos-only"),
+    ])
+    def test_raw_texts_cleaned_once_for_the_lexicon(self, synthetic_inputs, tmp_path, monkeypatch,
+                                                    variants, from_file, cleanings):
+        """The lexicon cleans every raw text in one call that both cleaned
+        variants share; scores from a file or POS variants alone clean nothing."""
+        stock_path, tweets_path = synthetic_inputs
+        corpus = load_tweets(tweets_path)
+        scores_file = None
+        if from_file:
+            scores_file = str(tmp_path / "scores.csv")
+            sentiment.write_scores_csv(sentiment.score_corpus(None, corpus), scores_file)
+        calls = []
+        real = sentiment.clean_tweets
+
+        def recording(raws):
+            calls.append(list(raws))
+            return real(raws)
+
+        monkeypatch.setattr(sentiment, "clean_tweets", recording)
+        cfg = fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)],
+                          scores_file=scores_file, variants=variants)
+        records = run_grid(cfg)
+        assert len(records) == len(variants) and all(r.ok for r in records)
+        assert calls == [corpus.raw_texts] * cleanings
 
     def test_posless_corpus_fails_only_pos_cells(self, synthetic_inputs, tmp_path):
         stock_path, tweets_path = synthetic_inputs
@@ -390,7 +425,7 @@ class TestRunGrid:
         write_stock_csv(stock, tmp_path / "stock.csv")
         texts = ["flat"] * (n_days - 1)
         write_tweets(TweetCorpus([str(i) for i in range(n_days - 1)],
-                                 np.array([d.toordinal() for d in calendar[:-1]]), texts, texts, texts),
+                                 np.array([d.toordinal() for d in calendar[:-1]]), texts, texts),
                      tmp_path / "tweets.jsonl")
         scores = {variant: rng.dirichlet(np.ones(3), n_days - 1) for variant in VARIANTS}
         scores[planted] = np.stack([p_pos, np.zeros_like(p_pos), 1.0 - p_pos], axis=1)
@@ -867,6 +902,6 @@ class TestEvaluateModel:
         it already could for validation losses."""
         cfg, cell, windows, model = self.cell_and_windows(batch_size)
         evaluation = harness.evaluate_model(model, cell, windows, cfg)
-        one_pass = neuralnet.predict(model, windows, chunk_size=len(windows))
+        one_pass = neuralnet.predict(model, windows.X, chunk_size=len(windows))
         expected = inverse_transform(cell.scalers, harness.TARGET_COLUMN, one_pass)
         assert evaluation.predicted.tobytes() == expected.tobytes()

@@ -37,8 +37,8 @@ def reference_clean_tweet(raw):
 
 
 def reference_load_tweets(path):
-    """The per-line loader: one json.loads and one Tweet row per line, each
-    text cleaned alone, rows sorted by date at the end."""
+    """The per-line loader: one json.loads and one Tweet row per line, rows
+    sorted by date at the end."""
     tweets = []
     seen_ids = set()
     with open(path) as fh:
@@ -67,7 +67,7 @@ def reference_load_tweets(path):
             if tweet_id in seen_ids:
                 raise UnparseableRecordError(line_no, f"duplicate id {tweet_id!r}")
             seen_ids.add(tweet_id)
-            tweets.append(Tweet(tweet_id, d, raw, reference_clean_tweet(raw), pos_text))
+            tweets.append(Tweet(tweet_id, d, raw, pos_text))
     if not tweets:
         raise EmptyCorpusError(f"no tweet records in {path}")
     tweets.sort(key=lambda t: t.date)
@@ -82,23 +82,32 @@ def reference_merge(files):
     return tweets
 
 
+def cleaned_rows(loaded):
+    """Each row with its cleaned text: a corpus's raw texts cleaned as one batch
+    by clean_tweets, the oracle's rows each cleaned alone."""
+    if isinstance(loaded, TweetCorpus):
+        return list(zip(loaded, clean_tweets(loaded.raw_texts)))
+    return [(tweet, reference_clean_tweet(tweet.raw_text)) for tweet in loaded]
+
+
 def loader_outcome(loader, *paths):
-    """What a loader does with its files: its rows, or its error's type, line and text."""
+    """What a loader does with its files: its cleaned_rows, or its error's type, line and text."""
     try:
-        return list(loader(*paths))
+        loaded = loader(*paths)
     except (UnparseableRecordError, EmptyCorpusError) as exc:
         return type(exc), getattr(exc, "line_number", None), str(exc)
+    return cleaned_rows(loaded)
 
 
 def reference_merge_outcome(files):
-    """What loading several files gives: reference_merge's rows, or the error
-    of the first file that fails, its path before its line."""
+    """What loading several files gives: reference_merge's cleaned_rows, or the
+    error of the first file that fails, its path before its line."""
     for path in files:
         outcome = loader_outcome(reference_load_tweets, path)
         if not isinstance(outcome, list):
             error, line_number, message = outcome
             return error, line_number, message if line_number is None else f"{path}: {message}"
-    return reference_merge(files)
+    return cleaned_rows(reference_merge(files))
 
 
 class TestCleanTweet:
@@ -415,8 +424,7 @@ class TestLoadTweets:
         rows = list(corpus)
         for prev, cur in zip(rows, rows[1:]):
             assert prev.date <= cur.date
-        for tweet in corpus:
-            cleaned = tweet.cleaned_text
+        for cleaned in clean_tweets(corpus.raw_texts):
             assert cleaned == cleaned.lower()
             assert "@" not in cleaned and "http" not in cleaned
 
@@ -442,7 +450,7 @@ class TestLoadTweets:
                                 for i, raw in enumerate(raws)))
         corpus = load_tweets(path)
         assert [t.raw_text for t in corpus] == raws
-        assert [t.cleaned_text for t in corpus] == [reference_clean_tweet(raw) for raw in raws]
+        assert clean_tweets(corpus.raw_texts) == [reference_clean_tweet(raw) for raw in raws]
 
 
 class TestTimestampedDates:
@@ -557,7 +565,7 @@ class TestLoaderMatchesPerLineOracle:
             if isinstance(want, list):
                 corpus = load_tweets(path)
                 assert corpus.ordinals.dtype == np.int64
-                assert corpus.ordinals.tolist() == [t.date.toordinal() for t in want]
+                assert corpus.ordinals.tolist() == [t.date.toordinal() for t, _ in want]
 
     def test_merged_corpora(self, tmp_path):
         rng = np.random.default_rng(22)
@@ -566,7 +574,7 @@ class TestLoaderMatchesPerLineOracle:
                      for k in range(int(rng.integers(2, 4)))]
             merged = load_tweets(*files)
             assert merged.sources == len(files)
-            assert list(merged) == reference_merge(files), f"case {case}"
+            assert cleaned_rows(merged) == cleaned_rows(reference_merge(files)), f"case {case}"
             assert merged.ordinals.dtype == np.int64
 
     def test_random_corruption_in_merged_files(self, tmp_path):
@@ -593,7 +601,7 @@ class TestLoaderMatchesPerLineOracle:
                                                    '{"date": "2020-01-01", "text": "b1"}'])]
         corpus = load_tweets(*files)
         assert corpus.ids == ["1:1", "0:1", "0:0", "1:0"]
-        assert list(corpus) == reference_merge(files)
+        assert cleaned_rows(corpus) == cleaned_rows(reference_merge(files))
         rows, ambiguous = corpus.id_rows()
         assert ambiguous == {"0", "1"}
         assert {name: rows[name] for name in corpus.ids} == {"1:1": 0, "0:1": 1, "0:0": 2, "1:0": 3}
@@ -604,7 +612,7 @@ class TestLoaderMatchesPerLineOracle:
                                                      for i in range(3)]) for k in range(2)]
         corpus = load_tweets(*files)
         assert corpus.ids == ["0:00", "0:01", "0:02", "1:10", "1:11", "1:12"]
-        assert list(corpus) == reference_merge(files)
+        assert cleaned_rows(corpus) == cleaned_rows(reference_merge(files))
 
     def test_id_repeated_across_files_is_kept(self, tmp_path):
         """Ids are checked for repeats within each file only."""
@@ -721,9 +729,9 @@ class TestLoaderMatchesPerLineOracle:
         lines = ["", self.GOOD, " \t", "\xa0", '{"date": "2020-01-01", "text": "Crash!", "pos_text": "x"}',
                  "\u3000"]
         path = self.write(tmp_path / "t.jsonl", lines, newline=newline)
-        rows = list(load_tweets(path))
-        assert rows == reference_load_tweets(path)
-        assert [(t.id, t.cleaned_text) for t in rows] == [("1", "crash"), ("g", "growth")]
+        rows = cleaned_rows(load_tweets(path))
+        assert rows == cleaned_rows(reference_load_tweets(path))
+        assert [(t.id, cleaned) for t, cleaned in rows] == [("1", "crash"), ("g", "growth")]
 
 
 def reference_write_tweets(corpus, path):
@@ -743,7 +751,7 @@ def hard_corpus():
     pos = ['"q"_NN', None, "x\ty", "\u00e9_JJ", None, "", "plain_NN"]
     ordinals = [date(2020, 1, 3).toordinal()] * 3 + [date(2019, 12, 31).toordinal()] * 4
     ids = ['a"1', "b\\2", "c", "d\u00e9", "e", "f", "g"]
-    return TweetCorpus.by_date(ids, ordinals, raws, clean_tweets(raws), pos)
+    return TweetCorpus.by_date(ids, ordinals, raws, pos)
 
 
 class TestWriteTweets:

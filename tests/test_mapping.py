@@ -95,15 +95,11 @@ class TestClassContribution:
 
 
 class TestDailyAggregate:
-    def table_for(self, corpus, probs):
-        return ScoreTable(tweet_ids=[tweet.id for tweet in corpus],
-                          scores={"cleaned_prosus": np.array(probs, dtype=float)})
-
     def test_single_tweet_mean(self):
         corpus = make_corpus([("1", "2023-01-03", "x")])
-        table = self.table_for(corpus, [(0.8, 0.1, 0.1)])
+        probs = np.array([(0.8, 0.1, 0.1)])
         calendar = trading_calendar(date(2023, 1, 2), 4)
-        daily = daily_aggregate(table, "cleaned_prosus", corpus, calendar)
+        daily = daily_aggregate(probs, corpus.ordinals, calendar)
         expected = np.zeros(4)
         expected[1] = 0.8
         np.testing.assert_allclose(daily["sent_pos"], expected)
@@ -112,24 +108,24 @@ class TestDailyAggregate:
 
     def test_two_tweets_averaged(self):
         corpus = make_corpus([("1", "2023-01-02", "x"), ("2", "2023-01-02", "y")])
-        table = self.table_for(corpus, [(0.6, 0.2, 0.2), (1.0, 0.0, 0.0)])
+        probs = np.array([(0.6, 0.2, 0.2), (1.0, 0.0, 0.0)])
         calendar = trading_calendar(date(2023, 1, 2), 2)
-        daily = daily_aggregate(table, "cleaned_prosus", corpus, calendar)
+        daily = daily_aggregate(probs, corpus.ordinals, calendar)
         assert daily["sent_pos"][0] == pytest.approx(0.8)
 
     def test_weekend_tweet_rolls_forward(self):
         # 2023-01-07 is a Saturday; next trading day is Monday 2023-01-09
         corpus = make_corpus([("1", "2023-01-07", "x")])
-        table = self.table_for(corpus, [(0.9, 0.05, 0.05)])
+        probs = np.array([(0.9, 0.05, 0.05)])
         calendar = [date(2023, 1, 6), date(2023, 1, 9), date(2023, 1, 10)]
-        daily = daily_aggregate(table, "cleaned_prosus", corpus, calendar)
+        daily = daily_aggregate(probs, corpus.ordinals, calendar)
         np.testing.assert_allclose(daily["sent_pos"], [0.0, 0.9, 0.0])
 
     def test_tweet_after_last_day_dropped(self):
         corpus = make_corpus([("1", "2023-02-01", "x")])
-        table = self.table_for(corpus, [(1.0, 0.0, 0.0)])
+        probs = np.array([(1.0, 0.0, 0.0)])
         calendar = trading_calendar(date(2023, 1, 2), 3)
-        daily = daily_aggregate(table, "cleaned_prosus", corpus, calendar)
+        daily = daily_aggregate(probs, corpus.ordinals, calendar)
         np.testing.assert_allclose(daily["sent_pos"], 0)
 
     def test_matches_per_tweet_oracle_bit_for_bit(self):
@@ -145,29 +141,21 @@ class TestDailyAggregate:
             # weekend tweets roll forward, late tweets are dropped
             offsets = np.sort(rng.integers(-2, span + 6, n_tweets))
             tweets = [Tweet(id=f"t{i}", date=calendar[0] + timedelta(days=int(o)),
-                            raw_text="", cleaned_text="") for i, o in enumerate(offsets)]
+                            raw_text="") for i, o in enumerate(offsets)]
             corpus = corpus_of(tweets)
             probs = rng.dirichlet(np.ones(3), n_tweets)
             tied = rng.random(n_tweets) < 0.3
             probs[tied] = np.array(ties)[rng.integers(0, len(ties), int(tied.sum()))]
             table = ScoreTable(tweet_ids=[t.id for t in tweets], scores={"v": probs})
-            daily = daily_aggregate(table, "v", corpus, calendar)
+            daily = daily_aggregate(probs, corpus.ordinals, calendar)
             expected = oracle_daily_aggregate(table, "v", corpus, calendar)
             for channel, values in zip(expected, (daily["sent_pos"], daily["sent_neg"], daily["sent_neu"])):
                 assert values.tobytes() == channel.tobytes(), f"case {case}"
 
-    def test_table_of_another_corpus_rejected(self):
-        corpus = make_corpus([("1", "2023-01-02", "x"), ("2", "2023-01-03", "y")])
-        table = self.table_for(corpus, [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
-        other = make_corpus([("2", "2023-01-02", "y"), ("1", "2023-01-03", "x")])
-        with pytest.raises(MissingScoreError):
-            daily_aggregate(table, "cleaned_prosus", other, trading_calendar(date(2023, 1, 2), 2))
-
     def test_missing_score(self):
-        corpus = make_corpus([("1", "2023-01-02", "x")])
         table = ScoreTable(tweet_ids=["1"])
-        with pytest.raises(MissingScoreError):
-            daily_aggregate(table, "cleaned_prosus", corpus, trading_calendar(date(2023, 1, 2), 2))
+        with pytest.raises(MissingScoreError, match="no scores for variant 'cleaned_prosus'"):
+            table.probabilities("cleaned_prosus")
 
 
 class TestMemoryWeightedMap:

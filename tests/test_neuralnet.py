@@ -380,11 +380,6 @@ class TestPredict:
         X, _ = random_batch(model.config, 10, seed=2)
         assert np.all(np.isfinite(predict(model, X)))
 
-    def test_accepts_windowed_set(self):
-        model = init_model(ModelConfig(hidden_units=2, input_shape=(3, 1), seed=0))
-        windows = make_windows_for(5, 3, 1, seed=3)
-        np.testing.assert_array_equal(predict(model, windows), predict(model, windows.X))
-
 
 class ReferenceAdam:
     """The out-of-place Adam update: fresh m, v and step arrays every step."""

@@ -197,7 +197,7 @@ class TestScoreCorpus:
     def test_missing_pos_text(self):
         from datetime import date
 
-        tweet = Tweet(id="1", date=date(2023, 1, 2), raw_text="x", cleaned_text="x",
+        tweet = Tweet(id="1", date=date(2023, 1, 2), raw_text="x",
                       pos_tagged_text=None)
         corpus = corpus_of([tweet])
         with pytest.raises(MissingVariantTextError):
@@ -206,7 +206,7 @@ class TestScoreCorpus:
     def test_text_form_scored_once_and_failures_kept_per_variant(self):
         from datetime import date
 
-        tweets = [Tweet(id="1", date=date(2023, 1, 2), raw_text="growth", cleaned_text="growth",
+        tweets = [Tweet(id="1", date=date(2023, 1, 2), raw_text="growth",
                         pos_tagged_text=None)]
         table = score_corpus(None, corpus_of(tweets), list(VARIANTS) + ["bogus"])
         assert table.variants == list(VARIANTS) + ["bogus"]
@@ -224,7 +224,7 @@ class TestScoreCorpus:
         own error; the cleaned variants still score every tweet."""
         from datetime import date
 
-        tweets = [Tweet(id=str(i), date=date(2023, 1, 2 + i), raw_text="growth", cleaned_text="growth",
+        tweets = [Tweet(id=str(i), date=date(2023, 1, 2 + i), raw_text="growth",
                         pos_tagged_text=None if i in (1, 2) else "growth") for i in range(4)]
         table = score_corpus(None, corpus_of(tweets), list(VARIANTS))
         for variant in ("cleaned_prosus", "cleaned_yiyanghkust"):
