@@ -1,7 +1,13 @@
 import json
 import math
+import multiprocessing
+import os
 import re
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -630,6 +636,117 @@ class TestScratchArena:
                 assert same_bytes(params[key], expected[key]), (step, key)
                 assert same_bytes(adam.m[key], reference.m[key]), (step, key)
                 assert same_bytes(adam.v[key], reference.v[key]), (step, key)
+
+
+class CountingHelper:
+    """Stands in for the module's helper executor and counts the halves submitted to it."""
+
+    def __init__(self, helper):
+        self.helper, self.submits = helper, 0
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        return self.helper.submit(fn, *args)
+
+
+class TestHelperThread:
+    @staticmethod
+    def run_all(w, B, H, F, seed=0):
+        """loss_and_gradients, a 3-epoch train and predict on one fresh model."""
+        model = init_model(ModelConfig(hidden_units=H, input_shape=(w, F), seed=seed))
+        X, y = random_batch(model.config, B, seed=seed + 1)
+        loss, grads = loss_and_gradients(model, X, y)
+        windows = make_windows_for(3 * B + 5, w, F, seed=seed + 2)  # the last training batch is ragged
+        history = train(model, windows, TrainConfig(epochs=3, batch_size=B, patience=5))
+        return loss, grads, history, model.params, predict(model, windows.X)
+
+    @staticmethod
+    def assert_same_run(a, b):
+        (loss, grads, history, params, pred), (b_loss, b_grads, b_history, b_params, b_pred) = a, b
+        assert same_bytes(loss, b_loss)
+        assert grads.keys() == b_grads.keys() == params.keys() == b_params.keys()
+        for key in grads:
+            assert same_bytes(grads[key], b_grads[key]), key
+            assert same_bytes(params[key], b_params[key]), key
+        for field in ("train_loss", "val_loss", "val_r2"):
+            assert same_bytes(getattr(history, field), getattr(b_history, field)), field
+        assert (history.best_epoch, history.stopped_early) == (b_history.best_epoch, b_history.stopped_early)
+        assert same_bytes(pred, b_pred)
+
+    # the paper shape, a ragged batch (B = 23), and corpus_heavy's H = 4, below the threshold
+    @pytest.mark.parametrize("w,B,H,F,overlaps", [
+        (60, 32, 50, 8, True), (20, 23, 50, 8, True), (5, 32, 4, 8, False)])
+    def test_helper_gives_the_sequential_bytes(self, monkeypatch, w, B, H, F, overlaps):
+        helper = CountingHelper(neuralnet._HELPER)
+        monkeypatch.setattr(neuralnet, "_HELPER", helper)
+        threaded = self.run_all(w, B, H, F)
+        submits = helper.submits
+        assert (submits > 0) == overlaps, submits
+        monkeypatch.setattr(neuralnet, "_MIN_OVERLAP", math.inf)  # every pair runs on the caller
+        sequential = self.run_all(w, B, H, F)
+        assert helper.submits == submits
+        self.assert_same_run(threaded, sequential)
+
+    @pytest.mark.parametrize("failing", [{0}, {1}, {0, 1}])
+    def test_both_raises_only_after_both_halves_ended(self, failing):
+        ended = []
+
+        def job(half):
+            if half:
+                time.sleep(0.05)  # the helper's half ends last
+            ended.append(half)
+            if half in failing:
+                raise RuntimeError(f"half {half}")
+
+        with pytest.raises(RuntimeError, match=f"half {min(failing)}"):  # the caller's error first
+            neuralnet._both(job, neuralnet._MIN_OVERLAP)
+        assert sorted(ended) == [0, 1]
+
+    def test_separate_models_on_separate_threads(self, monkeypatch):
+        # Three models, more than the cores of a 2-vCPU machine, share the one helper
+        # with a short switch interval; each gets the bytes it gets trained alone.
+        shape, seeds = (20, 32, 50, 8), (0, 10, 20)
+        alone = [self.run_all(*shape, seed=seed) for seed in seeds]
+        helper = CountingHelper(neuralnet._HELPER)
+        monkeypatch.setattr(neuralnet, "_HELPER", helper)
+        start = threading.Barrier(len(seeds))
+
+        def run(seed):
+            start.wait(timeout=60)
+            return self.run_all(*shape, seed=seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with futures.ThreadPoolExecutor(max_workers=len(seeds)) as pool:
+                together = [job.result(timeout=120) for job in [pool.submit(run, seed) for seed in seeds]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert helper.submits > 0
+        for a, b in zip(alone, together):
+            self.assert_same_run(a, b)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_gets_a_helper_of_its_own(self):
+        # The parent's helper thread does not exist in a forked child, which must
+        # still finish a step that crosses the threshold.
+        model = init_model(ModelConfig(hidden_units=50, input_shape=(20, 8), seed=0))
+        X, y = random_batch(model.config, 32, seed=1)
+        loss, _ = loss_and_gradients(model, X, y)
+
+        def child():
+            again, _ = loss_and_gradients(model, X, y)
+            assert same_bytes(again, loss)
+
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        process.join(60)
+        if process.is_alive():
+            process.kill()
+            process.join()
+        exitcode = process.exitcode
+        process.close()
+        assert exitcode == 0
 
 
 class TestPersistence:
