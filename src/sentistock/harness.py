@@ -90,6 +90,8 @@ class ExperimentConfig:
             items = value if type(value) is list else [value]
             if (items is value) != f.type.startswith("list[") or any(type(x) not in types for x in items):
                 raise ConfigError(f"{f.name} must be {kind}, not {value!r}")
+        if any(c in (self.scrip or "") for c in "/\0"):  # it names the result files
+            raise ConfigError(f"scrip must hold no '/' or NUL byte, not {self.scrip!r}")
         if not self.lookbacks or any(w < 1 for w in self.lookbacks):
             raise ConfigError(f"lookbacks must be a non-empty list of integers >= 1, not {self.lookbacks!r}")
         if len(set(self.lookbacks)) != len(self.lookbacks):
@@ -135,8 +137,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object, not a {type(raw).__name__}")
     version = raw.pop("config_version", CONFIG_VERSION)
-    if version != CONFIG_VERSION:
-        raise ConfigError(f"unsupported config_version {version}")
+    if type(version) is not int or version != CONFIG_VERSION:  # true == 1 == 1.0
+        raise ConfigError(f"unsupported config_version {version!r}")
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
     known = set(ExperimentConfig.__dataclass_fields__)
@@ -388,10 +390,6 @@ def run_grid(cfg: ExperimentConfig, tweet_loader=load_tweets) -> list[Experiment
     return records
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _record_stem(record: ExperimentRecord) -> str:
     return f"{record.scrip}_{record.variant}_w{record.lookback}"
 
@@ -403,16 +401,14 @@ def _loss_and_pred_paths(record: ExperimentRecord, out_dir: Path) -> list[Path]:
 
 def write_loss_csv(history: nn.TrainingHistory, path: str | Path) -> Path:
     """Loss-curve CSV: epoch,train_loss,val_loss."""
-    rows = enumerate(zip(history.train_loss, history.val_loss))
-    return write_csv(path, ("epoch", "train_loss", "val_loss"),
-                     ((str(epoch), _fmt(tl), _fmt(vl)) for epoch, (tl, vl) in rows), line_end="\n")
+    rows = zip(range(history.n_epochs), history.train_loss, history.val_loss)
+    return write_csv(path, ("epoch", "train_loss", "val_loss"), rows, line_end="\n")
 
 
 def write_pred_csv(record: ExperimentRecord, path: str | Path) -> Path:
     """Prediction CSV: date,actual,predicted in data units."""
     rows = zip(record.test_dates, record.actual, record.predicted)
-    return write_csv(path, ("date", "actual", "predicted"),
-                     ((d.isoformat(), _fmt(a), _fmt(p)) for d, a, p in rows), line_end="\n")
+    return write_csv(path, ("date", "actual", "predicted"), rows, line_end="\n")
 
 
 def write_record_artifacts(record: ExperimentRecord, out_dir: str | Path) -> list[Path]:
@@ -434,14 +430,12 @@ def write_record_artifacts(record: ExperimentRecord, out_dir: str | Path) -> lis
     return [record_path]
 
 
-def _summary_row(record: ExperimentRecord) -> list[str]:
-    head = [record.scrip, record.variant, str(record.lookback)]
+def _summary_row(record: ExperimentRecord) -> list:
+    head = [record.scrip, record.variant, record.lookback]
     if not record.ok:
-        return head + ["", "", "", "", "", "", f"failed:{record.failed_stage}"]
+        return head + [None] * 6 + [f"failed:{record.failed_stage}"]
     r = record.report
-    val_score = "" if r.val_score is None else _fmt(r.val_score)
-    return head + [val_score, _fmt(r.r2), _fmt(r.rmse), _fmt(r.mae),
-                   str(r.time_offset), _fmt(r.acc), r.units]
+    return head + [r.val_score, r.r2, r.rmse, r.mae, r.time_offset, r.acc, r.units]
 
 
 def write_summary_csv(records: list[ExperimentRecord], path: str | Path) -> Path:

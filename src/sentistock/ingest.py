@@ -206,7 +206,9 @@ def read_csv(path: str | Path, required: tuple[str, ...]) -> Iterator[tuple[int,
 
 
 def write_csv(path: str | Path, header, rows, line_end: str = "\r\n") -> Path:
-    """Write a header and rows of strings as UTF-8 CSV, quoting a field only where it must be."""
+    """Write a header and rows of values as UTF-8 CSV, quoting a field only where it must be.
+    Each field is written as its str(): a float, numpy's too, is its shortest round-trip
+    repr, a date is YYYY-MM-DD and None is an empty field."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator=line_end)
         writer.writerow(header)
@@ -278,8 +280,7 @@ def write_stock_csv(series: MasterDataset, path: str | Path) -> None:
     """Write a MasterDataset as a dated CSV with the Date column first;
     load_stock_csv and load_master_csv read back its exact values."""
     columns = [np.asarray(column, dtype=float).tolist() for column in series.columns.values()]
-    write_csv(path, ["Date", *series.columns],
-              ([d.isoformat(), *map(repr, values)] for d, *values in zip(series.calendar, *columns)))
+    write_csv(path, ["Date", *series.columns], zip(series.calendar, *columns))
 
 
 def parse_tweet_date(text: str) -> date:

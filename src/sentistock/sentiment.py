@@ -203,6 +203,6 @@ def write_scores_csv(table: ScoreTable, path: str | Path) -> None:
     """Write a score table in the precomputed-score CSV format; a variant
     that failed to score raises its error before the file is opened."""
     arrays = {variant: table.probabilities(variant).tolist() for variant in table.variants}
-    write_csv(path, SCORE_COLUMNS, ((tweet_id, variant, *map(repr, scores[row]))
+    write_csv(path, SCORE_COLUMNS, ((tweet_id, variant, *scores[row])
                                     for row, tweet_id in enumerate(table.tweet_ids)
                                     for variant, scores in arrays.items()))

@@ -785,6 +785,29 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1", 2], ids=["true", "float", "str", "two"])
+    def test_version_must_be_the_integer_1(self, tmp_path, version):
+        """true and 1.0 equal 1 in Python, but neither is the integer 1."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"config_version": version}))
+        with pytest.raises(ConfigError, match=re.escape(f"unsupported config_version {version!r}")):
+            load_config(path)
+
+    @pytest.mark.parametrize("scrip", ["a/b", "a\0b", "/"], ids=["slash", "nul", "only-slash"])
+    def test_scrip_that_cannot_name_a_file_rejected_before_any_work(self, synthetic_inputs, tmp_path,
+                                                                   monkeypatch, scrip):
+        """scrip names the result files, so a '/' or NUL byte in it is a
+        ConfigError from the constructor: the grid stops before it builds a
+        master or makes the output directory, not after training every cell."""
+        stock_path, tweets_path = synthetic_inputs
+        built, build_masters = [], harness.build_masters
+        monkeypatch.setattr(harness, "build_masters", lambda *args: built.append(args) or build_masters(*args))
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=f"scrip must hold no '/' or NUL byte, not {re.escape(repr(scrip))}"):
+            run_grid(fast_config(stock_file=str(stock_path), tweet_files=[str(tweets_path)],
+                                 lookbacks=[3], output_dir=str(out), scrip=scrip))
+        assert built == [] and not out.exists()
+
     @pytest.mark.parametrize("bad", [
         pytest.param({"split_ratio": 1.5}, id="split_ratio"),
         pytest.param({"lookbacks": []}, id="lookbacks-empty"),

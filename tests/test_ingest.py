@@ -21,6 +21,7 @@ from sentistock.ingest import (
     load_stock_csv,
     load_tweets,
     parse_tweet_date,
+    write_csv,
     write_stock_csv,
     write_tweets,
 )
@@ -775,3 +776,23 @@ class TestWriteTweets:
         assert loaded.ordinals.tolist() == corpus.ordinals.tolist()
         assert loaded.raw_texts == corpus.raw_texts
         assert loaded.pos_texts == corpus.pos_texts
+
+
+class TestWriteCsv:
+    EDGES = (-0.0, 1e16, 1e-05, 0.1, float("nan"), float("inf"))
+
+    @pytest.mark.parametrize("line_end", ["\r\n", "\n"], ids=["crlf", "lf"])
+    def test_values_written_as_their_explicit_text(self, tmp_path, line_end):
+        """Each field is the text explicit formatting gives: repr(float(x))
+        for a Python or numpy float, isoformat for a date, "" for None, str
+        for an int; a string holding a comma is one quoted field."""
+        floats = [*self.EDGES, *map(np.float64, self.EDGES)]
+        assert type(floats[-1]) is np.float64
+        values = [*floats, date(2020, 1, 2), None, 3, "BRK,B"]
+        by_hand = [*(repr(float(x)) for x in floats), date(2020, 1, 2).isoformat(), "", str(3), "BRK,B"]
+        header = [f"c{i}" for i in range(len(values))]
+        write_csv(tmp_path / "values.csv", header, [values], line_end)
+        write_csv(tmp_path / "text.csv", header, [by_hand], line_end)
+        got = (tmp_path / "values.csv").read_bytes()
+        assert got == (tmp_path / "text.csv").read_bytes()
+        assert got.split(line_end.encode())[1] == b"-0.0,1e+16,1e-05,0.1,nan,inf," * 2 + b'2020-01-02,,3,"BRK,B"'
