@@ -1,4 +1,6 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the one check of a config's field types."""
+
+from dataclasses import fields
 
 
 class SentiStockError(Exception):
@@ -134,3 +136,20 @@ class PipelineError(SentiStockError):
 
 class ConfigError(SentiStockError):
     """An experiment configuration file or value is invalid."""
+
+
+_FIELD_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),  # a bool is neither
+                "bool": ((bool,), "true or false"), "str": ((str,), "a string"),
+                "str | None": ((str, type(None)), "a string"), "tuple[int, int]": ((int,), "a pair of integers"),
+                "list[int]": ((int,), "a list of integers"), "list[str]": ((str,), "a list of strings")}
+
+
+def check_field_types(config, error=ValueError) -> None:
+    """Raise ``error`` for the first field of dataclass ``config`` whose value (a list's or tuple's
+    items, in exactly that container) is not of a type that _FIELD_TYPES gives its annotation."""
+    for f in fields(config):
+        types, kind = _FIELD_TYPES[f.type]
+        value = getattr(config, f.name)
+        items = value if f.type.startswith(f"{type(value).__name__}[") else [value]
+        if (items is value) != ("[" in f.type) or any(type(x) not in types for x in items):
+            raise error(f"{f.name} must be {kind}, not {value!r}")

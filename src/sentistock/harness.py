@@ -16,7 +16,7 @@ import json
 import logging
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from datetime import date
 from itertools import product
 from pathlib import Path
@@ -27,7 +27,7 @@ import numpy as np
 from . import dataset as ds
 from . import evalmetrics as em
 from . import neuralnet as nn
-from .errors import ConfigError, PipelineError
+from .errors import ConfigError, PipelineError, check_field_types
 from .ingest import TARGET_COLUMN, MasterDataset, TweetCorpus, load_stock_csv, load_tweets, write_csv
 from .mapping import MemoryKernel, daily_aggregate, join_with_stock, memory_weighted_map
 from .sentiment import VARIANTS, ScoreTable, score_corpus
@@ -44,12 +44,6 @@ _HISTORY_KEYS = ("n_epochs", "best_epoch", "stopped_early")
 # with the master and the cell, all that a cell's fingerprint hashes.
 _CELL_FIELDS = ("split_ratio", "fit_scope", "hidden_units", "epochs", "batch_size",
                 "validation_split", "patience", "learning_rate", "metric_units", "max_lag")
-# Per field annotation, the exact types a value (a list's items) may have and
-# the error's name for them: an int is a number, and a bool is neither.
-_FIELD_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
-                "bool": ((bool,), "true or false"), "str": ((str,), "a string"),
-                "str | None": ((str, type(None)), "a string"),
-                "list[int]": ((int,), "a list of integers"), "list[str]": ((str,), "a list of strings")}
 
 
 @dataclass
@@ -84,12 +78,7 @@ class ExperimentConfig:
         ``training`` and ``kernel`` are plain attributes, not fields: asdict
         and dataclasses.replace see only the values.
         """
-        for f in fields(self):  # a list field needs a list, any other field a non-list
-            types, kind = _FIELD_TYPES[f.type]
-            value = getattr(self, f.name)
-            items = value if type(value) is list else [value]
-            if (items is value) != f.type.startswith("list[") or any(type(x) not in types for x in items):
-                raise ConfigError(f"{f.name} must be {kind}, not {value!r}")
+        check_field_types(self, ConfigError)
         if any(c in (self.scrip or "") for c in "/\0"):  # it names the result files
             raise ConfigError(f"scrip must hold no '/' or NUL byte, not {self.scrip!r}")
         if not self.lookbacks or any(w < 1 for w in self.lookbacks):

@@ -13,6 +13,7 @@ from datetime import date
 
 import numpy as np
 
+from .errors import check_field_types
 from .ingest import MasterDataset
 from .sentiment import labels
 
@@ -32,8 +33,9 @@ class MemoryKernel:
     mode: str = "recency"
 
     def __post_init__(self):
+        check_field_types(self)
         if self.memory_days < 1:
-            raise ValueError("memory_days must be >= 1")
+            raise ValueError(f"memory_days must be >= 1, not {self.memory_days!r}")
         if self.mode not in ("recency", "literal"):
             raise ValueError(f"unknown kernel mode {self.mode!r}")
 

@@ -96,6 +96,7 @@ from .errors import (
     NonFiniteLossError,
     ShapeMismatchError,
     ZeroVarianceError,
+    check_field_types,
 )
 from . import evalmetrics
 
@@ -132,7 +133,7 @@ def _both(job, work: int) -> None:
 
 @dataclass
 class ModelConfig:
-    """Architecture and initialization parameters."""
+    """Architecture and initialization parameters; each field holds exactly its annotation's type."""
 
     hidden_units: int = 50
     input_shape: tuple[int, int] = (60, 5)  # (lookback, n_features)
@@ -140,10 +141,8 @@ class ModelConfig:
 
     def __post_init__(self):
         """ValueError for a wrong type or a negative seed, InvalidShapeError for a dimension below 1."""
-        for name, value in (("hidden_units", self.hidden_units), ("seed", self.seed)):
-            if type(value) is not int:  # a bool is not an integer here
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-        if type(self.input_shape) is not tuple or [type(d) for d in self.input_shape] != [int, int]:
+        check_field_types(self)
+        if len(self.input_shape) != 2:
             raise ValueError(f"input_shape must be a pair of integers, not {self.input_shape!r}")
         if self.seed < 0:  # numpy's generators reject a negative seed
             raise ValueError(f"seed must be >= 0, not {self.seed}")
@@ -165,16 +164,16 @@ class TrainConfig:
     learning_rate: float = 1e-3
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        check_field_types(self)
+        for name, least in (("epochs", 1), ("batch_size", 1), ("patience", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, not {getattr(self, name)!r}")
         if not 0.0 <= self.validation_split <= 0.5:
-            raise ValueError("validation_split must lie in [0, 0.5]")
-        if self.patience < 0:
-            raise ValueError("patience must be >= 0")
+            raise ValueError(f"validation_split must lie in [0, 0.5], not {self.validation_split!r}")
         if not math.isfinite(self.learning_rate):
             raise ValueError(f"learning_rate must be finite, not {self.learning_rate!r}")
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+            raise ValueError(f"learning_rate must be > 0, not {self.learning_rate!r}")
 
 
 class _Arena:
@@ -632,7 +631,7 @@ def train(model: BiLstmModel, windows, cfg: TrainConfig) -> TrainingHistory:
 
 
 def save_model(model: BiLstmModel, path: str | Path) -> None:
-    """Persist parameters and config as a versioned .npz container."""
+    """Persist parameters and config as a versioned .npz container at exactly ``path``."""
     config = model.config
     meta = {
         "format_version": MODEL_FORMAT_VERSION,
@@ -642,7 +641,8 @@ def save_model(model: BiLstmModel, path: str | Path) -> None:
         "output_head": "linear",
         "seed": config.seed,
     }
-    np.savez(path, __meta__=np.array(json.dumps(meta)), **model.params)
+    with open(path, "wb") as fh:  # given a path, np.savez would append .npz to it
+        np.savez(fh, __meta__=np.array(json.dumps(meta)), **model.params)
 
 
 def load_model(path: str | Path) -> BiLstmModel:

@@ -119,6 +119,17 @@ def test_train_and_evaluate_subcommands(workspace):
     float(actual), float(predicted)  # plain decimal numbers, no repr wrappers
 
 
+def test_model_out_is_the_exact_path_written(workspace):
+    """A --model-out without the .npz suffix is the file written, and evaluate reads it."""
+    tmp_path, stock_path, _ = workspace
+    model = tmp_path / "plain.model"
+    assert main(["train", "--master", str(stock_path), "--lookback", "3", "--hidden-units", "4",
+                 "--epochs", "1", "--model-out", str(model)]) == 0
+    assert model.exists() and not (tmp_path / "plain.model.npz").exists()
+    assert main(["evaluate", "--model", str(model), "--master", str(stock_path),
+                 "--out", str(tmp_path / "report.csv")]) == 0
+
+
 def _meta(**changes):
     """The __meta__ save_model writes for the model below, with ``changes``
     (None drops a key)."""
@@ -485,7 +496,7 @@ def test_config_flags_parse_to_field_types(command):
         flag = action.option_strings[0]
         args = parser.parse_args(required + ([flag] if text is None else [flag, text]))
         value = getattr(args, action.dest)
-        types, _ = harness._FIELD_TYPES[annotation]
+        types, _ = sentistock.errors._FIELD_TYPES[annotation]
         assert all(type(v) in types for v in (value if annotation.startswith("list[") else [value])), flag
         assert want is None or value == want, flag
         checked.append(flag)

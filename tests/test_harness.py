@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from sentistock import harness, neuralnet, sentiment, synth
+from sentistock import errors, harness, neuralnet, sentiment, synth
 from sentistock.dataset import inverse_transform
 from sentistock.errors import ConfigError, PipelineError
 from sentistock.harness import (
@@ -28,7 +28,7 @@ from sentistock.ingest import (
     write_stock_csv,
     write_tweets,
 )
-from sentistock.mapping import MasterDataset
+from sentistock.mapping import MasterDataset, MemoryKernel
 from sentistock.sentiment import VARIANTS
 
 
@@ -860,9 +860,22 @@ class TestConfigFile:
                 ExperimentConfig(**{"with_sentiment": with_sentiment, **bad})
 
     def test_every_field_type_is_checked(self):
-        """A field whose annotation the type table lacks would go unchecked."""
-        for f in dataclasses.fields(ExperimentConfig):
-            assert f.type in harness._FIELD_TYPES, f.name
+        """A field whose annotation the type table lacks would go unchecked, in
+        any of the four config classes."""
+        for config in (ExperimentConfig, neuralnet.ModelConfig, neuralnet.TrainConfig, MemoryKernel):
+            for f in dataclasses.fields(config):
+                assert f.type in errors._FIELD_TYPES, f"{config.__name__}.{f.name}"
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"batch_size": 0}, "batch_size must be >= 1, not 0"),
+        ({"epochs": 0}, "epochs must be >= 1, not 0"),
+        ({"patience": -1}, "patience must be >= 0, not -1"),
+        ({"validation_split": 0.7}, "validation_split must lie in [0, 0.5], not 0.7"),
+        ({"memory_days": 0}, "memory_days must be >= 1, not 0"),
+    ], ids=["batch_size", "epochs", "patience", "validation_split", "memory_days"])
+    def test_stage_range_errors_name_field_and_value(self, bad, message):
+        with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+            ExperimentConfig(**bad)
 
     @pytest.mark.parametrize("bad, message", [
         ({"lookbacks": 5}, "lookbacks must be a list of integers, not 5"),

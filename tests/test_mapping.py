@@ -1,3 +1,4 @@
+import re
 from bisect import bisect_left
 from datetime import date, timedelta
 
@@ -156,6 +157,18 @@ class TestDailyAggregate:
         table = ScoreTable(tweet_ids=["1"])
         with pytest.raises(MissingScoreError, match="no scores for variant 'cleaned_prosus'"):
             table.probabilities("cleaned_prosus")
+
+
+class TestMemoryKernel:
+    @pytest.mark.parametrize("changes, message", [
+        ({"memory_days": 2.5}, "memory_days must be an integer, not 2.5"),
+        ({"memory_days": True}, "memory_days must be an integer, not True"),
+        ({"mode": None}, "mode must be a string, not None"),
+        ({"memory_days": 0}, "memory_days must be >= 1, not 0"),
+    ], ids=["float", "bool", "mode-none", "zero"])
+    def test_bad_value_names_its_field(self, changes, message):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            MemoryKernel(**changes)
 
 
 class TestMemoryWeightedMap:

@@ -340,6 +340,21 @@ class TestTrain:
         h2 = train(self.small_model(seed=2), windows, cfg)
         assert h1 == h2
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"epochs": 2.5}, "epochs must be an integer, not 2.5"),
+        ({"batch_size": True}, "batch_size must be an integer, not True"),
+        ({"learning_rate": "0.1"}, "learning_rate must be a number, not '0.1'"),
+        ({"validation_split": None}, "validation_split must be a number, not None"),
+        ({"batch_size": 0}, "batch_size must be >= 1, not 0"),
+        ({"patience": -1}, "patience must be >= 0, not -1"),
+        ({"validation_split": 0.7}, "validation_split must lie in [0, 0.5], not 0.7"),
+        ({"learning_rate": 0.0}, "learning_rate must be > 0, not 0.0"),
+    ], ids=["epochs-float", "batch_size-bool", "learning_rate-str", "validation_split-none",
+            "batch_size-zero", "patience-negative", "validation_split-high", "learning_rate-zero"])
+    def test_config_value_errors_name_the_field(self, changes, message):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            TrainConfig(**changes)
+
     def test_empty_training_set(self):
         model = self.small_model()
         empty = WindowedSet(X=np.zeros((0, 4, 2)), y=np.zeros(0), lookback=4)
@@ -762,6 +777,19 @@ class TestPersistence:
             np.testing.assert_array_equal(reloaded.params[key], model.params[key])
         X, _ = random_batch(cfg, 4, seed=9)
         np.testing.assert_array_equal(forward(reloaded, X), forward(model, X))
+
+    def test_writes_exactly_the_given_path(self, tmp_path):
+        """A path without the .npz suffix is written as given, with the bytes
+        that np.savez writes to a .npz path."""
+        model = init_model(ModelConfig(hidden_units=3, input_shape=(4, 2), seed=8))
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+        with np.load(path) as data:
+            meta = data["__meta__"]
+        np.savez(tmp_path / "by_path.npz", __meta__=meta, **model.params)
+        assert path.read_bytes() == (tmp_path / "by_path.npz").read_bytes()
+        assert load_model(path).config == model.config
 
     @staticmethod
     def saved_with_meta(model, path, **changes):
