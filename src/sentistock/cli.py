@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import harness
 from . import neuralnet as nn
-from .errors import PipelineError, SentiStockError
+from .errors import ConfigError, PipelineError, SentiStockError, ShapeMismatchError
 from .ingest import clean_tweets, load_master_csv, load_tweets, write_stock_csv, write_tweets
 from .sentiment import VARIANTS, score_corpus, write_scores_csv
 
@@ -90,7 +90,7 @@ def _add_evaluate(sub):
     p = sub.add_parser("evaluate", help="evaluate a trained model on a master CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--master", required=True)
-    _add_config_flags(p, "split_ratio", "fit_scope", "metric_units", "max_lag")
+    _add_config_flags(p, "metric_units", "max_lag")
     p.add_argument("--out", required=True, help="output report CSV row")
     p.add_argument("--pred-out", default=None, help="optional prediction CSV")
 
@@ -140,6 +140,8 @@ def _cmd_train(args) -> int:
     cfg = harness.ExperimentConfig(lookbacks=[args.lookback], **_config_flags(args))
     cell = harness.prepare_cell(load_master_csv(args.master), cfg)
     model, history = harness.train_model(harness.window(cell.train, args.lookback), cfg, cfg.seed)
+    model.trained_on = {"split_ratio": cfg.split_ratio, "fit_scope": cfg.fit_scope,
+                        "columns": list(cell.train.columns)}
     nn.save_model(model, args.model_out)
     if args.history_out:
         harness.write_loss_csv(history, args.history_out)
@@ -152,9 +154,15 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     model = nn.load_model(args.model)
-    lookback = model.config.input_shape[0]
-    cfg = harness.ExperimentConfig(lookbacks=[lookback], **_config_flags(args))
-    cell = harness.prepare_cell(load_master_csv(args.master), cfg)
+    if len(model.trained_on) < 3:  # a format-1 file records none of them
+        raise ConfigError(f"model file {args.model} records no training split; train writes one")
+    ratio, scope, columns = (model.trained_on[key] for key in ("split_ratio", "fit_scope", "columns"))
+    lookback, master = model.config.input_shape[0], load_master_csv(args.master)
+    if list(master.columns) != columns:
+        raise ShapeMismatchError(f"master columns {list(master.columns)} differ from the model's {columns}")
+    cfg = harness.ExperimentConfig(lookbacks=[lookback], split_ratio=ratio, fit_scope=scope,
+                                   **_config_flags(args))
+    cell = harness.prepare_cell(master, cfg)
     evaluation = harness.evaluate_model(model, cell, harness.window(cell.test, lookback), cfg)
     record = harness.ExperimentRecord(
         scrip=Path(args.master).stem, variant="external", lookback=lookback,

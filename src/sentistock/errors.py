@@ -90,7 +90,7 @@ class InvalidShapeError(SentiStockError):
 
 
 class ShapeMismatchError(SentiStockError):
-    """Input shapes do not match the model configuration."""
+    """Input shapes or master columns do not match the model's."""
 
 
 class EmptyTrainingSetError(SentiStockError):

@@ -99,10 +99,12 @@ from .errors import (
     check_field_types,
 )
 from . import evalmetrics
+from .dataset import FIT_SCOPES
 
 LAYERS = ("l1", "l2")
 DIRECTIONS = ("fwd", "bwd")
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+_TRAINED_ON = ("split_ratio", "fit_scope", "columns")  # __meta__ keys from format 2: what train fitted on
 _MIN_OVERLAP = 2**21  # multiply-adds per half below which _both runs both halves on the caller
 
 
@@ -147,10 +149,10 @@ class ModelConfig:
         if self.seed < 0:  # numpy's generators reject a negative seed
             raise ValueError(f"seed must be >= 0, not {self.seed}")
         if self.hidden_units < 1:
-            raise InvalidShapeError(f"hidden_units must be >= 1, got {self.hidden_units}")
+            raise InvalidShapeError(f"hidden_units must be >= 1, not {self.hidden_units}")
         w, n_features = self.input_shape
         if w < 1 or n_features < 1:
-            raise InvalidShapeError(f"input_shape dims must be >= 1, got {self.input_shape}")
+            raise InvalidShapeError(f"input_shape dims must be >= 1, not {self.input_shape}")
 
 
 @dataclass
@@ -202,6 +204,7 @@ class BiLstmModel:
 
     config: ModelConfig
     params: dict[str, np.ndarray]
+    trained_on: dict = field(default_factory=dict)  # the _TRAINED_ON keys its file records, if any
     _arena: _Arena = field(default_factory=_Arena, init=False, repr=False, compare=False)
 
 
@@ -631,7 +634,7 @@ def train(model: BiLstmModel, windows, cfg: TrainConfig) -> TrainingHistory:
 
 
 def save_model(model: BiLstmModel, path: str | Path) -> None:
-    """Persist parameters and config as a versioned .npz container at exactly ``path``."""
+    """Persist parameters, config and ``trained_on`` as a versioned .npz container at exactly ``path``."""
     config = model.config
     meta = {
         "format_version": MODEL_FORMAT_VERSION,
@@ -640,6 +643,7 @@ def save_model(model: BiLstmModel, path: str | Path) -> None:
         "activation": "tanh",
         "output_head": "linear",
         "seed": config.seed,
+        **model.trained_on,
     }
     with open(path, "wb") as fh:  # given a path, np.savez would append .npz to it
         np.savez(fh, __meta__=np.array(json.dumps(meta)), **model.params)
@@ -647,10 +651,10 @@ def save_model(model: BiLstmModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> BiLstmModel:
     """Load a model saved by save_model, checking its parameters against ``init_model``'s for
-    its config: ValueError names the file and a missing or bad ``__meta__`` (not a JSON
-    object, another format, a missing key, or a value ModelConfig rejects), or any missing,
-    unexpected, non-float or non-finite parameter; InvalidShapeError a parameter of another
-    shape, with both shapes."""
+    its config: ValueError names the file and a missing or bad ``__meta__`` (not a JSON object,
+    a format other than 1 and 2, a missing key, or a value ModelConfig or the _TRAINED_ON checks
+    reject), or any missing, unexpected, non-float or non-finite parameter; InvalidShapeError a
+    parameter of another shape, with both shapes. ``trained_on`` holds the keys the file records."""
     with np.load(path, allow_pickle=False) as data:
         if "__meta__" not in data.files:
             raise ValueError(f"model file {path} has no __meta__")
@@ -660,7 +664,7 @@ def load_model(path: str | Path) -> BiLstmModel:
         meta = json.loads(meta_text)
         if not isinstance(meta, dict):
             raise ValueError("__meta__ is not a JSON object")
-        if meta.get("format_version") != MODEL_FORMAT_VERSION:
+        if meta.get("format_version") not in (1, MODEL_FORMAT_VERSION):
             raise ValueError(f"unsupported model format {meta.get('format_version')}")
         if meta.get("activation") != "tanh":
             raise ValueError(f"unsupported activation {meta.get('activation')!r}")
@@ -672,6 +676,14 @@ def load_model(path: str | Path) -> BiLstmModel:
         shape = meta["input_shape"]
         config = ModelConfig(hidden_units=meta["hidden_units"], seed=meta["seed"],
                              input_shape=tuple(shape) if type(shape) is list else shape)
+        ratio, scope, columns = (meta.get(key) for key in _TRAINED_ON)
+        if "split_ratio" in meta and not (type(ratio) is float and 0 < ratio < 1):
+            raise ValueError(f"split_ratio must be a float in (0, 1), not {ratio!r}")
+        if "fit_scope" in meta and scope not in FIT_SCOPES:
+            raise ValueError(f"fit_scope must be one of {FIT_SCOPES}, not {scope!r}")
+        if "columns" in meta and not (type(columns) is list and config.input_shape[1] == len(columns)
+                                      == len({c for c in columns if type(c) is str})):  # distinct strings
+            raise ValueError(f"columns must be {config.input_shape[1]} distinct strings, not {columns!r}")
     except json.JSONDecodeError as exc:
         raise ValueError(f"model file {path}: __meta__ is not JSON: {exc}") from exc
     except (ValueError, InvalidShapeError) as exc:  # ModelConfig's too
@@ -687,4 +699,4 @@ def load_model(path: str | Path) -> BiLstmModel:
                                     f"expected {expected[key].shape}")
         if value.dtype.kind != "f" or not np.isfinite(value).all():
             raise ValueError(f"model file {path}: {key} holds non-finite or non-float values")
-    return BiLstmModel(config=config, params=params)
+    return BiLstmModel(config=config, params=params, trained_on={k: meta[k] for k in _TRAINED_ON if k in meta})

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -131,10 +132,14 @@ def test_model_out_is_the_exact_path_written(workspace):
 
 
 def _meta(**changes):
-    """The __meta__ save_model writes for the model below, with ``changes``
-    (None drops a key)."""
-    meta = {"format_version": 1, "hidden_units": 4, "input_shape": [3, 9], "activation": "tanh",
-            "output_head": "linear", "seed": 0, **changes}
+    """The __meta__ save_model writes for the model below, as train records it,
+    with ``changes`` (None drops a key)."""
+    model = nn.init_model(nn.ModelConfig(hidden_units=4, input_shape=(3, 9)))
+    model.trained_on = {"split_ratio": 0.8, "fit_scope": "train_only", "columns": [f"c{i}" for i in range(9)]}
+    with tempfile.TemporaryDirectory() as tmp:
+        nn.save_model(model, Path(tmp) / "model.npz")
+        with np.load(Path(tmp) / "model.npz") as data:
+            meta = {**json.loads(str(data["__meta__"])), **changes}
     return np.array(json.dumps({k: v for k, v in meta.items() if v is not None}))
 
 
@@ -208,6 +213,12 @@ def test_train_output_parent_that_is_a_file_exit_code(workspace, capsys, monkeyp
     ({"__meta__": _meta(seed="x")}, "seed must be an integer, not 'x'"),
     ({"__meta__": _meta(seed=-1)}, "seed must be >= 0, not -1"),
     ({"__meta__": _meta(input_shape=[5])}, "input_shape must be a pair of integers, not (5,)"),
+    ({"__meta__": _meta(split_ratio=1.5)}, "split_ratio must be a float in (0, 1), not 1.5"),
+    ({"__meta__": _meta(fit_scope="bogus")}, "fit_scope must be one of ('train_only', 'full'), not 'bogus'"),
+    ({"__meta__": _meta(columns=["Close"])}, "columns must be 9 distinct strings, not ['Close']"),
+    ({"__meta__": _meta(columns=["Close"] * 9)}, "columns must be 9 distinct strings, not ['Close', "),
+    ({"__meta__": _meta(format_version=1, split_ratio=None, fit_scope=None, columns=None)},
+     "records no training split"),
 ])
 def test_evaluate_rejects_bad_model_file(tmp_path, capsys, change, message):
     """A bad model file stops evaluate at load time, before it reads the master CSV."""
@@ -224,8 +235,11 @@ def test_evaluate_rejects_bad_model_file(tmp_path, capsys, change, message):
     assert not (tmp_path / "report.csv").exists()
 
 
-def test_stage_commands_match_grid_cell(workspace):
-    """map -> train -> evaluate writes the files of the same grid cell."""
+@pytest.mark.parametrize("split", [{}, {"split_ratio": 0.7, "fit_scope": "full"}],
+                         ids=["default_split", "split_0.7_full"])
+def test_stage_commands_match_grid_cell(workspace, split):
+    """map -> train -> evaluate writes the files of the same grid cell; evaluate
+    takes the split and the fit scope from the model file."""
     tmp_path, stock_path, tweets_path = workspace
     master = tmp_path / "master.csv"
     model = tmp_path / "model.npz"
@@ -234,9 +248,10 @@ def test_stage_commands_match_grid_cell(workspace):
     pred = tmp_path / "pred.csv"
     assert main(["map", "--stock", str(stock_path), "--tweets", str(tweets_path),
                  "--variant", "cleaned_prosus", "--out", str(master)]) == 0
+    split_flags = [arg for key, value in split.items() for arg in ("--" + key.replace("_", "-"), str(value))]
     assert main(["train", "--master", str(master), "--lookback", "3", "--hidden-units", "4",
                  "--epochs", "3", "--seed", "7", "--model-out", str(model),
-                 "--history-out", str(history)]) == 0
+                 "--history-out", str(history), *split_flags]) == 0
     assert main(["evaluate", "--model", str(model), "--master", str(master),
                  "--out", str(report), "--pred-out", str(pred)]) == 0
 
@@ -244,7 +259,7 @@ def test_stage_commands_match_grid_cell(workspace):
     config.write_text(json.dumps({
         "config_version": 1, "stock_file": str(stock_path), "tweet_files": [str(tweets_path)],
         "variants": ["cleaned_prosus"], "lookbacks": [3], "hidden_units": 4, "epochs": 3,
-        "seed": 7, "output_dir": str(tmp_path / "out"),
+        "seed": 7, "output_dir": str(tmp_path / "out"), **split,
     }))
     assert main(["grid", "--config", str(config)]) == 0
     out = tmp_path / "out"
@@ -257,6 +272,54 @@ def test_stage_commands_match_grid_cell(workspace):
     for column in ("r2", "rmse", "mae", "T", "acc", "units"):
         assert cli_row[column] == grid_row[column], column
     assert cli_row["val_score"] == "" and grid_row["val_score"] != ""
+
+
+@pytest.fixture
+def trained_on_200_days(tmp_path):
+    """A 200-day synthetic master and a train call on it: train(*flags) returns the model path."""
+    master = tmp_path / "master.csv"
+    write_stock_csv(synth.sentiment_driven_master(200, seed=0), master)
+
+    def train(*flags):
+        model = tmp_path / "model.npz"
+        assert main(["train", "--master", str(master), "--lookback", "5", "--hidden-units", "4",
+                     "--epochs", "3", "--model-out", str(model), *flags]) == 0
+        return model
+    return master, train
+
+
+@pytest.mark.parametrize("flags, n_train", [((), 160), (("--split-ratio", "0.6"), 120)])
+def test_evaluate_scores_only_windows_after_the_training_split(trained_on_200_days, flags, n_train):
+    """evaluate predicts exactly the windows that end after the first floor(split_ratio * N)
+    rows that train fitted on, and has no flag that moves that split."""
+    master, train = trained_on_200_days
+    model, pred = train(*flags), master.parent / "pred.csv"
+    assert main(["evaluate", "--model", str(model), "--master", str(master),
+                 "--out", str(master.parent / "report.csv"), "--pred-out", str(pred)]) == 0
+    dates = [line.split(",")[0] for line in pred.read_text().splitlines()[1:]]
+    calendar = [d.isoformat() for d in synth.sentiment_driven_master(200, seed=0).calendar]
+    assert dates == calendar[n_train + 5:] and len(dates) == 200 - n_train - 5
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--model", str(model), "--master", str(master), "--split-ratio", "0.5",
+              "--out", str(master.parent / "report.csv")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("header", ["Date,O,H,L,Close,V", "Date,High,Open,Low,Close,Volume"],
+                         ids=["renamed", "swapped"])
+def test_evaluate_rejects_a_master_with_other_columns(trained_on_200_days, capsys, header):
+    """A master whose column names or order differ from the model's exits 2 naming both lists."""
+    master, train = trained_on_200_days
+    model = train()
+    lines = master.read_text().splitlines(keepends=True)
+    other = master.parent / "other.csv"
+    other.write_text(lines[0].replace("Date,Open,High,Low,Close,Volume", header) + "".join(lines[1:]))
+    assert main(["evaluate", "--model", str(model), "--master", str(other),
+                 "--out", str(master.parent / "report.csv")]) == 2
+    err = capsys.readouterr().err
+    trained = ["Open", "High", "Low", "Close", "Volume", "sent_pos", "sent_neg", "sent_neu"]
+    assert str(trained) in err and str(header.split(",")[1:] + trained[5:]) in err
+    assert not (master.parent / "report.csv").exists()
 
 
 def test_grid_subcommand_and_exit_codes(workspace):

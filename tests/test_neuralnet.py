@@ -816,6 +816,15 @@ class TestPersistence:
         with pytest.raises(ValueError, match="output head"):
             load_model(path)
 
+    def test_trained_on_round_trips(self, tmp_path):
+        """The split, scaling scope and columns that train records survive save and load."""
+        model = init_model(ModelConfig(hidden_units=3, input_shape=(4, 2), seed=8))
+        model.trained_on = {"split_ratio": 0.6, "fit_scope": "full", "columns": ["Close", "sent_pos"]}
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        assert load_model(path).trained_on == model.trained_on
+        assert init_model(model.config).trained_on == {}
+
     def test_earlier_meta_format_loads(self, tmp_path):
         # the meta written while the output head was selectable, n_bins included
         cfg = ModelConfig(hidden_units=3, input_shape=(4, 2), seed=8)
@@ -834,12 +843,17 @@ class TestPersistence:
         ({"hidden_units": "4"}, "hidden_units must be an integer, not '4'"),
         ({"hidden_units": 4.0}, "hidden_units must be an integer, not 4.0"),
         ({"hidden_units": True}, "hidden_units must be an integer, not True"),
-        ({"hidden_units": 0}, "hidden_units must be >= 1, got 0"),
+        ({"hidden_units": 0}, "hidden_units must be >= 1, not 0"),
         ({"seed": "x"}, "seed must be an integer, not 'x'"),
         ({"seed": -1}, "seed must be >= 0, not -1"),
         ({"input_shape": [5]}, "input_shape must be a pair of integers, not (5,)"),
         ({"input_shape": 5}, "input_shape must be a pair of integers, not 5"),
         ({"input_shape": "ab"}, "input_shape must be a pair of integers, not 'ab'"),
+        ({"split_ratio": 1.5}, "split_ratio must be a float in (0, 1), not 1.5"),
+        ({"fit_scope": "bogus"}, "fit_scope must be one of ('train_only', 'full'), not 'bogus'"),
+        ({"columns": ["Open", "Close"]}, "columns must be 1 distinct strings, not ['Open', 'Close']"),
+        ({"split_ratio": "0.8"}, "split_ratio must be a float in (0, 1), not '0.8'"),
+        ({"columns": [5]}, "columns must be 1 distinct strings, not [5]"),
     ])
     def test_bad_meta_value_names_the_file(self, tmp_path, changes, message):
         model = init_model(ModelConfig(hidden_units=2, input_shape=(3, 1), seed=0))
