@@ -1,8 +1,8 @@
 """Scaling, chronological splitting and lookback windowing.
 ============================================================
 
-The dataset stage: fit invertible per-column min-max scalers on the
-training prefix, split without shuffling, and slice windows of w
+The dataset stage: split without shuffling, fit invertible per-column
+min-max scalers on the training rows alone, and slice windows of w
 consecutive rows, each predicting the next row's close.
 """
 
@@ -13,22 +13,23 @@ from sentistock.synth import random_walk_stock
 
 master = random_walk_stock(n_days=50, seed=3)
 
-# Scalers are fit on the first floor(0.8 * N) rows only, so the test rows
-# can fall outside [0, 1] -- no information leaks backwards in time.
-scalers = fit_scalers(master, split_ratio=0.8, fit_scope="train_only")
-close = scalers["Close"]
-print(f"Close bounds from training prefix: [{close.vmin:.2f}, {close.vmax:.2f}]")
+# Split first, without shuffling: the first floor(0.8 * N) rows train.
+train_raw, test_raw = chronological_split(master, 0.8)
+print(f"split: {train_raw.n_rows} train rows + {test_raw.n_rows} test rows, order preserved")
 
-scaled = transform(scalers, master)
-print(f"scaled Close range: [{scaled.columns['Close'].min():.3f}, "
-      f"{scaled.columns['Close'].max():.3f}]  (test rows may exceed 1)")
+# Scalers are fit on the training rows only, so the test rows can fall
+# outside [0, 1] -- no information leaks backwards in time.
+scalers = fit_scalers(train_raw)
+close = scalers["Close"]
+print(f"\nClose bounds from training rows: [{close.vmin:.2f}, {close.vmax:.2f}]")
+
+train, test = transform(scalers, train_raw), transform(scalers, test_raw)
+print(f"scaled test Close range: [{test.columns['Close'].min():.3f}, "
+      f"{test.columns['Close'].max():.3f}]  (test rows may leave [0, 1])")
 
 # The transform is exactly invertible.
-back = inverse_transform(scalers, "Close", scaled.columns["Close"])
-print("round-trip max error:", float(np.abs(back - master.columns["Close"]).max()))
-
-train, test = chronological_split(scaled, 0.8)
-print(f"\nsplit: {train.n_rows} train rows + {test.n_rows} test rows, order preserved")
+back = inverse_transform(scalers, "Close", test.columns["Close"])
+print("round-trip max error:", float(np.abs(back - test_raw.columns["Close"]).max()))
 
 # Windows: sample k covers rows [k, k+w) and targets row k+w.
 w = 5

@@ -22,9 +22,10 @@ from sentistock.neuralnet import ModelConfig, TrainConfig
 from sentistock.synth import sine_stock
 
 master = sine_stock(200, seed=0)
-scalers = fit_scalers(master, 0.8)
-scaled = transform(scalers, master)
-train_part, test_part = chronological_split(scaled, 0.8)
+# The first floor(0.8 * N) rows train, and the scalers are fit on them alone.
+train_raw, test_raw = chronological_split(master, 0.8)
+scalers = fit_scalers(train_raw)
+train_part, test_part = transform(scalers, train_raw), transform(scalers, test_raw)
 
 w = 10
 train_windows = make_windows(train_part, w)

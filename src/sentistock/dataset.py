@@ -67,25 +67,27 @@ class WindowedSet:
         return len(self.y)
 
 
-def fit_scalers(data: MasterDataset, split_ratio: float = 0.8, fit_scope: str = "train_only") -> ScalerSet:
-    """Fit per-column min/max bounds.
-
-    With fit_scope="train_only" (the default) bounds come from the first
-    floor(ratio * N) rows, avoiding test-set leakage; "full" uses every row.
-    """
+def check_split(split_ratio: float = 0.8, fit_scope: str = "train_only") -> None:
+    """The one split rule: ValueError unless split_ratio is a float in (0, 1) and fit_scope in FIT_SCOPES."""
+    if not (isinstance(split_ratio, float) and 0 < split_ratio < 1):
+        raise ValueError(f"split_ratio must be a float in (0, 1), not {split_ratio!r}")
     if fit_scope not in FIT_SCOPES:
-        raise ValueError(f"unknown fit_scope {fit_scope!r}")
-    if not 0 < split_ratio < 1:
-        raise ValueError("split_ratio must be in (0, 1)")
-    n = data.n_rows
-    n_fit = math.floor(split_ratio * n) if fit_scope == "train_only" else n
-    if n_fit < 1:
-        raise DegenerateDatasetError(f"no rows to fit scalers on (n={n}, ratio={split_ratio})")
-    scalers = {}
-    for name, values in data.columns.items():
-        window = values[:n_fit]
-        scalers[name] = ColumnScaler(column=name, vmin=float(window.min()), vmax=float(window.max()))
-    return ScalerSet(scalers=scalers)
+        raise ValueError(f"fit_scope must be one of {FIT_SCOPES}, not {fit_scope!r}")
+
+
+def train_rows(n_rows: int, split_ratio: float) -> int:
+    """The training part's row count: the first floor(split_ratio * n_rows) rows."""
+    return math.floor(split_ratio * n_rows)
+
+
+def fit_scalers(data: MasterDataset) -> ScalerSet:
+    """Fit per-column min/max bounds on every row of ``data``: split first to keep test rows out.
+
+    Raises DegenerateDatasetError for a dataset with no rows."""
+    if data.n_rows < 1:
+        raise DegenerateDatasetError("no rows to fit scalers on")
+    return ScalerSet(scalers={name: ColumnScaler(column=name, vmin=float(v.min()), vmax=float(v.max()))
+                              for name, v in data.columns.items()})
 
 
 def transform(scalers: ScalerSet, data: MasterDataset) -> MasterDataset:
@@ -99,20 +101,18 @@ def inverse_transform(scalers: ScalerSet, column: str, values: np.ndarray) -> np
 
 
 def chronological_split(data: MasterDataset, split_ratio: float = 0.8) -> tuple[MasterDataset, MasterDataset]:
-    """Split into (train, test) by row position: first floor(ratio * N) rows train.
+    """Split into (train, test) by row position: the first train_rows(N, ratio) rows train.
 
-    No shuffling; order is preserved. Raises DegenerateDatasetError for
-    datasets with fewer than 2 rows.
+    No shuffling; order is preserved. Raises check_split's ValueError and, for
+    datasets with fewer than 2 rows, DegenerateDatasetError.
     """
-    if not 0 < split_ratio < 1:
-        raise ValueError("split_ratio must be in (0, 1)")
-    n = data.n_rows
-    if n < 2:
-        raise DegenerateDatasetError(f"cannot split {n} rows")
-    n_train = math.floor(split_ratio * n)
+    check_split(split_ratio)
+    if data.n_rows < 2:
+        raise DegenerateDatasetError(f"cannot split {data.n_rows} rows")
+    n_train = train_rows(data.n_rows, split_ratio)
     return tuple(replace(data, calendar=data.calendar[part],
                          columns={name: values[part] for name, values in data.columns.items()})
-                 for part in (slice(0, n_train), slice(n_train, n)))
+                 for part in (slice(None, n_train), slice(n_train, None)))
 
 
 def make_windows(data: MasterDataset, lookback: int) -> WindowedSet:

@@ -1,7 +1,7 @@
 """Experiment orchestration: grid sweeps and reporting.
 
 A run wires the stages together: load stock and tweets, score, aggregate to
-daily channels, memory-map, join, scale, split, window, train, predict,
+daily channels, memory-map, join, split, scale, window, train, predict,
 inverse-scale, evaluate. This module is the only place that knows that
 sequence; the CLI subcommands call the same stage functions. A grid first
 builds every variant's master dataset from stock and tweet files read once,
@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import date
@@ -92,10 +91,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown variants {unknown}; choose from {list(VARIANTS)}")
         if len(set(self.variants)) != len(self.variants):
             raise ConfigError(f"variants repeat a name: {self.variants!r}")
-        if not 0 < self.split_ratio < 1:
-            raise ConfigError("split_ratio must be in (0, 1)")
-        if self.fit_scope not in ds.FIT_SCOPES:
-            raise ConfigError(f"fit_scope must be one of {ds.FIT_SCOPES}, not {self.fit_scope!r}")
         if self.metric_units not in ("data", "scaled"):
             raise ConfigError(f"metric_units must be 'data' or 'scaled', not {self.metric_units!r}")
         if self.hidden_units < 1:
@@ -104,6 +99,7 @@ class ExperimentConfig:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, not {getattr(self, name)!r}")
         try:
+            ds.check_split(self.split_ratio, self.fit_scope)
             self.training = nn.TrainConfig(
                 epochs=self.epochs,
                 batch_size=self.batch_size,
@@ -170,7 +166,7 @@ class Evaluation(NamedTuple):
 
 @dataclass
 class CellData:
-    """A master dataset min-max scaled and split chronologically."""
+    """A master dataset split chronologically and min-max scaled."""
 
     scalers: ds.ScalerSet
     train: MasterDataset
@@ -263,13 +259,12 @@ def build_masters(cfg: ExperimentConfig, stock: MasterDataset,
 
 
 def prepare_cell(master: MasterDataset, cfg: ExperimentConfig) -> CellData:
-    """Stages scale and split: fit the scalers, scale, split chronologically."""
-    with _stage("scale"):
-        scalers = ds.fit_scalers(master, cfg.split_ratio, cfg.fit_scope)
-        scaled = ds.transform(scalers, master)
+    """Stages split and scale: split, fit scalers on the train part (the master if "full"), scale both parts."""
     with _stage("split"):
-        train_part, test_part = ds.chronological_split(scaled, cfg.split_ratio)
-    return CellData(scalers=scalers, train=train_part, test=test_part)
+        parts = ds.chronological_split(master, cfg.split_ratio)
+    with _stage("scale"):
+        scalers = ds.fit_scalers(parts[0] if cfg.fit_scope == "train_only" else master)
+        return CellData(scalers, *(ds.transform(scalers, part) for part in parts))
 
 
 def window(part: MasterDataset, lookback: int) -> ds.WindowedSet:
@@ -341,8 +336,7 @@ def run_grid(cfg: ExperimentConfig, tweet_loader=load_tweets) -> list[Experiment
     is set.
     """
     stock = load_stock(cfg)
-    n = stock.n_rows
-    n_test = n - math.floor(cfg.split_ratio * n)
+    n_test = stock.n_rows - ds.train_rows(stock.n_rows, cfg.split_ratio)
     usable = []
     for w in cfg.lookbacks:
         if w >= n_test / 2:

@@ -99,7 +99,7 @@ from .errors import (
     check_field_types,
 )
 from . import evalmetrics
-from .dataset import FIT_SCOPES
+from .dataset import check_split
 
 LAYERS = ("l1", "l2")
 DIRECTIONS = ("fwd", "bwd")
@@ -634,9 +634,9 @@ def train(model: BiLstmModel, windows, cfg: TrainConfig) -> TrainingHistory:
 
 
 def save_model(model: BiLstmModel, path: str | Path) -> None:
-    """Persist parameters, config and ``trained_on`` as a versioned .npz container at exactly ``path``."""
+    """Save as a versioned .npz at exactly ``path``, or raise ValueError if load_model would not read it back."""
     config = model.config
-    meta = {
+    meta_text = json.dumps({
         "format_version": MODEL_FORMAT_VERSION,
         "hidden_units": config.hidden_units,
         "input_shape": list(config.input_shape),
@@ -644,22 +644,15 @@ def save_model(model: BiLstmModel, path: str | Path) -> None:
         "output_head": "linear",
         "seed": config.seed,
         **model.trained_on,
-    }
+    })
+    if _read_meta(path, meta_text)[1].keys() != model.trained_on.keys():  # a core key or an unknown one
+        raise ValueError(f"model file {path}: trained_on keys {list(model.trained_on)} not all in {_TRAINED_ON}")
     with open(path, "wb") as fh:  # given a path, np.savez would append .npz to it
-        np.savez(fh, __meta__=np.array(json.dumps(meta)), **model.params)
+        np.savez(fh, __meta__=np.array(meta_text), **model.params)
 
 
-def load_model(path: str | Path) -> BiLstmModel:
-    """Load a model saved by save_model, checking its parameters against ``init_model``'s for
-    its config: ValueError names the file and a missing or bad ``__meta__`` (not a JSON object,
-    a format other than 1 and 2, a missing key, or a value ModelConfig or the _TRAINED_ON checks
-    reject), or any missing, unexpected, non-float or non-finite parameter; InvalidShapeError a
-    parameter of another shape, with both shapes. ``trained_on`` holds the keys the file records."""
-    with np.load(path, allow_pickle=False) as data:
-        if "__meta__" not in data.files:
-            raise ValueError(f"model file {path} has no __meta__")
-        meta_text = str(data["__meta__"])
-        params = {k: data[k].copy() for k in data.files if k != "__meta__"}
+def _read_meta(path: str | Path, meta_text: str) -> tuple[ModelConfig, dict]:
+    """The config and ``trained_on`` of ``__meta__`` text; ValueError naming ``path`` if load_model refuses."""
     try:
         meta = json.loads(meta_text)
         if not isinstance(meta, dict):
@@ -676,11 +669,8 @@ def load_model(path: str | Path) -> BiLstmModel:
         shape = meta["input_shape"]
         config = ModelConfig(hidden_units=meta["hidden_units"], seed=meta["seed"],
                              input_shape=tuple(shape) if type(shape) is list else shape)
-        ratio, scope, columns = (meta.get(key) for key in _TRAINED_ON)
-        if "split_ratio" in meta and not (type(ratio) is float and 0 < ratio < 1):
-            raise ValueError(f"split_ratio must be a float in (0, 1), not {ratio!r}")
-        if "fit_scope" in meta and scope not in FIT_SCOPES:
-            raise ValueError(f"fit_scope must be one of {FIT_SCOPES}, not {scope!r}")
+        check_split(**{k: meta[k] for k in _TRAINED_ON[:2] if k in meta})  # a key the file lacks passes
+        columns = meta.get("columns")
         if "columns" in meta and not (type(columns) is list and config.input_shape[1] == len(columns)
                                       == len({c for c in columns if type(c) is str})):  # distinct strings
             raise ValueError(f"columns must be {config.input_shape[1]} distinct strings, not {columns!r}")
@@ -688,6 +678,21 @@ def load_model(path: str | Path) -> BiLstmModel:
         raise ValueError(f"model file {path}: __meta__ is not JSON: {exc}") from exc
     except (ValueError, InvalidShapeError) as exc:  # ModelConfig's too
         raise ValueError(f"model file {path}: {exc}") from exc
+    return config, {k: meta[k] for k in _TRAINED_ON if k in meta}
+
+
+def load_model(path: str | Path) -> BiLstmModel:
+    """Load a model saved by save_model, checking its parameters against ``init_model``'s for
+    its config: ValueError names the file and a missing or bad ``__meta__`` (not a JSON object,
+    a format other than 1 and 2, a missing key, or a value ModelConfig, check_split or the columns
+    check reject), or any missing, unexpected, non-float or non-finite parameter; InvalidShapeError
+    a parameter of another shape, with both shapes. ``trained_on`` holds the keys the file records."""
+    with np.load(path, allow_pickle=False) as data:
+        if "__meta__" not in data.files:
+            raise ValueError(f"model file {path} has no __meta__")
+        meta_text = str(data["__meta__"])
+        params = {k: data[k].copy() for k in data.files if k != "__meta__"}
+    config, trained_on = _read_meta(path, meta_text)
     expected = init_model(config).params
     wrong_keys = [f"{what} {', '.join(sorted(keys))}" for what, keys in (
         ("lacks", expected.keys() - params.keys()), ("has unexpected", params.keys() - expected.keys())) if keys]
@@ -699,4 +704,4 @@ def load_model(path: str | Path) -> BiLstmModel:
                                     f"expected {expected[key].shape}")
         if value.dtype.kind != "f" or not np.isfinite(value).all():
             raise ValueError(f"model file {path}: {key} holds non-finite or non-float values")
-    return BiLstmModel(config=config, params=params, trained_on={k: meta[k] for k in _TRAINED_ON if k in meta})
+    return BiLstmModel(config=config, params=params, trained_on=trained_on)

@@ -1,7 +1,12 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 from conftest import make_master
+from sentistock import neuralnet
+from sentistock.harness import ExperimentConfig
 from sentistock.dataset import (
     ColumnScaler,
     chronological_split,
@@ -11,6 +16,7 @@ from sentistock.dataset import (
     transform,
 )
 from sentistock.errors import (
+    ConfigError,
     DegenerateDatasetError,
     InsufficientRowsError,
     UnknownColumnError,
@@ -20,23 +26,23 @@ from sentistock.errors import (
 class TestFitScalers:
     def test_train_only_bounds(self):
         master = make_master([10, 20, 30, 40, 50])
-        scalers = fit_scalers(master, 0.8, "train_only")
+        scalers = fit_scalers(chronological_split(master, 0.8)[0])
         assert scalers["Close"].vmin == 10 and scalers["Close"].vmax == 40
 
     def test_full_bounds(self):
         master = make_master([10, 20, 30, 40, 50])
-        scalers = fit_scalers(master, 0.8, "full")
+        scalers = fit_scalers(master)
         assert scalers["Close"].vmin == 10 and scalers["Close"].vmax == 50
 
     def test_single_row_degenerate_scaler(self):
         master = make_master([42])
-        scalers = fit_scalers(master, 0.8, "full")
+        scalers = fit_scalers(master)
         assert scalers["Close"].degenerate
 
     def test_zero_fit_rows(self):
-        master = make_master([42])
+        master = make_master([42, 43])
         with pytest.raises(DegenerateDatasetError):
-            fit_scalers(master, 0.5, "train_only")  # floor(0.5 * 1) == 0
+            fit_scalers(chronological_split(master, 0.4)[0])  # floor(0.4 * 2) == 0
 
 
 class TestTransform:
@@ -58,14 +64,14 @@ class TestTransform:
 
     def test_unknown_column(self):
         master = make_master([10, 20, 30])
-        scalers = fit_scalers(master, 0.8, "full")
+        scalers = fit_scalers(master)
         with pytest.raises(UnknownColumnError):
             scalers["Nope"]
 
     def test_train_columns_in_unit_interval(self):
         rng = np.random.default_rng(2)
         master = make_master(50 + np.cumsum(rng.uniform(-1, 1, 40)))
-        scalers = fit_scalers(master, 0.8, "train_only")
+        scalers = fit_scalers(chronological_split(master, 0.8)[0])
         scaled = transform(scalers, master)
         n_train = 32
         for values in scaled.columns.values():
@@ -75,7 +81,7 @@ class TestTransform:
     def test_full_scope_bounds_every_row(self):
         rng = np.random.default_rng(3)
         master = make_master(50 + np.cumsum(rng.uniform(-1, 1, 40)))
-        scaled = transform(fit_scalers(master, 0.8, "full"), master)
+        scaled = transform(fit_scalers(master), master)
         for values in scaled.columns.values():
             assert values.min() >= -1e-12 and values.max() <= 1 + 1e-12
 
@@ -92,7 +98,7 @@ class TestInverseTransform:
     def test_round_trip(self):
         rng = np.random.default_rng(4)
         master = make_master(rng.uniform(10, 500, 30))
-        scalers = fit_scalers(master, 0.8, "full")
+        scalers = fit_scalers(master)
         scaled = transform(scalers, master)
         for name in master.columns:
             back = inverse_transform(scalers, name, scaled.columns[name])
@@ -119,6 +125,36 @@ class TestChronologicalSplit:
         np.testing.assert_array_equal(rejoined, close)
         assert train.n_rows == int(np.floor(0.62 * 13))
         assert train.calendar + test.calendar == make_master(close).calendar
+
+
+def _load_model_with_meta(path, **changes):
+    """load_model on a saved model whose __meta__ is rewritten with ``changes``."""
+    model = neuralnet.init_model(neuralnet.ModelConfig(hidden_units=2, input_shape=(3, 1), seed=0))
+    neuralnet.save_model(model, path)
+    with np.load(path) as data:
+        meta = json.loads(str(data["__meta__"]))
+        params = {k: data[k] for k in data.files if k != "__meta__"}
+    np.savez(path, __meta__=np.array(json.dumps({**meta, **changes})), **params)
+    return neuralnet.load_model(path)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda tmp: chronological_split(make_master(np.arange(5.0)), "0.8"), ValueError,
+                 "split_ratio must be a float in (0, 1), not '0.8'", id="split-str"),
+    pytest.param(lambda tmp: chronological_split(make_master(np.arange(5.0)), None), ValueError,
+                 "split_ratio must be a float in (0, 1), not None", id="split-none"),
+    pytest.param(lambda tmp: ExperimentConfig(split_ratio=1.5), ConfigError,
+                 "split_ratio must be a float in (0, 1), not 1.5", id="config-ratio"),
+    pytest.param(lambda tmp: ExperimentConfig(fit_scope="bogus"), ConfigError,
+                 "fit_scope must be one of ('train_only', 'full'), not 'bogus'", id="config-scope"),
+    pytest.param(lambda tmp: _load_model_with_meta(tmp / "model.npz", split_ratio=None), ValueError,
+                 "split_ratio must be a float in (0, 1), not None", id="model-file"),
+])
+def test_one_split_rule_wording(tmp_path, call, error, message):
+    """Every entry point that takes a split ratio or scaling scope raises the one
+    check's message, not a TypeError from comparing a str or None."""
+    with pytest.raises(error, match=re.escape(message) + "$"):
+        call(tmp_path)
 
 
 class TestMakeWindows:

@@ -9,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import make_master
 from sentistock import errors, harness, neuralnet, sentiment, synth
 from sentistock.dataset import inverse_transform
 from sentistock.errors import ConfigError, PipelineError
@@ -908,6 +909,22 @@ class TestRunMasterUnits:
         # scale factor between the two unit systems is the close-price range
         span = master.columns["Close"][:48].max() - master.columns["Close"][:48].min()
         assert r_data.report.rmse == pytest.approx(r_scaled.report.rmse * span, rel=1e-9)
+
+
+@pytest.mark.parametrize("split_ratio, n_train", [(0.8, 34), (0.7, 30)])
+@pytest.mark.parametrize("fit_scope", ["train_only", "full"])
+def test_prepare_cell_fits_scalers_on_its_scope(split_ratio, n_train, fit_scope):
+    """The master's largest Close lies in the test rows. Under train_only the
+    scalers hold the bounds of exactly the first floor(r * 43) rows, so scaled
+    test prices pass 1; under full they hold the bounds of all 43 rows."""
+    master = make_master(100 + np.arange(43.0))
+    cell = harness.prepare_cell(master, fast_config(split_ratio=split_ratio, fit_scope=fit_scope))
+    n_fit = n_train if fit_scope == "train_only" else 43
+    assert (cell.train.n_rows, cell.test.n_rows) == (n_train, 43 - n_train)
+    for name, values in master.columns.items():
+        scaler = cell.scalers[name]
+        assert (scaler.vmin, scaler.vmax) == (values[:n_fit].min(), values[:n_fit].max())
+    assert (cell.test.columns["Close"].max() > 1) == (fit_scope == "train_only")
 
 
 class TestEvaluateModel:

@@ -825,6 +825,21 @@ class TestPersistence:
         assert load_model(path).trained_on == model.trained_on
         assert init_model(model.config).trained_on == {}
 
+    @pytest.mark.parametrize("trained_on, message", [
+        ({"split_ratio": 1.5, "fit_scope": "full", "columns": ["Close"]},
+         "split_ratio must be a float in (0, 1), not 1.5"),
+        ({"seed": 5}, "trained_on keys ['seed'] not all in ('split_ratio', 'fit_scope', 'columns')"),
+    ], ids=["bad-value", "core-key"])
+    def test_save_refuses_what_load_would_not_read_back(self, tmp_path, trained_on, message):
+        """A value load_model would reject, or a key that would override a core
+        __meta__ key, stops save_model before it writes the file."""
+        model = init_model(ModelConfig(hidden_units=2, input_shape=(3, 1), seed=0))
+        model.trained_on = trained_on
+        path = tmp_path / "model.npz"
+        with pytest.raises(ValueError, match=re.escape(f"model file {path}: {message}") + "$"):
+            save_model(model, path)
+        assert not path.exists()
+
     def test_earlier_meta_format_loads(self, tmp_path):
         # the meta written while the output head was selectable, n_bins included
         cfg = ModelConfig(hidden_units=3, input_shape=(4, 2), seed=8)
