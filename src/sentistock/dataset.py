@@ -123,7 +123,7 @@ def make_windows(data: MasterDataset, lookback: int) -> WindowedSet:
     feature matrix, not a copy. Raises InsufficientRowsError when N <= w.
     """
     if lookback < 1:
-        raise ValueError("lookback must be >= 1")
+        raise ValueError(f"lookback must be >= 1, not {lookback!r}")
     n = data.n_rows
     if n <= lookback:
         raise InsufficientRowsError(f"{n} rows cannot form a window of {lookback}")

@@ -1,4 +1,4 @@
-"""Exception types raised across the package, and the one check of a config's field types."""
+"""Exception types raised across the package, and the one check of a config's field types and bounds."""
 
 from dataclasses import fields
 
@@ -144,12 +144,16 @@ _FIELD_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number
                 "list[int]": ((int,), "a list of integers"), "list[str]": ((str,), "a list of strings")}
 
 
-def check_field_types(config, error=ValueError) -> None:
+def check_fields(config, error=ValueError) -> None:
     """Raise ``error`` for the first field of dataclass ``config`` whose value (a list's or tuple's
-    items, in exactly that container) is not of a type that _FIELD_TYPES gives its annotation."""
+    items, in exactly that container) is not of a type that _FIELD_TYPES gives its annotation;
+    then, all types being right, for the first whose value is below the ``least`` of its metadata."""
     for f in fields(config):
         types, kind = _FIELD_TYPES[f.type]
         value = getattr(config, f.name)
         items = value if f.type.startswith(f"{type(value).__name__}[") else [value]
         if (items is value) != ("[" in f.type) or any(type(x) not in types for x in items):
             raise error(f"{f.name} must be {kind}, not {value!r}")
+    for f in fields(config):
+        if "least" in f.metadata and getattr(config, f.name) < f.metadata["least"]:
+            raise error(f"{f.name} must be >= {f.metadata['least']}, not {getattr(config, f.name)!r}")

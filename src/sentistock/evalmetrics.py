@@ -98,7 +98,7 @@ def best_time_offset(pred, actual, max_lag: int = 14) -> tuple[int, float]:
     """
     pred, actual = _as_pair(pred, actual)
     if max_lag < 0:
-        raise ValueError("max_lag must be >= 0")
+        raise ValueError(f"max_lag must be >= 0, not {max_lag!r}")
     n = pred.size
     if n < max_lag + 2:
         raise SeriesTooShortError(f"need at least max_lag + 2 = {max_lag + 2} points, got {n}")

@@ -26,7 +26,7 @@ import numpy as np
 from . import dataset as ds
 from . import evalmetrics as em
 from . import neuralnet as nn
-from .errors import ConfigError, PipelineError, check_field_types
+from .errors import ConfigError, PipelineError, check_fields
 from .ingest import TARGET_COLUMN, MasterDataset, TweetCorpus, load_stock_csv, load_tweets, write_csv
 from .mapping import MemoryKernel, daily_aggregate, join_with_stock, memory_weighted_map
 from .sentiment import VARIANTS, ScoreTable, score_corpus
@@ -58,7 +58,7 @@ class ExperimentConfig:
     split_ratio: float = 0.8
     fit_scope: str = "train_only"
     lookbacks: list[int] = field(default_factory=lambda: list(DEFAULT_LOOKBACKS))
-    hidden_units: int = 50
+    hidden_units: int = field(default=50, metadata={"least": 1})
     epochs: int = 100
     batch_size: int = 32
     validation_split: float = 0.1
@@ -66,18 +66,18 @@ class ExperimentConfig:
     learning_rate: float = 1e-3
     with_sentiment: bool = True
     metric_units: str = "data"
-    max_lag: int = 14
+    max_lag: int = field(default=14, metadata={"least": 0})
     output_dir: str | None = None
     scrip: str | None = None
-    seed: int = 0
+    seed: int = field(default=0, metadata={"least": 0})  # numpy's generators reject a negative seed
 
     def __post_init__(self):
-        """Check every value once, and build the stage configs a run uses.
-
-        ``training`` and ``kernel`` are plain attributes, not fields: asdict
+        """Check every value once, and build the stage configs a run uses. check_fields checks
+        the types and the declared least values; ``training`` and ``kernel`` (TrainConfig and
+        MemoryKernel) check their own fields. They are plain attributes, not fields: asdict
         and dataclasses.replace see only the values.
         """
-        check_field_types(self, ConfigError)
+        check_fields(self, ConfigError)
         if any(c in (self.scrip or "") for c in "/\0"):  # it names the result files
             raise ConfigError(f"scrip must hold no '/' or NUL byte, not {self.scrip!r}")
         if not self.lookbacks or any(w < 1 for w in self.lookbacks):
@@ -93,11 +93,6 @@ class ExperimentConfig:
             raise ConfigError(f"variants repeat a name: {self.variants!r}")
         if self.metric_units not in ("data", "scaled"):
             raise ConfigError(f"metric_units must be 'data' or 'scaled', not {self.metric_units!r}")
-        if self.hidden_units < 1:
-            raise ConfigError(f"hidden_units must be >= 1, not {self.hidden_units!r}")
-        for name in ("max_lag", "seed"):  # numpy's generators reject a negative seed
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, not {getattr(self, name)!r}")
         try:
             ds.check_split(self.split_ratio, self.fit_scope)
             self.training = nn.TrainConfig(

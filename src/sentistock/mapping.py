@@ -8,12 +8,12 @@ joined with the stock columns into one master dataset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import date
 
 import numpy as np
 
-from .errors import check_field_types
+from .errors import check_fields
 from .ingest import MasterDataset
 from .sentiment import labels
 
@@ -29,13 +29,11 @@ class MemoryKernel:
     window counts most. Both normalize by the full kernel sum.
     """
 
-    memory_days: int = 30
+    memory_days: int = field(default=30, metadata={"least": 1})
     mode: str = "recency"
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.memory_days < 1:
-            raise ValueError(f"memory_days must be >= 1, not {self.memory_days!r}")
+        check_fields(self)
         if self.mode not in ("recency", "literal"):
             raise ValueError(f"unknown kernel mode {self.mode!r}")
 

@@ -96,7 +96,7 @@ from .errors import (
     NonFiniteLossError,
     ShapeMismatchError,
     ZeroVarianceError,
-    check_field_types,
+    check_fields,
 )
 from . import evalmetrics
 from .dataset import check_split
@@ -139,15 +139,13 @@ class ModelConfig:
 
     hidden_units: int = 50
     input_shape: tuple[int, int] = (60, 5)  # (lookback, n_features)
-    seed: int = 0
+    seed: int = field(default=0, metadata={"least": 0})  # numpy's generators reject a negative seed
 
     def __post_init__(self):
-        """ValueError for a wrong type or a negative seed, InvalidShapeError for a dimension below 1."""
-        check_field_types(self)
+        """ValueError for a wrong type or a negative seed (check_fields), InvalidShapeError for a dim < 1."""
+        check_fields(self)
         if len(self.input_shape) != 2:
             raise ValueError(f"input_shape must be a pair of integers, not {self.input_shape!r}")
-        if self.seed < 0:  # numpy's generators reject a negative seed
-            raise ValueError(f"seed must be >= 0, not {self.seed}")
         if self.hidden_units < 1:
             raise InvalidShapeError(f"hidden_units must be >= 1, not {self.hidden_units}")
         w, n_features = self.input_shape
@@ -159,17 +157,14 @@ class ModelConfig:
 class TrainConfig:
     """Optimization parameters."""
 
-    epochs: int = 100
-    batch_size: int = 32
+    epochs: int = field(default=100, metadata={"least": 1})
+    batch_size: int = field(default=32, metadata={"least": 1})
     validation_split: float = 0.1
-    patience: int = 10
+    patience: int = field(default=10, metadata={"least": 0})
     learning_rate: float = 1e-3
 
     def __post_init__(self):
-        check_field_types(self)
-        for name, least in (("epochs", 1), ("batch_size", 1), ("patience", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, not {getattr(self, name)!r}")
+        check_fields(self)
         if not 0.0 <= self.validation_split <= 0.5:
             raise ValueError(f"validation_split must lie in [0, 0.5], not {self.validation_split!r}")
         if not math.isfinite(self.learning_rate):

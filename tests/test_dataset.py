@@ -170,6 +170,8 @@ class TestMakeWindows:
     def test_insufficient_rows(self):
         with pytest.raises(InsufficientRowsError):
             make_windows(make_master(np.arange(4) + 1.0), 4)
+        with pytest.raises(ValueError, match=re.escape("lookback must be >= 1, not 0") + "$"):
+            make_windows(make_master(np.arange(4) + 1.0), 0)
 
     def test_constant_target(self):
         master = make_master(np.full(8, 0.5))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,8 @@ class TestBestTimeOffset:
     def test_series_too_short(self):
         with pytest.raises(SeriesTooShortError):
             best_time_offset([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], max_lag=5)
+        with pytest.raises(ValueError, match=re.escape("max_lag must be >= 0, not -1") + "$"):
+            best_time_offset([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], max_lag=-1)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):

@@ -867,6 +867,26 @@ class TestConfigFile:
             for f in dataclasses.fields(config):
                 assert f.type in errors._FIELD_TYPES, f"{config.__name__}.{f.name}"
 
+    DECLARED_BOUNDS = [(ExperimentConfig, "hidden_units", 1), (ExperimentConfig, "max_lag", 0),
+                       (ExperimentConfig, "seed", 0), (neuralnet.TrainConfig, "epochs", 1),
+                       (neuralnet.TrainConfig, "batch_size", 1), (neuralnet.TrainConfig, "patience", 0),
+                       (MemoryKernel, "memory_days", 1), (neuralnet.ModelConfig, "seed", 0)]
+
+    @pytest.mark.parametrize("config, name, least", DECLARED_BOUNDS,
+                             ids=[f"{c.__name__}.{n}" for c, n, _ in DECLARED_BOUNDS])
+    def test_declared_bound_enforced(self, config, name, least):
+        """Every field's declared least value is exactly this list, and check_fields
+        rejects a value one below it, naming field, bound and value."""
+        declared = {(c, f.name, f.metadata["least"])
+                    for c in (ExperimentConfig, neuralnet.TrainConfig, MemoryKernel, neuralnet.ModelConfig)
+                    for f in dataclasses.fields(c) if "least" in f.metadata}
+        assert declared == set(self.DECLARED_BOUNDS)
+        error = ConfigError if config is ExperimentConfig else ValueError
+        message = f"{name} must be >= {least}, not {least - 1}"
+        with pytest.raises(error, match=re.escape(message) + "$") as caught:
+            config(**{name: least - 1})
+        assert type(caught.value) is error
+
     @pytest.mark.parametrize("bad, message", [
         ({"batch_size": 0}, "batch_size must be >= 1, not 0"),
         ({"epochs": 0}, "epochs must be >= 1, not 0"),
