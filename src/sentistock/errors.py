@@ -1,4 +1,4 @@
-"""Exception types raised across the package, and the one check of a config's field types and bounds."""
+"""Exception types raised across the package, and the one check of a config's field values."""
 
 from dataclasses import fields
 
@@ -145,15 +145,25 @@ _FIELD_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number
 
 
 def check_fields(config, error=ValueError) -> None:
-    """Raise ``error`` for the first field of dataclass ``config`` whose value (a list's or tuple's
-    items, in exactly that container) is not of a type that _FIELD_TYPES gives its annotation;
-    then, all types being right, for the first whose value is below the ``least`` of its metadata."""
+    """Raise ``error`` for the first field of dataclass ``config`` whose value (a list's or tuple's items,
+    in exactly that container and, for a tuple, that many) is not of a type _FIELD_TYPES gives its annotation;
+    then, all types being right, for the first value that breaks its field's metadata: ``least`` and ``most``
+    bound each item (NaN lies in no range), ``choices`` lists its allowed values, ``distinct`` bars repeats."""
     for f in fields(config):
         types, kind = _FIELD_TYPES[f.type]
         value = getattr(config, f.name)
         items = value if f.type.startswith(f"{type(value).__name__}[") else [value]
-        if (items is value) != ("[" in f.type) or any(type(x) not in types for x in items):
+        if (items is value) != ("[" in f.type) or any(type(x) not in types for x in items) \
+                or (f.type.startswith("tuple[") and len(value) != f.type.count(",") + 1):
             raise error(f"{f.name} must be {kind}, not {value!r}")
     for f in fields(config):
-        if "least" in f.metadata and getattr(config, f.name) < f.metadata["least"]:
-            raise error(f"{f.name} must be >= {f.metadata['least']}, not {getattr(config, f.name)!r}")
+        value, rule = getattr(config, f.name), f.metadata
+        lo, hi = rule.get("least", -float("inf")), rule.get("most", float("inf"))
+        bound = f"lie in [{lo}, {hi}]" if "most" in rule else f"be >= {lo}"
+        for x in (value if "[" in f.type else [value]):
+            if ("least" in rule or "most" in rule) and not lo <= x <= hi:
+                raise error(f"{f.name} must {bound}, not {x!r}")
+            if "choices" in rule and x not in rule["choices"]:
+                raise error(f"{f.name} must be one of {rule['choices']}, not {x!r}")
+        if rule.get("distinct") and len(set(value)) != len(value):
+            raise error(f"{f.name} must hold distinct items, not {value!r}")

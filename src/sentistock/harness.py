@@ -52,12 +52,14 @@ class ExperimentConfig:
     stock_file: str | None = None
     tweet_files: list[str] = field(default_factory=list)
     scores_file: str | None = None
-    variants: list[str] = field(default_factory=lambda: list(VARIANTS))
+    variants: list[str] = field(default_factory=lambda: list(VARIANTS),
+                                metadata={"choices": VARIANTS, "distinct": True})
     memory_days: int = 30
     kernel_mode: str = "recency"
     split_ratio: float = 0.8
     fit_scope: str = "train_only"
-    lookbacks: list[int] = field(default_factory=lambda: list(DEFAULT_LOOKBACKS))
+    lookbacks: list[int] = field(default_factory=lambda: list(DEFAULT_LOOKBACKS),
+                                 metadata={"least": 1, "distinct": True})
     hidden_units: int = field(default=50, metadata={"least": 1})
     epochs: int = 100
     batch_size: int = 32
@@ -65,7 +67,7 @@ class ExperimentConfig:
     patience: int = 10
     learning_rate: float = 1e-3
     with_sentiment: bool = True
-    metric_units: str = "data"
+    metric_units: str = field(default="data", metadata={"choices": ("data", "scaled")})
     max_lag: int = field(default=14, metadata={"least": 0})
     output_dir: str | None = None
     scrip: str | None = None
@@ -73,26 +75,16 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Check every value once, and build the stage configs a run uses. check_fields checks
-        the types and the declared least values; ``training`` and ``kernel`` (TrainConfig and
+        the types and each field's declared rules; ``training`` and ``kernel`` (TrainConfig and
         MemoryKernel) check their own fields. They are plain attributes, not fields: asdict
         and dataclasses.replace see only the values.
         """
         check_fields(self, ConfigError)
         if any(c in (self.scrip or "") for c in "/\0"):  # it names the result files
             raise ConfigError(f"scrip must hold no '/' or NUL byte, not {self.scrip!r}")
-        if not self.lookbacks or any(w < 1 for w in self.lookbacks):
-            raise ConfigError(f"lookbacks must be a non-empty list of integers >= 1, not {self.lookbacks!r}")
-        if len(set(self.lookbacks)) != len(self.lookbacks):
-            raise ConfigError(f"lookbacks repeat a value: {self.lookbacks!r}")
-        if not self.variants:  # a grid with sentiment would have no cell
-            raise ConfigError("variants must name at least one variant")
-        unknown = [v for v in self.variants if v not in VARIANTS]
-        if unknown:
-            raise ConfigError(f"unknown variants {unknown}; choose from {list(VARIANTS)}")
-        if len(set(self.variants)) != len(self.variants):
-            raise ConfigError(f"variants repeat a name: {self.variants!r}")
-        if self.metric_units not in ("data", "scaled"):
-            raise ConfigError(f"metric_units must be 'data' or 'scaled', not {self.metric_units!r}")
+        for name in ("lookbacks", "variants"):  # a grid (with sentiment, for variants) would have no cell
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must name at least one {name[:-1]}")
         try:
             ds.check_split(self.split_ratio, self.fit_scope)
             self.training = nn.TrainConfig(

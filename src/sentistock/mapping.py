@@ -30,12 +30,10 @@ class MemoryKernel:
     """
 
     memory_days: int = field(default=30, metadata={"least": 1})
-    mode: str = "recency"
+    mode: str = field(default="recency", metadata={"choices": ("recency", "literal")})
 
     def __post_init__(self):
         check_fields(self)
-        if self.mode not in ("recency", "literal"):
-            raise ValueError(f"unknown kernel mode {self.mode!r}")
 
     def weights(self) -> np.ndarray:
         """Kernel values for lags 1..M, in lag order."""

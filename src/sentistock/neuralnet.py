@@ -144,12 +144,9 @@ class ModelConfig:
     def __post_init__(self):
         """ValueError for a wrong type or a negative seed (check_fields), InvalidShapeError for a dim < 1."""
         check_fields(self)
-        if len(self.input_shape) != 2:
-            raise ValueError(f"input_shape must be a pair of integers, not {self.input_shape!r}")
         if self.hidden_units < 1:
             raise InvalidShapeError(f"hidden_units must be >= 1, not {self.hidden_units}")
-        w, n_features = self.input_shape
-        if w < 1 or n_features < 1:
+        if min(self.input_shape) < 1:
             raise InvalidShapeError(f"input_shape dims must be >= 1, not {self.input_shape}")
 
 
@@ -159,14 +156,12 @@ class TrainConfig:
 
     epochs: int = field(default=100, metadata={"least": 1})
     batch_size: int = field(default=32, metadata={"least": 1})
-    validation_split: float = 0.1
+    validation_split: float = field(default=0.1, metadata={"least": 0, "most": 0.5})
     patience: int = field(default=10, metadata={"least": 0})
     learning_rate: float = 1e-3
 
     def __post_init__(self):
         check_fields(self)
-        if not 0.0 <= self.validation_split <= 0.5:
-            raise ValueError(f"validation_split must lie in [0, 0.5], not {self.validation_split!r}")
         if not math.isfinite(self.learning_rate):
             raise ValueError(f"learning_rate must be finite, not {self.learning_rate!r}")
         if self.learning_rate <= 0:

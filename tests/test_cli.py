@@ -68,8 +68,9 @@ def test_score_reads_named_scores_file(workspace):
 
 @pytest.mark.parametrize("variants, message", [
     ("", "variants must name at least one variant"),
-    ("bogus", "unknown variants ['bogus']"),
-    ("cleaned_prosus,cleaned_prosus", "variants repeat a name"),
+    ("bogus", "variants must be one of ('cleaned_prosus', 'cleaned_yiyanghkust', 'pos_prosus', "
+              "'pos_yiyanghkust'), not 'bogus'"),
+    ("cleaned_prosus,cleaned_prosus", "variants must hold distinct items, not ['cleaned_prosus', 'cleaned_prosus']"),
 ], ids=["empty", "unknown", "repeated"])
 def test_score_bad_variants_exit_code(workspace, capsys, monkeypatch, variants, message):
     """score checks --variants as the config does: a bad list exits 2 before
@@ -496,7 +497,7 @@ def test_stage_flag_bad_value_exit_code(workspace, capsys):
     master = tmp_path / "master.csv"
     assert main(["map", "--stock", str(stock_path), "--tweets", str(tweets_path),
                  "--mode", "bogus", "--out", str(master)]) == 2
-    assert "kernel mode" in capsys.readouterr().err
+    assert "mode must be one of ('recency', 'literal'), not 'bogus'" in capsys.readouterr().err
     assert not master.exists()
     assert main(["train", "--master", str(master), "--lookback", "3", "--fit-scope", "bogus",
                  "--model-out", str(tmp_path / "model.npz")]) == 2

@@ -867,24 +867,46 @@ class TestConfigFile:
             for f in dataclasses.fields(config):
                 assert f.type in errors._FIELD_TYPES, f"{config.__name__}.{f.name}"
 
-    DECLARED_BOUNDS = [(ExperimentConfig, "hidden_units", 1), (ExperimentConfig, "max_lag", 0),
-                       (ExperimentConfig, "seed", 0), (neuralnet.TrainConfig, "epochs", 1),
-                       (neuralnet.TrainConfig, "batch_size", 1), (neuralnet.TrainConfig, "patience", 0),
-                       (MemoryKernel, "memory_days", 1), (neuralnet.ModelConfig, "seed", 0)]
+    # Every rule a field of the four config classes declares in its metadata, with a value
+    # that breaks it and the error check_fields raises: (config, field, key, rule, bad, message).
+    DECLARED_RULES = [
+        (ExperimentConfig, "variants", "choices", VARIANTS, ["pos_prosus", "bogus"],
+         f"variants must be one of {VARIANTS}, not 'bogus'"),
+        (ExperimentConfig, "variants", "distinct", True, ["pos_prosus", "pos_prosus"],
+         "variants must hold distinct items, not ['pos_prosus', 'pos_prosus']"),
+        (ExperimentConfig, "lookbacks", "least", 1, [5, 0], "lookbacks must be >= 1, not 0"),
+        (ExperimentConfig, "lookbacks", "distinct", True, [5, 5], "lookbacks must hold distinct items, not [5, 5]"),
+        (ExperimentConfig, "hidden_units", "least", 1, 0, "hidden_units must be >= 1, not 0"),
+        (ExperimentConfig, "metric_units", "choices", ("data", "scaled"), "bogus",
+         "metric_units must be one of ('data', 'scaled'), not 'bogus'"),
+        (ExperimentConfig, "max_lag", "least", 0, -1, "max_lag must be >= 0, not -1"),
+        (ExperimentConfig, "seed", "least", 0, -1, "seed must be >= 0, not -1"),
+        (neuralnet.TrainConfig, "epochs", "least", 1, 0, "epochs must be >= 1, not 0"),
+        (neuralnet.TrainConfig, "batch_size", "least", 1, 0, "batch_size must be >= 1, not 0"),
+        (neuralnet.TrainConfig, "validation_split", "least", 0, -0.1,
+         "validation_split must lie in [0, 0.5], not -0.1"),
+        (neuralnet.TrainConfig, "validation_split", "most", 0.5, 0.7,
+         "validation_split must lie in [0, 0.5], not 0.7"),
+        (neuralnet.TrainConfig, "patience", "least", 0, -1, "patience must be >= 0, not -1"),
+        (MemoryKernel, "memory_days", "least", 1, 0, "memory_days must be >= 1, not 0"),
+        (MemoryKernel, "mode", "choices", ("recency", "literal"), "bogus",
+         "mode must be one of ('recency', 'literal'), not 'bogus'"),
+        (neuralnet.ModelConfig, "seed", "least", 0, -1, "seed must be >= 0, not -1"),
+    ]
 
-    @pytest.mark.parametrize("config, name, least", DECLARED_BOUNDS,
-                             ids=[f"{c.__name__}.{n}" for c, n, _ in DECLARED_BOUNDS])
-    def test_declared_bound_enforced(self, config, name, least):
-        """Every field's declared least value is exactly this list, and check_fields
-        rejects a value one below it, naming field, bound and value."""
-        declared = {(c, f.name, f.metadata["least"])
+    @pytest.mark.parametrize("config, name, key, rule, bad, message", DECLARED_RULES,
+                             ids=[f"{c.__name__}.{n}" + ("" if k == "least" else f"-{k}")
+                                  for c, n, k, *_ in DECLARED_RULES])
+    def test_declared_bound_enforced(self, config, name, key, rule, bad, message):
+        """Every rule declared in a config field's metadata is exactly this list, and
+        check_fields rejects a value that breaks it, naming the field and the value."""
+        declared = {(c, f.name, k, v)
                     for c in (ExperimentConfig, neuralnet.TrainConfig, MemoryKernel, neuralnet.ModelConfig)
-                    for f in dataclasses.fields(c) if "least" in f.metadata}
-        assert declared == set(self.DECLARED_BOUNDS)
+                    for f in dataclasses.fields(c) for k, v in f.metadata.items()}
+        assert declared == {(c, n, k, v) for c, n, k, v, *_ in self.DECLARED_RULES}
         error = ConfigError if config is ExperimentConfig else ValueError
-        message = f"{name} must be >= {least}, not {least - 1}"
         with pytest.raises(error, match=re.escape(message) + "$") as caught:
-            config(**{name: least - 1})
+            config(**{name: bad})
         assert type(caught.value) is error
 
     @pytest.mark.parametrize("bad, message", [

@@ -130,6 +130,7 @@ class TestInitModel:
         ({"input_shape": (5,)}, "input_shape must be a pair of integers, not (5,)"),
         ({"input_shape": [5, 3]}, "input_shape must be a pair of integers, not [5, 3]"),
         ({"input_shape": (5, np.int64(3))}, "input_shape must be a pair of integers"),
+        ({"input_shape": (3, 4, 5)}, "input_shape must be a pair of integers, not (3, 4, 5)"),
     ])
     def test_value_types_checked(self, changes, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -349,8 +350,10 @@ class TestTrain:
         ({"patience": -1}, "patience must be >= 0, not -1"),
         ({"validation_split": 0.7}, "validation_split must lie in [0, 0.5], not 0.7"),
         ({"learning_rate": 0.0}, "learning_rate must be > 0, not 0.0"),
+        ({"validation_split": math.nan}, "validation_split must lie in [0, 0.5], not nan"),
     ], ids=["epochs-float", "batch_size-bool", "learning_rate-str", "validation_split-none",
-            "batch_size-zero", "patience-negative", "validation_split-high", "learning_rate-zero"])
+            "batch_size-zero", "patience-negative", "validation_split-high", "learning_rate-zero",
+            "validation_split-nan"])
     def test_config_value_errors_name_the_field(self, changes, message):
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
             TrainConfig(**changes)
