@@ -15,7 +15,7 @@ import hashlib
 import json
 import logging
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import date
 from itertools import product
 from pathlib import Path
@@ -39,10 +39,16 @@ DEFAULT_LOOKBACKS = (5, 10, 20, 30, 60, 90)
 # The fields of a record, and of its history, that its JSON file holds, in file order.
 _RECORD_KEYS = ("scrip", "variant", "lookback", "seed", "fingerprint", "error", "failed_stage")
 _HISTORY_KEYS = ("n_epochs", "best_epoch", "stopped_early")
+_TRAIN_FIELDS = tuple(f.name for f in fields(nn.TrainConfig))  # ExperimentConfig borrows each one
 # The config fields that prepare_cell, train_model and evaluate_model read:
 # with the master and the cell, all that a cell's fingerprint hashes.
-_CELL_FIELDS = ("split_ratio", "fit_scope", "hidden_units", "epochs", "batch_size",
-                "validation_split", "patience", "learning_rate", "metric_units", "max_lag")
+_CELL_FIELDS = ("split_ratio", "fit_scope", "hidden_units", *_TRAIN_FIELDS, "metric_units", "max_lag")
+
+
+def _like(cls, name: str):
+    """A field with the default and declared rules of dataclass ``cls``'s field ``name``."""
+    f = cls.__dataclass_fields__[name]
+    return field(default=f.default, metadata=f.metadata)
 
 
 @dataclass
@@ -54,30 +60,30 @@ class ExperimentConfig:
     scores_file: str | None = None
     variants: list[str] = field(default_factory=lambda: list(VARIANTS),
                                 metadata={"choices": VARIANTS, "distinct": True})
-    memory_days: int = 30
-    kernel_mode: str = "recency"
+    memory_days: int = _like(MemoryKernel, "memory_days")
+    kernel_mode: str = _like(MemoryKernel, "mode")
     split_ratio: float = 0.8
     fit_scope: str = "train_only"
     lookbacks: list[int] = field(default_factory=lambda: list(DEFAULT_LOOKBACKS),
                                  metadata={"least": 1, "distinct": True})
     hidden_units: int = field(default=50, metadata={"least": 1})
-    epochs: int = 100
-    batch_size: int = 32
-    validation_split: float = 0.1
-    patience: int = 10
-    learning_rate: float = 1e-3
+    epochs: int = _like(nn.TrainConfig, "epochs")
+    batch_size: int = _like(nn.TrainConfig, "batch_size")
+    validation_split: float = _like(nn.TrainConfig, "validation_split")
+    patience: int = _like(nn.TrainConfig, "patience")
+    learning_rate: float = _like(nn.TrainConfig, "learning_rate")
     with_sentiment: bool = True
     metric_units: str = field(default="data", metadata={"choices": ("data", "scaled")})
     max_lag: int = field(default=14, metadata={"least": 0})
     output_dir: str | None = None
     scrip: str | None = None
-    seed: int = field(default=0, metadata={"least": 0})  # numpy's generators reject a negative seed
+    seed: int = _like(nn.ModelConfig, "seed")
 
     def __post_init__(self):
-        """Check every value once, and build the stage configs a run uses. check_fields checks
-        the types and each field's declared rules; ``training`` and ``kernel`` (TrainConfig and
-        MemoryKernel) check their own fields. They are plain attributes, not fields: asdict
-        and dataclasses.replace see only the values.
+        """Check every value once, and build the stage configs a run uses. check_fields checks the
+        types and the declared rules, a _like field's under its key here; TrainConfig alone checks
+        learning_rate's sign and finiteness. ``training`` and ``kernel`` (TrainConfig and
+        MemoryKernel) are plain attributes, not fields: asdict and replace see only the values.
         """
         check_fields(self, ConfigError)
         if any(c in (self.scrip or "") for c in "/\0"):  # it names the result files
@@ -87,13 +93,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must name at least one {name[:-1]}")
         try:
             ds.check_split(self.split_ratio, self.fit_scope)
-            self.training = nn.TrainConfig(
-                epochs=self.epochs,
-                batch_size=self.batch_size,
-                validation_split=self.validation_split,
-                patience=self.patience,
-                learning_rate=self.learning_rate,
-            )
+            self.training = nn.TrainConfig(**{n: getattr(self, n) for n in _TRAIN_FIELDS})
             self.kernel = MemoryKernel(self.memory_days, self.kernel_mode)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

@@ -492,12 +492,12 @@ def test_config_error_exit_code(workspace, capsys):
 
 
 def test_stage_flag_bad_value_exit_code(workspace, capsys):
-    """Stage flags are checked by the config, so a bad value names its field."""
+    """Stage flags are checked by the config, so a bad value names the config field it sets."""
     tmp_path, stock_path, tweets_path = workspace
     master = tmp_path / "master.csv"
     assert main(["map", "--stock", str(stock_path), "--tweets", str(tweets_path),
                  "--mode", "bogus", "--out", str(master)]) == 2
-    assert "mode must be one of ('recency', 'literal'), not 'bogus'" in capsys.readouterr().err
+    assert "kernel_mode must be one of ('recency', 'literal'), not 'bogus'" in capsys.readouterr().err
     assert not master.exists()
     assert main(["train", "--master", str(master), "--lookback", "3", "--fit-scope", "bogus",
                  "--model-out", str(tmp_path / "model.npz")]) == 2

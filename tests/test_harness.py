@@ -881,6 +881,16 @@ class TestConfigFile:
          "metric_units must be one of ('data', 'scaled'), not 'bogus'"),
         (ExperimentConfig, "max_lag", "least", 0, -1, "max_lag must be >= 0, not -1"),
         (ExperimentConfig, "seed", "least", 0, -1, "seed must be >= 0, not -1"),
+        (ExperimentConfig, "epochs", "least", 1, 0, "epochs must be >= 1, not 0"),
+        (ExperimentConfig, "batch_size", "least", 1, 0, "batch_size must be >= 1, not 0"),
+        (ExperimentConfig, "validation_split", "least", 0, -0.1,
+         "validation_split must lie in [0, 0.5], not -0.1"),
+        (ExperimentConfig, "validation_split", "most", 0.5, 0.7,
+         "validation_split must lie in [0, 0.5], not 0.7"),
+        (ExperimentConfig, "patience", "least", 0, -1, "patience must be >= 0, not -1"),
+        (ExperimentConfig, "memory_days", "least", 1, 0, "memory_days must be >= 1, not 0"),
+        (ExperimentConfig, "kernel_mode", "choices", ("recency", "literal"), "bogus",
+         "kernel_mode must be one of ('recency', 'literal'), not 'bogus'"),
         (neuralnet.TrainConfig, "epochs", "least", 1, 0, "epochs must be >= 1, not 0"),
         (neuralnet.TrainConfig, "batch_size", "least", 1, 0, "batch_size must be >= 1, not 0"),
         (neuralnet.TrainConfig, "validation_split", "least", 0, -0.1,
@@ -908,6 +918,19 @@ class TestConfigFile:
         with pytest.raises(error, match=re.escape(message) + "$") as caught:
             config(**{name: bad})
         assert type(caught.value) is error
+
+    # Each ExperimentConfig field that borrows a stage config's field, and that field.
+    BORROWED = {"memory_days": (MemoryKernel, "memory_days"), "kernel_mode": (MemoryKernel, "mode"),
+                **{f.name: (neuralnet.TrainConfig, f.name) for f in dataclasses.fields(neuralnet.TrainConfig)},
+                "seed": (neuralnet.ModelConfig, "seed")}
+
+    @pytest.mark.parametrize("name", BORROWED)
+    def test_borrowed_field_is_the_stage_field(self, name):
+        """A stage field's default, rules and type are declared once, on the stage config:
+        the config's field of that job has exactly them."""
+        stage, stage_name = self.BORROWED[name]
+        ours, theirs = ExperimentConfig.__dataclass_fields__[name], stage.__dataclass_fields__[stage_name]
+        assert (ours.default, dict(ours.metadata), ours.type) == (theirs.default, dict(theirs.metadata), theirs.type)
 
     @pytest.mark.parametrize("bad, message", [
         ({"batch_size": 0}, "batch_size must be >= 1, not 0"),
