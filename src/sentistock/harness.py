@@ -196,10 +196,10 @@ def _stage(name: str):
 
 
 def load_stock(cfg: ExperimentConfig) -> MasterDataset:
-    """Stage load_stock: read the configured stock file."""
+    """Stage load_stock: read the configured stock file (none is a ConfigError)."""
+    if cfg.stock_file is None:
+        raise ConfigError("stock_file is required")
     with _stage("load_stock"):
-        if cfg.stock_file is None:
-            raise ConfigError("stock_file is required")
         return load_stock_csv(cfg.stock_file, symbol=cfg.scrip)
 
 

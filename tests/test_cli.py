@@ -95,6 +95,19 @@ def test_map_subcommand(workspace):
     assert header == "Date,Open,High,Low,Close,Volume,sent_pos,sent_neg,sent_neu"
 
 
+def test_map_variant_without_text_exit_code(workspace, capsys):
+    """A tweet file without pos_text cannot be mapped for a pos_ variant."""
+    tmp_path, stock_path, _ = workspace
+    nopos = tmp_path / "nopos.jsonl"
+    nopos.write_text(json.dumps({"date": "2020-01-02", "text": "x"}) + "\n")
+    out = tmp_path / "new" / "master.csv"
+    assert main(["map", "--stock", str(stock_path), "--tweets", str(nopos),
+                 "--variant", "pos_prosus", "--out", str(out)]) == 2
+    assert ("stage 'score' failed: tweet '0' has no text for variant 'pos_prosus'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "new").exists()
+
+
 def test_train_and_evaluate_subcommands(workspace):
     tmp_path, stock_path, tweets_path = workspace
     master = tmp_path / "master.csv"
@@ -435,6 +448,19 @@ def test_grid_without_tweet_files_exit_code(workspace, capsys):
     out = tmp_path / "out"
     assert main(["grid", "--config", str(config), "--out-dir", str(out)]) == 2
     assert "requires at least one tweet file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_grid_without_stock_file_exit_code(workspace, capsys):
+    """A config that names no stock file is a bad config, reported before any input is read."""
+    tmp_path, _, tweets_path = workspace
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "config_version": 1, "tweet_files": [str(tweets_path)], "lookbacks": [3], "hidden_units": 4, "epochs": 1,
+    }))
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(config), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "error: stock_file is required\n"
     assert not out.exists()
 
 

@@ -63,6 +63,11 @@ class TestComputeMetrics:
         with pytest.raises(LengthMismatchError):
             compute_metrics([1.0, 2.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("metric", [compute_metrics, directional_accuracy])
+    def test_one_point_rejected(self, metric):
+        with pytest.raises(LengthMismatchError, match="^need at least 2 points$"):
+            metric([1.0], [2.0])
+
     def test_rmse_dominates_mae(self):
         rng = np.random.default_rng(0)
         for _ in range(500):
@@ -132,6 +137,10 @@ class TestBestTimeOffset:
         series = np.sin(2 * np.pi * t / 4)
         lag, _ = best_time_offset(series, series, max_lag=8)
         assert lag == 0
+
+    def test_constant_lag_windows_skipped(self):
+        # every lag but 0 sees a constant prediction, so lag 0 wins; no change pair matches there
+        assert best_time_offset([0, 1, 1, 1, 1, 1], [3, 1, 4, 1, 5, 9], 3) == (0, 0.0)
 
     def test_series_too_short(self):
         with pytest.raises(SeriesTooShortError):

@@ -10,6 +10,7 @@ from sentistock.errors import (
     EmptySeriesError,
     MissingColumnError,
     MissingScoreError,
+    UnknownColumnError,
     UnparseableRowError,
 )
 from sentistock.ingest import TARGET_COLUMN, MasterDataset, Tweet, load_master_csv, write_stock_csv
@@ -308,6 +309,12 @@ class TestMasterCsv:
         path = tmp_path / "master.csv"
         path.write_text("Date,Close\n")
         with pytest.raises(EmptySeriesError):
+            load_master_csv(path)
+
+    def test_master_without_close_rejected(self, tmp_path):
+        path = tmp_path / "master.csv"
+        path.write_text("Date,Open,sent_pos\n2020-01-02,1.0,0.25\n")
+        with pytest.raises(UnknownColumnError, match="Close"):
             load_master_csv(path)
 
     def test_unsorted_rows_load_sorted(self, tmp_path):

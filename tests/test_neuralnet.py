@@ -14,6 +14,7 @@ import pytest
 
 from sentistock import harness, neuralnet, synth
 from sentistock.dataset import WindowedSet
+from sentistock.evalmetrics import validation_score
 from sentistock.errors import (
     EmptyTrainingSetError,
     InvalidShapeError,
@@ -145,6 +146,12 @@ class TestForward:
         model.params["head_b"][:] = 0.37
         X = np.random.default_rng(0).uniform(-2, 2, (6, 4, 2))
         np.testing.assert_allclose(forward(model, X), 0.37, atol=1e-15)
+
+    @pytest.mark.parametrize("hidden", [1, 4, 50])
+    def test_empty_batch(self, hidden):
+        model = init_model(ModelConfig(hidden_units=hidden, input_shape=(4, 2), seed=0))
+        pred = forward(model, np.zeros((0, 4, 2)))
+        assert pred.shape == (0,) and pred.dtype == np.float64
 
     def test_batch_order_preserved(self):
         model = init_model(ModelConfig(hidden_units=3, input_shape=(4, 2), seed=1))
@@ -363,6 +370,38 @@ class TestTrain:
         empty = WindowedSet(X=np.zeros((0, 4, 2)), y=np.zeros(0), lookback=4)
         with pytest.raises(EmptyTrainingSetError):
             train(model, empty, TrainConfig())
+
+    def test_split_leaving_no_training_window(self):
+        with pytest.raises(EmptyTrainingSetError,
+                           match=re.escape("validation split 0.1 leaves no training samples") + "$"):
+            train(self.small_model(), make_windows_for(1, 4, 2, seed=13), TrainConfig(validation_split=0.1))
+
+    @pytest.mark.parametrize("n, split, constant", [(10, 0.1, False), (20, 0.2, True)],
+                             ids=["one_window", "constant_target"])
+    def test_undefined_validation_r2_is_nan(self, n, split, constant):
+        """One validation window, or a constant validation target, has zero variance about
+        its mean: every epoch's validation R^2 is NaN and the history has no validation score."""
+        windows = make_windows_for(n, 4, 2, seed=11)
+        if constant:
+            windows.y[-4:] = 0.5  # validation_split 0.2: the last four windows
+        history = train(self.small_model(), windows,
+                        TrainConfig(epochs=3, batch_size=8, validation_split=split, patience=3))
+        assert history.n_epochs == 3 and np.isfinite(history.val_loss).all()
+        assert np.isnan(history.val_r2).all() and validation_score(history) is None
+
+    def test_non_finite_parameter_raises_with_epoch(self, monkeypatch):
+        """A step whose loss was finite but that leaves a NaN parameter stops training."""
+        step = _Adam.step
+
+        def nan_step(self, params, grads):
+            step(self, params, grads)
+            params["head_b"][0] = np.nan
+
+        monkeypatch.setattr(_Adam, "step", nan_step)
+        with pytest.raises(NonFiniteLossError, match="^non-finite parameter at epoch 0$") as exc:
+            train(self.small_model(), make_windows_for(10, 4, 2, seed=14),
+                  TrainConfig(epochs=2, batch_size=16, validation_split=0.0))
+        assert exc.value.epoch == 0
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_loss_raises_with_epoch(self):
