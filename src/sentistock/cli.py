@@ -54,12 +54,14 @@ def _add_config_flags(p, *names: str, **kwargs):
 
 def _add_clean(sub):
     p = sub.add_parser("clean", help="normalize tweet text")
+    p.set_defaults(run=_cmd_clean)
     p.add_argument("--tweets", required=True, help="input tweets (JSON lines)")
     p.add_argument("--out", required=True, help="output JSON lines with cleaned text")
 
 
 def _add_score(sub):
     p = sub.add_parser("score", help="score tweets into a score CSV")
+    p.set_defaults(run=_cmd_score)
     p.add_argument("--tweets", required=True)
     p.add_argument("--out", required=True)
     _add_config_flags(p, "scores_file", help="precomputed score CSV (default: lexicon scorer)")
@@ -68,6 +70,7 @@ def _add_score(sub):
 
 def _add_map(sub):
     p = sub.add_parser("map", help="map scores onto the trading calendar and join with stock")
+    p.set_defaults(run=_cmd_map)
     _add_config_flags(p, "stock_file", required=True)
     p.add_argument("--tweets", required=True)
     _add_config_flags(p, "scores_file", help="precomputed score CSV (default: lexicon scorer)")
@@ -78,6 +81,7 @@ def _add_map(sub):
 
 def _add_train(sub):
     p = sub.add_parser("train", help="train a model on a master CSV")
+    p.set_defaults(run=_cmd_train)
     p.add_argument("--master", required=True)
     p.add_argument("--lookback", type=int, required=True)
     _add_config_flags(p, "hidden_units", "epochs", "batch_size", "validation_split", "patience",
@@ -88,6 +92,7 @@ def _add_train(sub):
 
 def _add_evaluate(sub):
     p = sub.add_parser("evaluate", help="evaluate a trained model on a master CSV")
+    p.set_defaults(run=_cmd_evaluate)
     p.add_argument("--model", required=True)
     p.add_argument("--master", required=True)
     _add_config_flags(p, "metric_units", "max_lag")
@@ -97,6 +102,7 @@ def _add_evaluate(sub):
 
 def _add_grid(sub):
     p = sub.add_parser("grid", help="run the full (variant x lookback) sweep")
+    p.set_defaults(run=_cmd_grid)
     p.add_argument("--config", required=True, help="JSON experiment config")
     _add_config_flags(p, "stock_file", "tweet_files", "output_dir", "seed", "epochs", "lookbacks")
     p.add_argument("--with-sentiment", action="store_true", default=None)
@@ -195,15 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO)
-
-    handlers = {
-        "clean": _cmd_clean,
-        "score": _cmd_score,
-        "map": _cmd_map,
-        "train": _cmd_train,
-        "evaluate": _cmd_evaluate,
-        "grid": _cmd_grid,
-    }
     made = []  # the directories this call creates, removed again if it exits 2
     try:
         for name in ("out", "model_out", "history_out", "pred_out"):
@@ -211,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
             if path:
                 made += [d for d in Path(path).parents if not d.exists()]
                 Path(path).parent.mkdir(parents=True, exist_ok=True)
-        return handlers[args.command](args)
+        return args.run(args)
     except (SentiStockError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         for directory in sorted(made, key=lambda d: len(d.parts), reverse=True):

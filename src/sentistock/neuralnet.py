@@ -448,10 +448,7 @@ def _forward_full(model: BiLstmModel, X: np.ndarray):
 def forward(model: BiLstmModel, X) -> np.ndarray:
     """Forward pass over a (B, w, n_features) batch; returns (B,) predictions."""
     X = _check_batch(model, X)
-    if X.shape[0] == 0:
-        return np.zeros(0)
-    pred, _ = _forward_full(model, X)
-    return pred
+    return _forward_full(model, X)[0]
 
 
 def predict(model: BiLstmModel, X: np.ndarray, chunk_size: int = 64) -> np.ndarray:
@@ -539,15 +536,6 @@ class _Adam:
             params[key] -= np.divide(a, b, out=a)
 
 
-def _safe_r2(pred, actual) -> float:
-    if len(pred) < 2:
-        return float("nan")
-    try:
-        return evalmetrics.r2(pred, actual)
-    except ZeroVarianceError:
-        return float("nan")
-
-
 def train(model: BiLstmModel, windows, cfg: TrainConfig) -> TrainingHistory:
     """Fit the model in place on a WindowedSet; returns the per-epoch history.
 
@@ -597,7 +585,10 @@ def train(model: BiLstmModel, windows, cfg: TrainConfig) -> TrainingHistory:
             if n_val > 0:
                 val_pred = predict(model, X_val, chunk_size=cfg.batch_size)  # arena stays batch-sized
                 val_loss = float(np.mean((val_pred - y_val) ** 2))
-                val_r2 = _safe_r2(val_pred, y_val)
+                try:
+                    val_r2 = evalmetrics.r2(val_pred, y_val)
+                except ZeroVarianceError:  # one window, or a constant target
+                    val_r2 = float("nan")
             else:
                 val_loss = val_r2 = float("nan")
             history.train_loss.append(train_loss)
